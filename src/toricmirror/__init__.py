@@ -1,8 +1,9 @@
 """Exact mirror maps, open Gromov-Witten potentials, and Seidel elements
 for smooth semi-Fano toric fans.
 
-Everything is computed over the rationals; no floating point is used
-anywhere.  The main entry points:
+Everything is computed in exact ``int``/``Fraction`` arithmetic, never
+float: integral values stay ``int``, and ``Fraction`` appears only where a
+real denominator exists.  The main entry points:
 
 - :func:`parse_fan` / :func:`validate` build a :class:`ToricContext` from a
   fan description,

@@ -2,8 +2,11 @@
 
 The fan/curve machinery only ever deals with a handful of variables (the rank
 of H_2, so at most ~6 in practice), which is squarely inside the regime where
-Fourier-Motzkin is the simplest exact method.  Everything here works with
-``fractions.Fraction`` and integers; no floating point is involved anywhere.
+Fourier-Motzkin is the simplest exact method.  Everything here is exact
+``int``/``Fraction`` arithmetic, never float: constraints are scaled to
+coprime ``int`` rows, so elimination and lattice-point enumeration run on
+plain integers, and only a bound that has a real denominator is a
+``Fraction``.
 
 A constraint is a pair ``(coeffs, rhs)`` encoding ``coeffs . x >= rhs``.
 Entry points:
@@ -20,7 +23,7 @@ Entry points:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd, lcm
 
 
 class LPUnboundedError(ArithmeticError):
@@ -28,32 +31,57 @@ class LPUnboundedError(ArithmeticError):
 
 
 def _norm(coeffs, rhs):
-    """Scale a constraint to coprime integer coefficients (keeps exactness
-    and makes deduplication meaningful)."""
-    coeffs = tuple(Fraction(c) for c in coeffs)
-    rhs = Fraction(rhs)
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(c * scale) for c in coeffs]
-    b = int(rhs * scale)
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1 and b % g == 0:
-        ints = [v // g for v in ints]
-        b //= g
-    return tuple(Fraction(v) for v in ints), Fraction(b)
+    """Scale a constraint to ``int`` coefficients and right-hand side."""
+    row = [Fraction(v) for v in coeffs] + [Fraction(rhs)]
+    scale = lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (scale // v.denominator) for v in row]
+    return ints[:-1], ints[-1]
 
 
 def _dedupe(cons):
+    """Merge parallel ``int`` constraints into coprime ``int`` rows.
+
+    ``c . x >= b`` bounds the primitive direction ``p = c / g``, with
+    ``g = gcd(c)``, by ``b / g``.  Of the rows that share a direction only
+    the largest ``b / g`` constrains anything, so only that one is kept, as
+    ``(p * g/h, b/h)`` with ``h = gcd(g, b)``.  Rows come out in the order in
+    which their directions first appear.
+    """
     best = {}
     for coeffs, rhs in cons:
-        key = coeffs
-        if key not in best or rhs > best[key]:
-            best[key] = rhs
-    return [(k, v) for k, v in best.items()]
+        g = gcd(*coeffs) or 1
+        key = tuple(c // g for c in coeffs) if g > 1 else tuple(coeffs)
+        kept = best.get(key)
+        if kept is None or rhs * kept[1] > kept[0] * g:
+            best[key] = (rhs, g)
+    out = []
+    for key, (rhs, g) in best.items():
+        h = gcd(g, rhs)
+        scale = g // h
+        out.append((tuple(c * scale for c in key) if scale > 1 else key, rhs // h))
+    return out
+
+
+def _tightest_bounds(pos, neg, j, k, width):
+    """Combine every pair when ``x_k`` is the only other variable left.
+
+    Each combination then bounds ``x_k`` alone, and of those with the same
+    sign only the tightest survives :func:`_dedupe`, so keep one per sign
+    instead of forming every combined row.  The last elimination of every
+    chain is this case, and it is the one whose pair count explodes.
+    """
+    best = {}
+    for cp, bp in pos:
+        ap, xp = cp[j], cp[k]
+        for cn, bn in neg:
+            an = -cn[j]
+            c, r = an * xp + ap * cn[k], an * bp + ap * bn
+            sign = (c > 0) - (c < 0)
+            kept = best.get(sign)
+            # c x_k >= r bounds sign * x_k by r / |c|; a row 0 >= r, by r
+            if kept is None or r * (abs(kept[0]) or 1) > kept[1] * (abs(c) or 1):
+                best[sign] = (c, r)
+    return [(tuple(c if i == k else 0 for i in range(width)), r) for c, r in best.values()]
 
 
 def eliminate(cons, j):
@@ -61,7 +89,8 @@ def eliminate(cons, j):
 
     Standard Fourier-Motzkin: pair every lower bound on ``x_j`` with every
     upper bound.  The variable's slot is kept (as coefficient zero) so that
-    indices stay stable across passes.
+    indices stay stable across passes.  The pairs stream into the merge of
+    parallel rows, so only the rows that are kept are ever held at once.
     """
     pos, neg, zero = [], [], []
     for coeffs, rhs in cons:
@@ -72,13 +101,20 @@ def eliminate(cons, j):
             neg.append((coeffs, rhs))
         else:
             zero.append((coeffs, rhs))
-    out = list(zero)
-    for cp, bp in pos:
-        for cn, bn in neg:
-            ap, an = cp[j], -cn[j]
-            coeffs = tuple(an * x + ap * y for x, y in zip(cp, cn))
-            out.append(_norm(coeffs, an * bp + ap * bn))
-    return _dedupe(out)
+    width = len(cons[0][0]) if cons else 0
+    others = [i for i in range(width) if i != j and any(c[i] for c, _ in cons)]
+    if len(others) == 1:
+        return _dedupe(zero + _tightest_bounds(pos, neg, j, others[0], width))
+
+    def combined():
+        yield from zero
+        for cp, bp in pos:
+            ap = cp[j]
+            for cn, bn in neg:
+                an = -cn[j]
+                yield [an * x + ap * y for x, y in zip(cp, cn)], an * bp + ap * bn
+
+    return _dedupe(combined())
 
 
 def _chain(cons, nvars):
@@ -102,12 +138,31 @@ def _var_bounds(cons, j, point):
         a = coeffs[j]
         if not a:
             continue
-        rest = rhs - sum(coeffs[i] * point[i] for i in range(j))
-        bound = rest / a
+        bound = Fraction(rhs - sum(coeffs[i] * point[i] for i in range(j)), a)
         if a > 0:
             if lo is None or bound > lo:
                 lo = bound
         else:
+            if hi is None or bound < hi:
+                hi = bound
+    return lo, hi
+
+
+def _int_bounds(cons, j, point):
+    """Integer bracket ``ceil(lower) .. floor(upper)`` on ``x_j`` given integer
+    values for ``x_0 .. x_{j-1}``, by exact floor division."""
+    lo, hi = None, None
+    for coeffs, rhs in cons:
+        a = coeffs[j]
+        if not a:
+            continue
+        rest = rhs - sum(coeffs[i] * point[i] for i in range(j))
+        if a > 0:
+            bound = -(-rest // a)
+            if lo is None or bound > lo:
+                lo = bound
+        else:
+            bound = rest // a
             if hi is None or bound < hi:
                 hi = bound
     return lo, hi
@@ -161,13 +216,10 @@ def minimize(objective, cons, nvars):
     variable, eliminating all the ``x``'s, and reading off the lower bound of
     the projected interval in ``t``.
     """
-    objective = tuple(Fraction(c) for c in objective)
-    lifted = []
+    objective = tuple(objective)
     # t - objective.x >= 0 and objective.x - t >= 0 pin t to the objective.
-    lifted.append(_norm((Fraction(1),) + tuple(-c for c in objective), 0))
-    lifted.append(_norm((Fraction(-1),) + objective, 0))
-    for coeffs, rhs in cons:
-        lifted.append(_norm((Fraction(0),) + tuple(coeffs), rhs))
+    lifted = [((1,) + tuple(-c for c in objective), 0), ((-1,) + objective, 0)]
+    lifted += [((0,) + tuple(coeffs), rhs) for coeffs, rhs in cons]
     stages = _chain(lifted, nvars + 1)
     tcons = stages[0]
     for coeffs, rhs in tcons:
@@ -194,8 +246,8 @@ def integer_points(cons, nvars):
     """
     if nvars == 0:
         return [()]
-    normed = _dedupe([_norm(c, b) for c, b in cons])
-    stages = _chain(normed, nvars)
+    stages = _chain(cons, nvars)
+    normed = stages[nvars - 1]
     for coeffs, rhs in stages[0]:
         if not coeffs[0] and rhs > 0:
             return []
@@ -203,19 +255,17 @@ def integer_points(cons, nvars):
     out = []
 
     def descend(j, point):
-        lo, hi = _var_bounds(stages[j], j, point)
+        lo, hi = _int_bounds(stages[j], j, point)
         if lo is None or hi is None:
             raise LPUnboundedError(f"coordinate {j} is unbounded; cannot enumerate")
-        if lo > hi:
-            return
-        for v in range(ceil(lo), floor(hi) + 1):
-            nxt = point + (Fraction(v),)
+        for v in range(lo, hi + 1):
+            nxt = point + (v,)
             if j + 1 == nvars:
                 # The elimination chain is sound but not exact stage-by-stage
                 # for integer points; filter against the original system.
                 if all(sum(c * x for c, x in zip(coeffs, nxt)) >= rhs
                        for coeffs, rhs in normed):
-                    out.append(tuple(int(x) for x in nxt))
+                    out.append(nxt)
             else:
                 descend(j + 1, nxt)
 

@@ -302,14 +302,16 @@ class _Inverse:
         W = {l: _zero(ctx, order) for l in self.active}
         E = {l: _one(ctx, order) for l in self.active}
         trusted = Fraction(0)
-        stable = False
         limit = int(order / step) + 4
         for _ in range(limit):
             rung = min(order, trusted + step)
             new = self._pass(E, rung)
-            if rung == order and all(new[l] == W[l] for l in self.active):
-                stable = True
-                break
+            if rung == order:
+                # the lowest (degree, internal ray) at which W still moves
+                moving = min(((new[l].sub(W[l]).min_degree(), l)
+                              for l in self.active if new[l] != W[l]), default=None)
+                if moving is None:
+                    break
             # E kept exact: multiply by exp of the (high-degree) increment
             # instead of re-exponentiating from scratch each pass.
             for l in self.active:
@@ -318,9 +320,11 @@ class _Inverse:
                     E[l] = E[l].mul(delta_w.exp())
                 W[l] = new[l].truncate(order)
             trusted = rung
-        if not stable:
+        else:
+            degree, l = moving
             raise ArithmeticError("inverse mirror map fixed point did not "
-                                  f"stabilize within {limit} passes")
+                                  f"stabilize within {limit} passes: W for ray "
+                                  f"{ctx.basis_perm[l]} still changes at degree {degree}")
         self.W = W
         self.E = E
 

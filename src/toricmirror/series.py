@@ -1,12 +1,13 @@
 """Truncated multivariate formal power series over exact rationals.
 
 A :class:`QSeries` stores finitely many terms ``coeff * q^e`` where ``e`` is
-an integer exponent vector (negative entries are allowed) and ``coeff`` is a
-:class:`fractions.Fraction`.  Truncation is governed by a fixed strictly
-positive weight vector: a series of order ``N`` keeps exactly the terms whose
-weighted degree ``w . e`` is ``<= N``.  All arithmetic is exact — nothing is
-ever rounded, and a coefficient that cancels to zero is removed from the term
-map, so two equal series always compare equal.
+an integer exponent vector (negative entries are allowed) and ``coeff`` is
+exact: an ``int`` when it is integral, otherwise a non-integral
+:class:`fractions.Fraction`, never a float.  Truncation is governed by a
+fixed strictly positive weight vector: a series of order ``N`` keeps exactly
+the terms whose weighted degree ``w . e`` is ``<= N``.  All arithmetic is
+exact — nothing is ever rounded, and a coefficient that cancels to zero is
+removed from the term map, so two equal series always compare equal.
 
 Weighted truncation is what makes the mirror-map pipeline terminate: every
 series produced by the engine is supported on a pointed monoid of exponent
@@ -24,7 +25,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
+from operator import add as _add, mul as _mul
 
 
 class SeriesError(ValueError):
@@ -36,6 +38,15 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    raise SeriesError(f"weights and orders must be int or Fraction, got {type(value).__name__}")
+
+
+def _coeff(value):
+    """Normalise a coefficient: ``int`` when integral, else a ``Fraction``."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise SeriesError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
 
 
@@ -62,16 +73,17 @@ class QSeries:
         self._intw = (tuple(int(w) for w in weights)
                       if all(w.denominator == 1 for w in weights) else None)
         self.order = _as_fraction(order)
+        limit = self.order if self._intw is None else floor(self.order)
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _as_fraction(c)
+                c = _coeff(c)
                 if not c:
                     continue
                 e = tuple(e)
                 if len(e) != nvars:
                     raise SeriesError("exponent length does not match variable count")
-                if self.degree(e) <= self.order:
+                if self.degree(e) <= limit:
                     clean[e] = c
         self.terms = clean
         self._bydeg = None
@@ -81,7 +93,7 @@ class QSeries:
     def degree(self, exponent):
         """Weighted degree of an exponent vector (int or Fraction)."""
         if self._intw is not None:
-            return sum(w * x for w, x in zip(self._intw, exponent))
+            return sum(map(_mul, self._intw, exponent))
         return sum((w * x for w, x in zip(self.weights, exponent)), Fraction(0))
 
     @classmethod
@@ -90,7 +102,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value, nvars, weights, order):
-        return cls(nvars, weights, order, {(0,) * nvars: _as_fraction(value)})
+        return cls(nvars, weights, order, {(0,) * nvars: _coeff(value)})
 
     @classmethod
     def one(cls, nvars, weights, order):
@@ -98,17 +110,17 @@ class QSeries:
 
     @classmethod
     def monomial(cls, exponent, coeff, nvars, weights, order):
-        return cls(nvars, weights, order, {tuple(exponent): _as_fraction(coeff)})
+        return cls(nvars, weights, order, {tuple(exponent): _coeff(coeff)})
 
     def like(self, terms=None, order=None):
         """A series with the same shape (nvars/weights) as this one."""
         return QSeries(self.nvars, self.weights, self.order if order is None else order, terms)
 
-    def coefficient(self, exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
+    def coefficient(self, exponent):
+        return self.terms.get(tuple(exponent), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self):
+        return self.terms.get((0,) * self.nvars, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,7 +157,7 @@ class QSeries:
         order = min(self.order, other.order)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             elif e in out:
@@ -160,7 +172,7 @@ class QSeries:
         return self.add(other.neg())
 
     def scalar_mul(self, value):
-        value = _as_fraction(value)
+        value = _coeff(value)
         if not value:
             return QSeries(self.nvars, self.weights, self.order)
         return QSeries(self.nvars, self.weights, self.order,
@@ -169,11 +181,11 @@ class QSeries:
     def shift(self, exponent, scalar=1):
         """Multiply by ``scalar * q^exponent`` without a full convolution."""
         exponent = tuple(exponent)
-        scalar = _as_fraction(scalar)
+        scalar = _coeff(scalar)
         if not scalar:
             return QSeries(self.nvars, self.weights, self.order)
         return QSeries(self.nvars, self.weights, self.order,
-                       {tuple(a + b for a, b in zip(e, exponent)): scalar * c
+                       {tuple(map(_add, e, exponent)): scalar * c
                         for e, c in self.terms.items()})
 
     def mul(self, other):
@@ -185,19 +197,27 @@ class QSeries:
         small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
         degs, exps = big._sorted_by_degree()
         bigterms = big.terms
+        # With integer weights every degree is an int, so the budget is one too.
+        limit = order if self._intw is None else floor(order)
         out = {}
         for e1, c1 in small.terms.items():
-            budget = order - small.degree(e1)
-            hi = bisect_right(degs, budget)
-            for idx in range(hi):
-                e2 = exps[idx]
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * bigterms[e2]
+            hi = bisect_right(degs, limit - small.degree(e1))
+            for e2 in exps[:hi]:
+                e = tuple(map(_add, e1, e2))
+                s = out.get(e, 0) + c1 * bigterms[e2]
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return QSeries(self.nvars, self.weights, order, out)
+        # Every term is nonzero and within ``order`` by construction; only a
+        # sum of Fractions that came out integral needs normalising.
+        for e, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[e] = c.numerator
+        product = QSeries.__new__(QSeries)
+        product.nvars, product.weights, product._intw = self.nvars, self.weights, self._intw
+        product.order, product.terms, product._bydeg = order, out, None
+        return product
 
     def npow(self, k: int):
         """Integer power; negative exponents require an invertible constant term."""
@@ -400,20 +420,6 @@ class QSeries:
         return out
 
 
-# Free-function aliases for callers that prefer a procedural surface.
-
-def add(f: QSeries, g: QSeries) -> QSeries:
-    return f.add(g)
-
-
-def mul(f: QSeries, g: QSeries) -> QSeries:
-    return f.mul(g)
-
-
-def scalar_mul(value, f: QSeries) -> QSeries:
-    return f.scalar_mul(value)
-
-
 @dataclass(frozen=True)
 class SubstitutionMap:
     """A coordinate change ``q_k -> q_k * u_k(q)`` with unit factors ``u_k``.
@@ -482,9 +488,12 @@ class SubstitutionMap:
             raise SeriesError("cannot revert: unit tail of non-positive degree")
         passes = int(template.order / step) + 2
         for _ in range(passes):
-            units = tuple(self.units[k].substitute(t).recip() for k in range(self.nvars))
-            new = SubstitutionMap(units=units)
-            if new.units == t.units:
-                return new
-            t = new
-        raise ArithmeticError("reversion fixed point did not stabilise")
+            prev = t
+            units = tuple(self.units[k].substitute(prev).recip() for k in range(self.nvars))
+            t = SubstitutionMap(units=units)
+            if t.units == prev.units:
+                return t
+        degree, k = min((t.units[k].sub(prev.units[k]).min_degree(), k)
+                        for k in range(self.nvars) if t.units[k] != prev.units[k])
+        raise ArithmeticError(f"reversion fixed point did not stabilise within {passes} "
+                              f"passes: component {k} still changes at degree {degree}")

@@ -235,6 +235,15 @@ def test_seidel_fan_f2(f2):
     assert minimal_face(ctx, 0) == (0,)
 
 
+@pytest.mark.parametrize("ray", [3, 4])
+def test_chain3_minus_seidel_fans_validate(chain3, ray):
+    # the last Fourier-Motzkin stage of their grading LP pairs over a million
+    # rows; validation must still finish, with a grading >= 1 on every wall
+    ctx = validate(seidel_fan(chain3, ray, "minus"))
+    assert ctx.rank == 7
+    assert all(ctx.weight(w.curve.comps) >= 1 for w in ctx.walls)
+
+
 def test_seidel_fan_bad_arguments(p2):
     with pytest.raises(FanError):
         seidel_fan(p2, 0, "sideways")

@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from toricmirror import lp
+from toricmirror import enumerate_classes, lp
 from toricmirror.lp import LPUnboundedError
 
 # every constraint is coeffs . x >= rhs
@@ -103,3 +104,89 @@ def test_integer_points_match_brute_force():
                 if all(sum(c * x for c, x in zip(coeffs, p)) >= rhs
                        for coeffs, rhs in cons)}
         assert got == want
+
+
+# ------------------------------------------------- exact results, never float
+
+def assert_exact(*values):
+    for v in values:
+        assert type(v) in (int, Fraction), repr(v)
+
+
+def test_fractional_optimum_is_an_exact_fraction():
+    # min x+y s.t. 2x+y >= 2, x+3y >= 3, x,y >= 0: the vertex (3/5, 4/5)
+    cons = [((2, 1), 2), ((1, 3), 3), ((1, 0), 0), ((0, 1), 0)]
+    value, point = lp.minimize([1, 1], cons, 2)
+    assert value == Fraction(7, 5)
+    assert_exact(value, *point)
+    assert sum(point) == value
+    assert all(sum(c * x for c, x in zip(coeffs, point)) >= rhs for coeffs, rhs in cons)
+    assert_exact(*lp.witness(cons, 2))
+    assert_exact(*lp.witness([((3,), 1), ((-3,), -2)], 1))
+    sol = lp.solve_linear([[2, 1], [1, 3]], [2, 3])
+    assert sol == (Fraction(3, 5), Fraction(4, 5))
+    assert_exact(*sol)
+    boxed = cons + [((-1, 0), -3), ((0, -1), -3)]
+    points = lp.integer_points(boxed, 2)
+    assert (1, 1) in points and (0, 2) in points and (0, 1) not in points
+    assert all(type(x) is int for p in points for x in p)
+
+
+@pytest.mark.parametrize("name", ["p2", "f2", "chain3"])
+def test_fan_systems_give_exact_results(monkeypatch, load, name):
+    # record every LP that validating a fan and enumerating its classes solves
+    calls = {"minimize": [], "integer_points": [], "solve_linear": []}
+    for fn, seen in calls.items():
+        def spy(*args, _real=getattr(lp, fn), _seen=seen):
+            result = _real(*args)
+            _seen.append((args, result))
+            return result
+        monkeypatch.setattr(lp, fn, spy)
+    ctx = load(name)
+    for ray in range(ctx.m):
+        enumerate_classes(ctx, ray, 6)
+    assert all(calls.values())
+    for (_, cons, nvars), (value, point) in calls["minimize"]:
+        assert_exact(value, *point)
+        assert_exact(*lp.witness(cons, nvars))
+    for _, points in calls["integer_points"]:
+        assert all(type(x) is int for p in points for x in p)
+    for _, sol in calls["solve_linear"]:
+        if sol is not None:
+            assert_exact(*sol)
+
+
+def bounds_by_direction(cons):
+    """``{primitive direction p: b / g}`` for rows ``c . x >= b``, ``c = g p``,
+    keeping the tightest bound of each direction."""
+    best = {}
+    for coeffs, rhs in cons:
+        g = gcd(*coeffs) or 1
+        key = tuple(c // g for c in coeffs)
+        best[key] = max(best.get(key, Fraction(rhs, g)), Fraction(rhs, g))
+    return best
+
+
+def test_eliminate_matches_plain_fourier_motzkin():
+    # 2 variables: the last stage of a chain, with one variable left over;
+    # 3 variables: two left over
+    rng = random.Random(13)
+    for _ in range(60):
+        nvars = rng.choice((2, 3))
+        cons = lp._dedupe([(tuple(rng.randrange(-4, 5) for _ in range(nvars)),
+                            rng.randrange(-6, 7)) for _ in range(rng.randrange(1, 9))])
+        j = nvars - 1
+        plain = [(c, b) for c, b in cons if not c[j]]
+        for cp, bp in cons:
+            for cn, bn in cons:
+                if cp[j] > 0 > cn[j]:
+                    ap, an = cp[j], -cn[j]
+                    plain.append((tuple(an * x + ap * y for x, y in zip(cp, cn)),
+                                  an * bp + ap * bn))
+        got = lp.eliminate(cons, j)
+        assert bounds_by_direction(got) == bounds_by_direction(plain)
+        assert len(got) == len(bounds_by_direction(plain))
+        for coeffs, rhs in got:
+            assert not coeffs[j]
+            assert all(type(v) is int for v in coeffs + (rhs,))
+            assert gcd(*coeffs, rhs) == 1 or not any(coeffs)

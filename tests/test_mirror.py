@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -24,6 +25,7 @@ from toricmirror import (
     open_gw_divisor,
     seidel_element,
 )
+from toricmirror import mirror
 from toricmirror.series import QSeries
 
 
@@ -318,3 +320,26 @@ def test_extended_factors_project_to_mirror_map(f2):
     lhs2 = factors[3].mul(factors[1])
     assert lhs1 == mm.units[0]
     assert lhs2 == mm.units[1]
+
+
+def test_inverse_nonconvergence_names_ray_and_degree(monkeypatch, load):
+    # perturb one term of one W_l by a fresh amount on every Picard pass, so
+    # the verification pass never reproduces its input
+    ctx = load("chain3")
+    real_pass = mirror._Inverse._pass
+    bumps = itertools.count(1)
+    where = {}
+
+    def drifting(self, E, order):
+        out = real_pass(self, E, order)
+        l = self.active[-1]
+        comps, wt = self.sources[l][0][:2]
+        where.update(ray=ctx.basis_perm[l], degree=wt)
+        out[l] = out[l].add(mono(ctx, comps, next(bumps), order))
+        return out
+
+    monkeypatch.setattr(mirror._Inverse, "_pass", drifting)
+    with pytest.raises(ArithmeticError) as info:
+        delta(ctx, 2, 4)
+    assert str(info.value).endswith(
+        f"W for ray {where['ray']} still changes at degree {where['degree']}")

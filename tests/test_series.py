@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -178,6 +180,23 @@ def test_revert_gives_two_sided_inverse():
         assert inv.compose(m).is_identity()
 
 
+def test_revert_nonconvergence_names_component_and_degree():
+    # a unit factor whose substitution drifts by a fresh multiple of q1 q2 on
+    # every call can never reach a fixed point; component 1 moves at degree 2
+    bumps = itertools.count(1)
+
+    class Drifting(QSeries):
+        __slots__ = ()
+
+        def substitute(self, smap):
+            return super().substitute(smap).add(S({(1, 1): next(bumps)}, order=6))
+
+    m = SubstitutionMap((S({(0, 0): 1, (0, 1): 1}, order=6),
+                         Drifting(2, W, 6, {(0, 0): 1, (1, 0): Fraction(1, 2)})))
+    with pytest.raises(ArithmeticError, match="component 1 still changes at degree 2$"):
+        m.revert()
+
+
 def test_substitution_map_requires_unit_factors():
     bad = S({(1, 0): 1})
     with pytest.raises(SeriesError):
@@ -219,3 +238,59 @@ def test_eq_ignores_truncation_metadata():
     b = S({(1, 0): 1}, order=9)
     assert a == b
     assert a != S({(1, 0): 2}, order=4)
+
+
+# ------------------------------------------------- int-first coefficient type
+
+def assert_int_first(f):
+    """Integral coefficients are ``int``; the rest are non-integral Fractions."""
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_integral_fraction_input_is_stored_as_int():
+    e = (1, 2)
+    a, b = S({e: 3}), S({e: Fraction(3)})
+    assert a == b
+    assert type(b.coefficient(e)) is int
+    assert type(QSeries.constant(Fraction(4, 2), 2, W, 8).constant_term()) is int
+    assert type(QSeries.monomial(e, Fraction(-6, 3), 2, W, 8).coefficient(e)) is int
+    assert type(S({}).coefficient(e)) is int
+
+
+def test_records_and_text_do_not_depend_on_input_type():
+    ints = {(0, 0): 1, (1, 0): -2, (0, 1): Fraction(1, 2), (1, 1): 7}
+    fracs = {e: Fraction(c) for e, c in ints.items()}
+    a, b = S(ints), S(fracs)
+    assert a.to_records() == b.to_records()
+    assert json.dumps(a.to_records()) == json.dumps(b.to_records())
+    assert a.to_text() == b.to_text() == "1 + 1/2·q2 - 2·q1 + 7·q1 q2"
+
+
+def test_operations_keep_integral_coefficients_int():
+    half = Fraction(1, 2)
+    f = S({(0, 0): half, (1, 0): half})              # 1/2 + 1/2 q1
+    g = S({(0, 0): Fraction(2), (1, 0): 2})          # 2 + 2 q1
+    u = S({(0, 0): 1, (1, 0): half, (0, 1): Fraction(3)})
+    t = S({(1, 0): Fraction(1), (0, 1): half})
+    smap = SubstitutionMap((S({(0, 0): 1, (0, 1): Fraction(1)}),
+                            S({(0, 0): 1, (1, 0): half})))
+    product = f.mul(g)
+    # 1/2·2 + 1/2·2 sums two Fractions to an integer
+    assert product.terms == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
+    results = [product, t.exp(), u.log(), u.recip(), u.npow(3), u.npow(-2),
+               f.substitute(smap), u.substitute(smap), f.scalar_mul(Fraction(4)),
+               f.scalar_mul(half), f.shift((0, 1), Fraction(6, 3))]
+    for r in results:
+        assert r.terms
+        assert_int_first(r)
+    assert any(type(c) is int for r in results for c in r.terms.values())
+    assert any(type(c) is Fraction for r in results for c in r.terms.values())
+
+
+def test_random_arithmetic_stays_int_first():
+    rng = random.Random(12)
+    for _ in range(8):
+        f, g = rand_series(rng), rand_series(rng)
+        for r in (f.mul(g), f.exp(), f.exp().log(), f.add(g), f.exp().recip()):
+            assert_int_first(r)
