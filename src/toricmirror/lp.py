@@ -1,12 +1,20 @@
 """Exact linear programming over the rationals via Fourier-Motzkin elimination.
 
-The fan/curve machinery only ever deals with a handful of variables (the rank
-of H_2, so at most ~6 in practice), which is squarely inside the regime where
-Fourier-Motzkin is the simplest exact method.  Everything here is exact
-``int``/``Fraction`` arithmetic, never float: constraints are scaled to
-coprime ``int`` rows, so elimination and lattice-point enumeration run on
-plain integers, and only a bound that has a real denominator is a
-``Fraction``.
+The fan/curve machinery only ever deals with a handful of variables: the rank
+of H_2, which is 7 for the 3-folds that ``seidel_fan`` builds from chain3.
+Plain Fourier-Motzkin blows up doubly exponentially in that count, so every
+elimination chain prunes with Chernikov's rule (S. N. Chernikov, 1965;
+J.-L. Imbert, 1990): each row carries its history, an ``int`` bitmask of the
+input rows it was combined from, and once ``k`` variables are eliminated a
+row combined from more than ``k + 1`` input rows is redundant and is never
+formed.  A row kept for a set of parallel rows keeps only the history bits
+they all share, so it is pruned no sooner than any of them would have been.
+What is dropped is redundant, so every stage is still the exact projection.
+
+Everything here is exact ``int``/``Fraction`` arithmetic, never float:
+constraints are scaled to coprime ``int`` rows, so elimination and
+lattice-point enumeration run on plain integers, and only a bound that has a
+real denominator is a ``Fraction``.
 
 A constraint is a pair ``(coeffs, rhs)`` encoding ``coeffs . x >= rhs``.
 Entry points:
@@ -38,92 +46,121 @@ def _norm(coeffs, rhs):
     return ints[:-1], ints[-1]
 
 
-def _dedupe(cons):
+def _dedupe(rows):
     """Merge parallel ``int`` constraints into coprime ``int`` rows.
 
     ``c . x >= b`` bounds the primitive direction ``p = c / g``, with
     ``g = gcd(c)``, by ``b / g``.  Of the rows that share a direction only
     the largest ``b / g`` constrains anything, so only that one is kept, as
-    ``(p * g/h, b/h)`` with ``h = gcd(g, b)``.  Rows come out in the order in
-    which their directions first appear.
+    ``(p * g/h, b/h)`` with ``h = gcd(g, b)``.  Rows come out in the order
+    in which their directions first appear.
+
+    Rows ``(c, b, history)`` keep their history.  The kept row stands in
+    for every row merged into it, so it takes the bits that all of their
+    histories share: Chernikov's rule then never drops a combination of it
+    that would have been kept for one of the rows it replaced.
     """
     best = {}
-    for coeffs, rhs in cons:
+    for coeffs, rhs, *hist in rows:
         g = gcd(*coeffs) or 1
         key = tuple(c // g for c in coeffs) if g > 1 else tuple(coeffs)
         kept = best.get(key)
-        if kept is None or rhs * kept[1] > kept[0] * g:
-            best[key] = (rhs, g)
+        if kept is not None:
+            hist = [a & b for a, b in zip(kept[2], hist)]
+            if rhs * kept[1] <= kept[0] * g:
+                rhs, g = kept[0], kept[1]
+        best[key] = (rhs, g, hist)
     out = []
-    for key, (rhs, g) in best.items():
+    for key, (rhs, g, hist) in best.items():
         h = gcd(g, rhs)
         scale = g // h
-        out.append((tuple(c * scale for c in key) if scale > 1 else key, rhs // h))
+        out.append((tuple(c * scale for c in key) if scale > 1 else key, rhs // h, *hist))
     return out
 
 
-def _tightest_bounds(pos, neg, j, k, width):
-    """Combine every pair when ``x_k`` is the only other variable left.
+def _tightest_bounds(pos, neg, j, i, width, cap):
+    """Combine every pair when ``x_i`` is the only other variable left.
 
-    Each combination then bounds ``x_k`` alone, and of those with the same
+    Each combination then bounds ``x_i`` alone, and of those with the same
     sign only the tightest survives :func:`_dedupe`, so keep one per sign
     instead of forming every combined row.  The last elimination of every
-    chain is this case, and it is the one whose pair count explodes.
+    chain is this case.  As in :func:`eliminate`, a pair whose history has
+    more than ``cap`` bits is skipped, and as in :func:`_dedupe`, the row
+    kept for a sign takes the history bits shared by every pair of that sign.
     """
     best = {}
-    for cp, bp in pos:
-        ap, xp = cp[j], cp[k]
-        for cn, bn in neg:
+    for cp, bp, hp in pos:
+        ap, xp = cp[j], cp[i]
+        for cn, bn, hn in neg:
+            h = hp | hn
+            if h.bit_count() > cap:
+                continue
             an = -cn[j]
-            c, r = an * xp + ap * cn[k], an * bp + ap * bn
+            c, r = an * xp + ap * cn[i], an * bp + ap * bn
             sign = (c > 0) - (c < 0)
             kept = best.get(sign)
-            # c x_k >= r bounds sign * x_k by r / |c|; a row 0 >= r, by r
-            if kept is None or r * (abs(kept[0]) or 1) > kept[1] * (abs(c) or 1):
-                best[sign] = (c, r)
-    return [(tuple(c if i == k else 0 for i in range(width)), r) for c, r in best.values()]
+            if kept is not None:
+                h &= kept[2]
+                # c x_i >= r bounds sign * x_i by r / |c|; a row 0 >= r, by r
+                if r * (abs(kept[0]) or 1) <= kept[1] * (abs(c) or 1):
+                    c, r = kept[0], kept[1]
+            best[sign] = (c, r, h)
+    return [(tuple(c if m == i else 0 for m in range(width)), r, h)
+            for c, r, h in best.values()]
 
 
 def eliminate(cons, j):
     """Project a system onto the hyperplane ``x_j`` forgotten.
 
-    Standard Fourier-Motzkin: pair every lower bound on ``x_j`` with every
-    upper bound.  The variable's slot is kept (as coefficient zero) so that
+    Fourier-Motzkin: pair every lower bound on ``x_j`` with every upper
+    bound.  The variable's slot is kept (as coefficient zero) so that
     indices stay stable across passes.  The pairs stream into the merge of
     parallel rows, so only the rows that are kept are ever held at once.
+
+    Rows of a chain are ``(coeffs, rhs, history)``; a pair's history is the
+    union of its rows' histories.  The chain eliminates from the last
+    variable down, so once ``x_j`` is gone ``k = width - j`` variables have
+    been eliminated, and by Chernikov's rule a pair whose history has more
+    than ``k + 1`` bits is redundant: it is skipped.  Plain ``(coeffs, rhs)``
+    rows have no history, so every pair of them is formed, and they come
+    back as plain rows.
     """
-    pos, neg, zero = [], [], []
-    for coeffs, rhs in cons:
-        a = coeffs[j]
-        if a > 0:
-            pos.append((coeffs, rhs))
-        elif a < 0:
-            neg.append((coeffs, rhs))
-        else:
-            zero.append((coeffs, rhs))
+    plain = bool(cons) and len(cons[0]) == 2
+    if plain:
+        cons = [(c, b, 0) for c, b in cons]
     width = len(cons[0][0]) if cons else 0
-    others = [i for i in range(width) if i != j and any(c[i] for c, _ in cons)]
+    cap = width - j + 1
+    pos, neg, zero = [], [], []
+    for row in cons:
+        a = row[0][j]
+        (pos if a > 0 else neg if a < 0 else zero).append(row)
+    others = [i for i in range(width) if i != j and any(row[0][i] for row in cons)]
     if len(others) == 1:
-        return _dedupe(zero + _tightest_bounds(pos, neg, j, others[0], width))
+        out = _dedupe(zero + _tightest_bounds(pos, neg, j, others[0], width, cap))
+    else:
+        def combined():
+            yield from zero
+            for cp, bp, hp in pos:
+                ap = cp[j]
+                for cn, bn, hn in neg:
+                    h = hp | hn
+                    if h.bit_count() <= cap:
+                        an = -cn[j]
+                        yield [an * x + ap * y for x, y in zip(cp, cn)], an * bp + ap * bn, h
 
-    def combined():
-        yield from zero
-        for cp, bp in pos:
-            ap = cp[j]
-            for cn, bn in neg:
-                an = -cn[j]
-                yield [an * x + ap * y for x, y in zip(cp, cn)], an * bp + ap * bn
-
-    return _dedupe(combined())
+        out = _dedupe(combined())
+    return [row[:2] for row in out] if plain else out
 
 
 def _chain(cons, nvars):
     """Eliminate variables nvars-1, nvars-2, ..., returning each stage.
 
-    ``stages[k]`` constrains variables ``x_0 .. x_{k}`` only.
+    ``stages[k]`` constrains variables ``x_0 .. x_{k}`` only.  Row ``i`` of
+    the normalised input starts with history ``1 << i``.
     """
     stages = [None] * nvars
-    current = _dedupe([_norm(c, b) for c, b in cons])
+    rows = _dedupe([_norm(c, b) for c, b in cons])
+    current = [(c, b, 1 << i) for i, (c, b) in enumerate(rows)]
     stages[nvars - 1] = current
     for j in range(nvars - 1, 0, -1):
         current = eliminate(current, j)
@@ -134,7 +171,7 @@ def _chain(cons, nvars):
 def _var_bounds(cons, j, point):
     """Bounds on ``x_j`` given values for ``x_0 .. x_{j-1}`` in ``point``."""
     lo, hi = None, None
-    for coeffs, rhs in cons:
+    for coeffs, rhs, _ in cons:
         a = coeffs[j]
         if not a:
             continue
@@ -152,7 +189,7 @@ def _int_bounds(cons, j, point):
     """Integer bracket ``ceil(lower) .. floor(upper)`` on ``x_j`` given integer
     values for ``x_0 .. x_{j-1}``, by exact floor division."""
     lo, hi = None, None
-    for coeffs, rhs in cons:
+    for coeffs, rhs, _ in cons:
         a = coeffs[j]
         if not a:
             continue
@@ -172,7 +209,7 @@ def feasible(cons, nvars) -> bool:
     if not cons:
         return True
     stages = _chain(cons, nvars)
-    for coeffs, rhs in stages[0]:
+    for coeffs, rhs, _ in stages[0]:
         if not coeffs[0]:
             if rhs > 0:
                 return False
@@ -189,7 +226,7 @@ def witness(cons, nvars):
     if not cons:
         return tuple(Fraction(0) for _ in range(nvars))
     stages = _chain(cons, nvars)
-    for coeffs, rhs in stages[0]:
+    for coeffs, rhs, _ in stages[0]:
         if not coeffs[0] and rhs > 0:
             return None
     point = []
@@ -215,6 +252,14 @@ def minimize(objective, cons, nvars):
     Implemented by introducing ``t = objective . x`` as an extra leading
     variable, eliminating all the ``x``'s, and reading off the lower bound of
     the projected interval in ``t``.
+
+    The point is then found by back-substitution: with ``t`` at its minimum,
+    each ``x_j`` in turn takes its least value given ``x_0 .. x_{j-1}`` (its
+    greatest if it has no lower bound, zero if it has neither).  So when the
+    optimal face is bounded below, the point is the lexicographically
+    smallest point of that face.  That is why the grading which
+    :func:`toricmirror.fans.validate` picks, the printed ample weight, does
+    not depend on how the elimination found it.
     """
     objective = tuple(objective)
     # t - objective.x >= 0 and objective.x - t >= 0 pin t to the objective.
@@ -222,7 +267,7 @@ def minimize(objective, cons, nvars):
     lifted += [((0,) + tuple(coeffs), rhs) for coeffs, rhs in cons]
     stages = _chain(lifted, nvars + 1)
     tcons = stages[0]
-    for coeffs, rhs in tcons:
+    for coeffs, rhs, _ in tcons:
         if not coeffs[0] and rhs > 0:
             raise ValueError("infeasible system")
     lo, hi = _var_bounds(tcons, 0, ())
@@ -248,7 +293,7 @@ def integer_points(cons, nvars):
         return [()]
     stages = _chain(cons, nvars)
     normed = stages[nvars - 1]
-    for coeffs, rhs in stages[0]:
+    for coeffs, rhs, _ in stages[0]:
         if not coeffs[0] and rhs > 0:
             return []
 
@@ -264,7 +309,7 @@ def integer_points(cons, nvars):
                 # The elimination chain is sound but not exact stage-by-stage
                 # for integer points; filter against the original system.
                 if all(sum(c * x for c, x in zip(coeffs, nxt)) >= rhs
-                       for coeffs, rhs in normed):
+                       for coeffs, rhs, _ in normed):
                     out.append(nxt)
             else:
                 descend(j + 1, nxt)

@@ -209,7 +209,7 @@ def mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     if cached is not None:
         return cached
     logs = tuple(g_psi(ctx, k, order).neg() for k in range(ctx.rank))
-    result = SubstitutionMap(units=tuple(s.exp() for s in logs), log_units=logs)
+    result = SubstitutionMap(units=tuple(s.exp() for s in logs))
     ctx._cache[key] = result
     return result
 
@@ -395,8 +395,7 @@ def _inverse(ctx: ToricContext, order) -> _Inverse:
 def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     """The compositional inverse ``qc_k = q_k * exp(g^{Psi_k}(qc(q)))``."""
     inv = _inverse(ctx, order)
-    logs = inv.log_units()
-    return SubstitutionMap(units=tuple(s.exp() for s in logs), log_units=logs)
+    return SubstitutionMap(units=tuple(s.exp() for s in inv.log_units()))
 
 
 def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:

@@ -422,15 +422,9 @@ class QSeries:
 
 @dataclass(frozen=True)
 class SubstitutionMap:
-    """A coordinate change ``q_k -> q_k * u_k(q)`` with unit factors ``u_k``.
-
-    ``log_units`` optionally carries ``log(u_k)``; producers that know the
-    logarithms (the mirror map does) attach them so consumers can work in
-    additive coordinates without recomputing series logs.
-    """
+    """A coordinate change ``q_k -> q_k * u_k(q)`` with unit factors ``u_k``."""
 
     units: tuple
-    log_units: tuple | None = None
 
     def __post_init__(self):
         units = tuple(self.units)
@@ -444,8 +438,6 @@ class SubstitutionMap:
                 if any(e) and u.degree(e) <= 0:
                     raise SeriesError("substitution factors must be 1 plus "
                                       "terms of positive degree")
-        if self.log_units is not None:
-            object.__setattr__(self, "log_units", tuple(self.log_units))
 
     @classmethod
     def identity(cls, nvars, weights, order):

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from toricmirror import (
     CurveClass,
     FanError,
+    enumerate_classes,
     is_vertex,
     minimal_face,
     parse_fan,
@@ -237,11 +239,56 @@ def test_seidel_fan_f2(f2):
 
 @pytest.mark.parametrize("ray", [3, 4])
 def test_chain3_minus_seidel_fans_validate(chain3, ray):
-    # the last Fourier-Motzkin stage of their grading LP pairs over a million
-    # rows; validation must still finish, with a grading >= 1 on every wall
+    # unpruned, the last Fourier-Motzkin stage of their grading LP paired over
+    # a million rows; validation must finish, with a grading >= 1 on every wall
     ctx = validate(seidel_fan(chain3, ray, "minus"))
     assert ctx.rank == 7
     assert all(ctx.weight(w.curve.comps) >= 1 for w in ctx.walls)
+
+
+def _weights(tail, plus, minus):
+    return {"plus": [(w,) + tail for w in plus], "minus": [(w,) + tail for w in minus]}
+
+
+# The ample weight that validate picks for seidel_fan(ctx, ray, sign), by
+# ray, as computed by unpruned Fourier-Motzkin.  It is the lexicographically
+# smallest optimum of the grading LP, and all printed output depends on it.
+SEIDEL_WEIGHTS = {
+    "p2": _weights((1,), [1, 1, 2], [2, 2, 1]),
+    "p1xp1": _weights((1, 1), [1, 1, 2, 2], [2, 2, 1, 1]),
+    "f2": _weights((1, 1), [1, 1, 2, 2], [4, 2, 3, 1]),
+    "chain3": _weights((1, 3, 6, 4, 3, 1), [1, 1, 2, 4, 7, 5, 4, 2],
+                       [12, 8, 4, 5, 6, 2, 2, 5]),
+}
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("name", sorted(SEIDEL_WEIGHTS))
+def test_every_seidel_fan_validates_quickly(request, name, sign):
+    ctx = request.getfixturevalue(name)
+    weights = []
+    for ray in range(ctx.m):
+        fan = seidel_fan(ctx, ray, sign)
+        start = time.perf_counter()
+        total = validate(fan)
+        assert time.perf_counter() - start < 2, f"ray {ray}"
+        weights.append(total.ample_weight)
+    assert weights == SEIDEL_WEIGHTS[name][sign]
+
+
+def test_rank7_seidel_fan_classes(chain3):
+    ctx = validate(seidel_fan(chain3, 2, "minus"))
+    assert ctx.rank == 7
+    classes = {ray: [c.comps for c in enumerate_classes(ctx, ray, 2)]
+               for ray in range(ctx.m)}
+    assert classes == {
+        0: [], 1: [], 2: [], 6: [], 8: [],
+        3: [(0, 1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0)],
+        4: [(0, -2, 1, 0, 0, 0, 0), (0, -4, 2, 0, 0, 0, 0)],
+        5: [(0, 1, -2, 1, 0, 0, 0), (0, 2, -4, 2, 0, 0, 0)],
+        7: [(0, 0, 0, 1, -2, 1, 0), (0, 0, 0, 2, -4, 2, 0)],
+        9: [(0, 0, 0, 0, 0, 1, -2), (0, 0, 0, 0, 0, 2, -4)],
+    }
 
 
 def test_seidel_fan_bad_arguments(p2):

@@ -190,3 +190,70 @@ def test_eliminate_matches_plain_fourier_motzkin():
             assert not coeffs[j]
             assert all(type(v) is int for v in coeffs + (rhs,))
             assert gcd(*coeffs, rhs) == 1 or not any(coeffs)
+
+
+# --------------------------------------------------- Chernikov-pruned chains
+
+def unpruned_chain(cons, nvars):
+    """The stages of Fourier-Motzkin without Chernikov's rule: every pair of
+    every elimination is formed, and only parallel rows are merged."""
+    rows = bounds_by_direction(cons)
+    stages = [rows]
+    for j in range(nvars - 1, 0, -1):
+        rows = bounds_by_direction(
+            [(c, b) for c, b in rows.items() if not c[j]]
+            + [(tuple(-cn[j] * x + cp[j] * y for x, y in zip(cp, cn)),
+                -cn[j] * bp + cp[j] * bn)
+               for cp, bp in rows.items() if cp[j] > 0
+               for cn, bn in rows.items() if cn[j] < 0])
+        stages.insert(0, rows)
+    return [[(c, b, 0) for c, b in stage.items()] for stage in stages]
+
+
+def lp_results(cons, nvars, objective):
+    try:
+        optimum = lp.minimize(objective, cons, nvars)
+    except ValueError:
+        optimum = None
+    return (lp.feasible(cons, nvars), lp.witness(cons, nvars), optimum,
+            lp.integer_points(cons, nvars))
+
+
+def test_pruned_chain_matches_unpruned_fourier_motzkin(monkeypatch):
+    rng = random.Random(29)
+    systems = []
+    for _ in range(100):
+        nvars = rng.randrange(2, 5)
+        box = [(tuple((1 if j == k else 0) * s for j in range(nvars)), -rng.randrange(1, 4))
+               for k in range(nvars) for s in (1, -1)]
+        cuts = [(tuple(rng.randrange(-2, 3) for _ in range(nvars)), rng.randrange(-6, 4))
+                for _ in range(rng.randrange(0, 6))]
+        systems.append((box + cuts, nvars, tuple(rng.randrange(-3, 4) for _ in range(nvars))))
+    pruned = [lp_results(*system) for system in systems]
+    sizes = [[len(stage) for stage in lp._chain(cons, nvars)] for cons, nvars, _ in systems]
+    monkeypatch.setattr(lp, "_chain", unpruned_chain)
+    assert pruned == [lp_results(*system) for system in systems]
+    unpruned = [[len(stage) for stage in unpruned_chain(cons, nvars)]
+                for cons, nvars, _ in systems]
+    assert all(p <= u for got, want in zip(sizes, unpruned) for p, u in zip(got, want))
+    assert sizes != unpruned
+
+
+def test_merged_rows_keep_only_their_shared_history():
+    # keeping the tightest of each set of parallel rows with that row's own
+    # history drops a needed row here: the minimum came out as -15/2, at
+    # (-2, 15/2, 13/2), which breaks y <= 3
+    cons = [((1, 0, 0), -3), ((-1, 0, 0), -1), ((0, 1, 0), -3), ((0, -1, 0), -3),
+            ((0, 0, 1), -1), ((0, 0, -1), -2), ((0, 1, -1), 1), ((-2, 0, -1), 1),
+            ((1, 0, 2), 2), ((2, 2, 1), -5)]
+    assert lp.minimize([1, 1, -2], cons, 3) == (-3, (-2, 3, 2))
+
+
+def test_minimize_returns_lexicographically_smallest_optimum():
+    # the optimal face of min x+y is the edge x+y = 2 from (0, 2) to (2, 0)
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -2), ((0, -1), -2)]
+    assert lp.minimize([1, 1], [((1, 1), 2)] + square, 2) == (2, (0, 2))
+    # that of min x+y+z over the cube [0, 2]^3 with x+y+z >= 3 is a triangle
+    cube = [(tuple(s if j == k else 0 for j in range(3)), -2 if s < 0 else 0)
+            for k in range(3) for s in (1, -1)]
+    assert lp.minimize([1, 1, 1], [((1, 1, 1), 3)] + cube, 3) == (3, (0, 1, 2))
