@@ -5,13 +5,19 @@ small orders.  The SHA-256 of each stdout was recorded before the exact
 kernels switched from all-``Fraction`` to ``int``-first arithmetic, so any
 change to a printed coefficient, term order or number format shows up here
 as a hash mismatch.
+
+``CORPUS`` extends this to every other command and to the flags that change
+a report (``--show-permutation``, ``--min-classes``, ``--basis-cone``, a
+``p/q`` order); ``ERRORS`` pins the program's own messages for bad input, and
+``OPTIONS`` the option strings each subcommand accepts.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from toricmirror.cli import main
+from toricmirror.cli import build_parser, main
 
 # fan -> (order, ray used by single-ray commands, second ray for gij)
 FANS = {"p2": ("4", "1", "2"), "f2": ("8", "1", "2"), "chain3": ("4", "2", "3")}
@@ -134,3 +140,219 @@ def test_stdout_hash(capsys, key):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED[key]
+
+
+# Every other command, plus the flags that change a report: one argv per case,
+# split on spaces.  Hashes were recorded before the CLI became table-driven.
+CORPUS = {
+    "validate --fan p2 --format text":
+        "2b757cb70042e03450828c3c2d2fa6ae54454d570f48ff535a614a4bf9db058f",
+    "walls --fan p2 --format text":
+        "99e4429c4fbf0fd51216ca8a851de0bf588829f96f90af5aa3098562cbc2111b",
+    "semifano --fan p2 --format text":
+        "ed931972c492877adf06fe7dbcdb0bdc1177a7f6a46584beb9ae7d90184ab879",
+    "mirror --fan p2 --order 4 --format text":
+        "35ae770d03f3fb92ce928030e554e7640b58aeb6e27ad2c6df670dfdc5556336",
+    "inverse-mirror --fan p2 --order 4 --format text":
+        "ae8db9dc90247c7daecbeacce4908e156e4e9d7767e9c2db74dade35a62c1ae4",
+    "hori-vafa --fan p2 --order 4 --format text --form plain":
+        "5419bbcce12de09df51ceff120918d227b569ae32e366f243d6680f99f9ad946",
+    "oracle-check --fan p2 --order 4 --format text":
+        "b51a9bc7018c05a0456fb3b01ebeabc917c58308dd28bdd1508133291be8bd39",
+    "check-all --fan p2 --order 4 --format text":
+        "e2c88d70ad20e390093128584c93d3f3a7031dccf1f3169597bd47226cc9429a",
+    "validate --fan p2 --format json":
+        "e8fbae46acdc29ba2d79f4074b1f3556f379599a009ae913a606fdd7454584fa",
+    "walls --fan p2 --format json":
+        "2e064c6b4075909272e17c4c0c5e93d86040e98827acc9a0f7432bb5c5f91f88",
+    "semifano --fan p2 --format json":
+        "9e3450f3e6272b8e4b87cb0b07f7bdfd227a04e51b849926eafb24027c3d6932",
+    "mirror --fan p2 --order 4 --format json":
+        "28da02059a160c415f722ad26b1ada29de4cbecdeeb34b954c19c535f73c1e65",
+    "inverse-mirror --fan p2 --order 4 --format json":
+        "35e803070350be344421ea2c4ad01eb447edfba7648f2b21790e00c15298553f",
+    "hori-vafa --fan p2 --order 4 --format json --form plain":
+        "e09d56381000cfd829d28a4e5804c9e3cd13bca37a0d54b7dccc10a2638ce3ec",
+    "oracle-check --fan p2 --order 4 --format json":
+        "1b33f5194169946ba1e51fdd38d7a208ac83acc845dbe575196a00afed32094c",
+    "check-all --fan p2 --order 4 --format json":
+        "e8a008a363381cf9ecffb919888d7514fdf862c11bfb697f4df113f53b0d5a78",
+    "seidel-fan --fan p2 --ray 1 --format text":
+        "c61a2fd990c1f5bb96ecab09a6a41ef1d9b652a147d146b391a521c3d9d321b1",
+    "validate --fan f2 --format text":
+        "a4dc31d1d1dd08d536f7751847f8328929f94d2756b8783c6d8147843aa4df66",
+    "walls --fan f2 --format text":
+        "a17abf58cf3960e6d4def13984add07b77046e97c8ad39e708ec4e76fb13c0a2",
+    "semifano --fan f2 --format text":
+        "ed931972c492877adf06fe7dbcdb0bdc1177a7f6a46584beb9ae7d90184ab879",
+    "mirror --fan f2 --order 8 --format text":
+        "ca002c630055d02622b60bcb070adb2c3a28d90bc1d74c18f6ed666c8be1a306",
+    "inverse-mirror --fan f2 --order 8 --format text":
+        "f460de48c114a62b36e9d53b475110be4d24815ae39e27c5d5207c9af6900e58",
+    "hori-vafa --fan f2 --order 8 --format text --form plain":
+        "8b7f6679e30919e9f9ac3e319a1deb085f52327e341bf0e14c148f1943aaecf4",
+    "oracle-check --fan f2 --order 4 --format text":
+        "12f24b79f457507897b6c2ccd001a05b0244ae12c94870d959b13bbdf8c6ea3d",
+    "check-all --fan f2 --order 4 --format text":
+        "e2c88d70ad20e390093128584c93d3f3a7031dccf1f3169597bd47226cc9429a",
+    "validate --fan f2 --format json":
+        "fc7052eee021d4aa0f77d89a9fe215d74a326ebdf46093d1067ee65ee115ef19",
+    "walls --fan f2 --format json":
+        "32e63c29e170d63103a98cba0b21fba8bb4ce4d221767a8a3d5925fe5830c51b",
+    "semifano --fan f2 --format json":
+        "9e3450f3e6272b8e4b87cb0b07f7bdfd227a04e51b849926eafb24027c3d6932",
+    "mirror --fan f2 --order 8 --format json":
+        "ea158b3765b7a65fddb336e7a170b870f44c3ad61a4d1e70a9bc4e8a4de59b44",
+    "inverse-mirror --fan f2 --order 8 --format json":
+        "1710647563a1b88225676dbf6281b93d4dea5c9780887d8a0c132fd512c1d82c",
+    "hori-vafa --fan f2 --order 8 --format json --form plain":
+        "1d1cc52f6698011def5d61bdbded4267db7d765a1870dfcd44731c566e66ea22",
+    "oracle-check --fan f2 --order 4 --format json":
+        "0ffdba6ab29c9b0c2120dfd717ee2bd2e63e7f86b55af36301b9ea48193002a2",
+    "check-all --fan f2 --order 4 --format json":
+        "e8a008a363381cf9ecffb919888d7514fdf862c11bfb697f4df113f53b0d5a78",
+    "seidel-fan --fan f2 --ray 1 --format text":
+        "bc546fc63f903cb82f7be9d69f78e6b52bb2513081b769865f27d8349d6ce69c",
+    "validate --fan chain3 --format text":
+        "25b69b696fb479cfccbf7dcba19501b367279c6fc3bd47d1509525209328b5d4",
+    "walls --fan chain3 --format text":
+        "f1adc4bab70cd52bdb2a3eead891bc719278c2fbd31133d74b3b36d28e0a9fe9",
+    "semifano --fan chain3 --format text":
+        "ed931972c492877adf06fe7dbcdb0bdc1177a7f6a46584beb9ae7d90184ab879",
+    "mirror --fan chain3 --order 4 --format text":
+        "c9be0b135b29bf0b43ca3dbbccbe147da4ccdf1e16185d8162b446172551ea23",
+    "inverse-mirror --fan chain3 --order 4 --format text":
+        "5f38b94f7b3b897722f6e55a80792971c7017969e98ffbf7fc398de5edd81c5d",
+    "hori-vafa --fan chain3 --order 4 --format text --form plain":
+        "04b7506c5a1bad63424669050ea161ac9287f0a854f95ae91f8aeb99dd4a7240",
+    "oracle-check --fan chain3 --order 4 --format text":
+        "2bcb9f38b2f35e0e30d2c040884c0198804acdab7321fe5883f49a6eff5ffadc",
+    "check-all --fan chain3 --order 4 --format text":
+        "e2c88d70ad20e390093128584c93d3f3a7031dccf1f3169597bd47226cc9429a",
+    "validate --fan chain3 --format json":
+        "4f7de888d711a8e5d1a2142ce25699664cf39916610687a4b07443cb7e32780b",
+    "walls --fan chain3 --format json":
+        "997e1e61d40ef2c506a4c1d21550360e16f40a7d9c9f363354764813ff5de593",
+    "semifano --fan chain3 --format json":
+        "9e3450f3e6272b8e4b87cb0b07f7bdfd227a04e51b849926eafb24027c3d6932",
+    "mirror --fan chain3 --order 4 --format json":
+        "80700ba01e8712b94afe1fd9b112ddad36884e0418f52926fe50739643ff308f",
+    "inverse-mirror --fan chain3 --order 4 --format json":
+        "bea40099f19018d02ed61969a740d7938080638affaeeae31f703ab7e64c23f3",
+    "hori-vafa --fan chain3 --order 4 --format json --form plain":
+        "c822724fc3edb79a678c2fd8cfafa08d42863d080298e28e887a44a95632c23d",
+    "oracle-check --fan chain3 --order 4 --format json":
+        "2263f419e6ab04e2c0d2a02b111495150548a2ddc1361d67ea737b13d6cc82ad",
+    "check-all --fan chain3 --order 4 --format json":
+        "e8a008a363381cf9ecffb919888d7514fdf862c11bfb697f4df113f53b0d5a78",
+    "seidel-fan --fan chain3 --ray 2 --format text":
+        "edab428c11e65efedf6ef1980ba10bf32a13fd959c27048875c62d900f321e04",
+    "seidel-fan --fan p2 --ray 0 --sign minus --format json --show-permutation":
+        "6efefa33e998a29299980b9c1e06fac820842776fa15cc88173eb42e965d8320",
+    "validate --fan chain3 --format text --show-permutation":
+        "cf745adeda207e1f774948a256ce423f1291d723eec26e52b12bf6c3abb435b6",
+    "g --fan f2 --order 8 --format json --ray 1 --show-permutation":
+        "cc78e3d9e2f2a2d91656e318db223d5e46e78830b14aefbad138b1cd45e25c0f",
+    "potential --fan chain3 --order 4 --format text --show-permutation":
+        "0a8a1613b1d5209921c18c497d4ba2aaa952a1891f2a24cbc0979e8680cbfe95",
+    "hori-vafa --fan p2 --order 4 --format json --show-permutation --form tilde":
+        "87ac4edf26b811690f509ac6f17f9308053f9cbffceb7457c62ea5c79af5b570",
+    "check-all --fan f2 --order 4 --format json --show-permutation":
+        "9db01430e0d0868602d346267aac8f1309f48e55a0fd5a572a29542ad6a6319f",
+    "g --fan f2 --ray 1 --order 1 --min-classes 3 --format text":
+        "cdd27fe658d79de0ae925d1b254ab4ad37c8ea24687a26b71bfe1ce7bfe6d536",
+    "g --fan f2 --ray 1 --order 1 --min-classes 3 --format json":
+        "1a4f1be3c384b7f5467fb7f80ecc21f58726583633e044c4fbde4ad0718bd133",
+    "gij --fan f2 --i 1 --j 2 --order 1 --min-classes 2 --format json":
+        "7c173c0c1308c19111661462ed0c1dd9ca24b33dd05f0e3c7252de46b80b1c7f",
+    "delta --fan chain3 --ray 2 --order 1 --min-classes 4 --format json":
+        "1b56da9b1b9c61667fd8ce32631cf44eddb831c17998516aa2a16476a555081b",
+    "validate --fan chain3 --basis-cone 4,5 --format json --show-permutation":
+        "ebad086305e685120383fbfd2f1c1732c7abe77bc90a68844e0bebb387d4e05f",
+    "walls --fan chain3 --basis-cone 4,5 --format text --show-permutation":
+        "1f34510d33b7052c568635bdd45639eea08acd20490e630ecafaa093d5cacaee",
+    "mirror --fan chain3 --basis-cone 4,5 --format json --show-permutation --order 4":
+        "8ba608fb860eb72955bfab43fefd14140040befe4562344daecccecd17bb179a",
+    "delta --fan chain3 --basis-cone 4,5 --format text --show-permutation --order 4 --ray 1":
+        "16299556d36bb554cb5b30546eb468d5cf797d76661882b7dd2cab97d86dcf86",
+    "check-all --fan chain3 --basis-cone 4,5 --format text --show-permutation --order 4":
+        "51dbe990a3d78aad54648015920650533a98641dbe9009c05b4fe718e7f898f3",
+    "delta --fan chain3 --ray 2 --order 3/2 --format json":
+        "1569bafff1d8b253726bb529ba59feb6efd58f799756193aa6d962f9a0159a36",
+    "g --fan f2 --ray 1 --order 7/2 --format text":
+        "cdd27fe658d79de0ae925d1b254ab4ad37c8ea24687a26b71bfe1ce7bfe6d536",
+    "potential --fan f2 --order 5/2 --format json":
+        "b5f738d07f177ffaeff9fbd731cb241f29c88e647f5f130eb4112ba6df8a0182",
+}
+
+
+@pytest.mark.parametrize("line", sorted(CORPUS))
+def test_corpus_hash(capsys, line):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == CORPUS[line]
+
+
+# The program's own messages on stderr for bad input; exit status 1.
+ERRORS = {
+    "delta --fan chain3 --ray 99 --order 4": "ray index 99 out of range 0..7",
+    "gij --fan chain3 --i 1 --j 8 --order 4": "ray index 8 out of range 0..7",
+    "gij --fan chain3 --i -1 --j 2 --order 4": "ray index -1 out of range 0..7",
+    "seidel-fan --fan p2 --ray 3": "ray index 3 out of range 0..2",
+    "validate --fan missing-fan": "fan file not found: missing-fan",
+    "potential --fan nowhere/missing.json":
+        "fan file not found: nowhere/missing.json",
+    "validate --fan chain3 --basis-cone 0,2":
+        "basis cone is not a maximal cone of the fan",
+    "delta --fan chain3 --basis-cone 0,2 --ray 1":
+        "basis cone is not a maximal cone of the fan",
+}
+
+
+@pytest.mark.parametrize("line", sorted(ERRORS))
+def test_error_message(capsys, line):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {ERRORS[line]}\n"
+
+
+def test_non_semifano_message(capsys, tmp_path):
+    f3 = tmp_path / "f3.json"
+    f3.write_text('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, 3], [0, -1]], '
+                  '"max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}')
+    assert main(["g", "--fan", str(f3), "--ray", "1"]) == 1
+    assert capsys.readouterr().err == ("error: fan is not semi-Fano: wall [1] has "
+                                       "curve class with c1 = -1 < 0\n")
+
+
+COMMON = {"-h", "--help", "--fan", "--format", "--basis-cone", "--show-permutation"}
+SERIES = COMMON | {"--order"}
+OPTIONS = {
+    "validate": COMMON,
+    "walls": COMMON,
+    "semifano": COMMON,
+    "g": SERIES | {"--ray", "--min-classes"},
+    "gij": SERIES | {"--i", "--j", "--min-classes"},
+    "mirror": SERIES,
+    "inverse-mirror": SERIES,
+    "delta": SERIES | {"--ray", "--min-classes"},
+    "gw": SERIES | {"--ray"},
+    "potential": SERIES,
+    "hori-vafa": SERIES | {"--form"},
+    "batyrev": SERIES | {"--ray"},
+    "seidel-element": SERIES | {"--ray"},
+    "seidel-fan": COMMON | {"--ray", "--sign"},
+    "oracle-check": SERIES,
+    "check-all": SERIES,
+}
+
+
+def test_option_strings():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(OPTIONS)
+    for name, command in sub.choices.items():
+        got = {s for action in command._actions for s in action.option_strings}
+        assert got == OPTIONS[name], name
