@@ -39,7 +39,7 @@ from math import factorial
 
 from . import lp
 from .fans import CurveClass, DiscClass, ToricContext
-from .series import QSeries, SeriesError, SubstitutionMap
+from .series import QSeries, SubstitutionMap, unit_powers
 
 
 @dataclass(frozen=True)
@@ -248,25 +248,7 @@ class _Inverse:
 
     def _pass(self, E, order):
         """One Picard pass: rebuild every W_l from the current exponentials."""
-        powers = {l: {0: _one(self.ctx, order), 1: E[l].truncate(order)}
-                  for l in self.active}
-
-        def epow(l, k):
-            cache = powers[l]
-            val = cache.get(k)
-            if val is not None:
-                return val
-            if k > 0:
-                val = epow(l, k - 1).mul(cache[1])
-            else:
-                rec = cache.get(-1)
-                if rec is None:
-                    rec = cache[1].recip()
-                    cache[-1] = rec
-                val = epow(l, k + 1).mul(rec) if k < -1 else rec
-            cache[k] = val
-            return val
-
+        powers = {l: unit_powers(E[l].truncate(order)) for l in self.active}
         out = {}
         for l, rows in self.sources.items():
             acc = {}
@@ -276,7 +258,7 @@ class _Inverse:
                 term = None
                 for j in self.active:
                     if pair[j]:
-                        p = epow(j, pair[j])
+                        p = powers[j](pair[j])
                         term = p if term is None else term.mul(p)
                 term = (QSeries.monomial(comps, gamma, *_shape(self.ctx, order))
                         if term is None else term.shift(comps, gamma))
@@ -334,19 +316,10 @@ class _Inverse:
         """Cached powers (including negative) of ``1 + delta`` factors."""
         if internal not in self.sources:
             return _one(self.ctx, self.order)
-        cache = self._powers.setdefault(internal, {0: _one(self.ctx, self.order),
-                                                   1: self.E[internal]})
-        val = cache.get(k)
-        if val is not None:
-            return val
-        if k > 0:
-            val = self.power(internal, k - 1).mul(cache[1])
-        elif k == -1:
-            val = cache[1].recip()
-        else:
-            val = self.power(internal, k + 1).mul(self.power(internal, -1))
-        cache[k] = val
-        return val
+        powers = self._powers.get(internal)
+        if powers is None:
+            powers = self._powers[internal] = unit_powers(self.E[internal])
+        return powers(k)
 
     def image(self, exponent) -> QSeries:
         """The checked monomial ``qc^exponent`` written in Kaehler variables."""

@@ -50,6 +50,32 @@ def _coeff(value):
     raise SeriesError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
 
 
+def unit_powers(unit):
+    """Memoised signed integer powers ``k -> unit^k`` of one unit series.
+
+    ``unit^k`` is ``unit^(k-1) * unit`` for ``k > 0`` and ``unit^(k+1) *
+    unit^-1`` for ``k < 0``, so each power costs one product once its
+    neighbour towards zero is known; the reciprocal is formed at most once.
+    """
+    cache = {1: unit}
+
+    def power(k: int) -> "QSeries":
+        val = cache.get(k)
+        if val is None:
+            if k > 0:
+                val = power(k - 1).mul(unit)
+            elif k == 0:
+                val = QSeries.one(unit.nvars, unit.weights, unit.order)
+            else:
+                if -1 not in cache:
+                    cache[-1] = unit.recip()
+                val = cache[-1] if k == -1 else power(k + 1).mul(cache[-1])
+            cache[k] = val
+        return val
+
+    return power
+
+
 class QSeries:
     """An exactly-truncated power series in ``nvars`` variables.
 
@@ -311,29 +337,14 @@ class QSeries:
         map_order = min(u.order for u in smap.units)
         drop = min((self.degree(e) for e in self.terms), default=0)
         exact_to = min(self.order, map_order + min(0, drop))
-        powers = [{0: None} for _ in range(self.nvars)]
-
-        def unit_power(k: int, j: int) -> QSeries:
-            cache = powers[k]
-            if j in cache:
-                return cache[j]
-            if j > 0:
-                prev = unit_power(k, j - 1)
-                val = smap.units[k] if prev is None else prev.mul(smap.units[k])
-            else:
-                if -1 not in cache:
-                    cache[-1] = smap.units[k].recip()
-                prev = unit_power(k, j + 1)
-                val = cache[-1] if prev is None else prev.mul(cache[-1])
-            cache[j] = val
-            return val
+        powers = [unit_powers(u) for u in smap.units]
 
         out = QSeries.zero(self.nvars, self.weights, order)
         for e, c in self.terms.items():
             acc = QSeries.monomial(e, c, self.nvars, self.weights, order)
             for k, ek in enumerate(e):
                 if ek:
-                    acc = acc.mul(unit_power(k, ek))
+                    acc = acc.mul(powers[k](ek))
             out = out.add(acc)
         return out.truncate(exact_to)
 
