@@ -1,0 +1,142 @@
+"""The invariant suite: the paper's identities as named checks.
+
+:func:`suite` lists ``(name, check)`` pairs for one validated context and
+truncation order.  Calling a check returns ``None`` when its identity holds
+and a one-line detail naming where it fails otherwise; ``check-all`` runs
+them in order and stops at the first failure.
+
+Everything is called through the ``mirror`` and ``oracle`` module
+attributes, so a function patched or wrapped there is the one a check uses.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import fans, mirror, oracle
+from .fans import CurveClass
+from .series import QSeries
+
+
+def oracle_mismatches(ctx, order):
+    """Rays whose ``-g`` differs from the I-function's ``1/z`` coefficient."""
+    side = oracle.i_one_over_z(ctx, order)
+    return [ray for ray in range(ctx.m)
+            if side.coeffs[ray] != mirror.g_function(ctx, ray, order).series.neg()]
+
+
+def suite(ctx, order):
+    """``[(name, check)]`` for every property that applies to ``ctx``."""
+    one = QSeries.one(ctx.rank, ctx.ample_weight, order)
+
+    def roundtrip():
+        mm = mirror.mirror_map(ctx, order)
+        inv = mirror.inverse_mirror_map(ctx, order)
+        for k in range(ctx.rank):
+            total = inv.units[k].log().add(
+                mirror.compose_with_inverse(ctx, mm.units[k].log(), order))
+            if not total.is_zero():
+                return f"component {k} of mirror o inverse is not q{k + 1}"
+        small = min(order, Fraction(4))
+        if not mirror.mirror_map(ctx, small).compose(
+                mirror.inverse_mirror_map(ctx, small)).is_identity():
+            return f"generic composition differs at order {small}"
+
+    def product_identity():
+        inv = mirror.inverse_mirror_map(ctx, order)
+        units = [one.add(mirror.delta(ctx, ctx.basis_perm[l], order))
+                 for l in range(ctx.m)]
+        for k in range(ctx.rank):
+            acc = one
+            for l in range(ctx.m):
+                p = ctx.P[l][k]
+                if p and units[l] != one:
+                    acc = acc.mul(units[l].npow(p))
+            if acc != inv.units[k]:
+                return f"component {k} disagrees"
+
+    def log_identity():
+        for ray in range(ctx.m):
+            g = mirror.g_function(ctx, ray, order).series
+            if g.is_zero():
+                continue
+            composed = mirror.compose_with_inverse(ctx, g, order)
+            product = one.add(mirror.delta(ctx, ray, order)).mul(composed.neg().exp())
+            if product != one:
+                return f"log((1+delta)exp(-g(qc(q)))) != 0 at ray {ray}"
+
+    def derivative_identity():
+        composed = {k: mirror.compose_with_inverse(
+            ctx, mirror.g_function(ctx, k, order).series, order)
+            for k in range(ctx.m)}
+        for i in range(ctx.m):
+            for k in range(ctx.m):
+                lhs = mirror.divisor_derivative(ctx, i, composed[k])
+                rhs = mirror.compose_with_inverse(ctx, mirror.g_ij(ctx, k, i, order),
+                                                  order)
+                for l in range(ctx.m):
+                    if composed[l].is_zero():
+                        continue
+                    rhs = rhs.add(mirror.divisor_derivative(ctx, i, composed[l]).mul(
+                        mirror.compose_with_inverse(ctx, mirror.g_ij(ctx, k, l, order),
+                                                    order)))
+                if lhs != rhs:
+                    return f"fails at i={i}, k={k}"
+
+    def oracle_equality():
+        bad = oracle_mismatches(ctx, order)
+        if bad:
+            return f"I-function 1/z coefficient differs at ray {bad[0]}"
+
+    def theorem_potentials():
+        if mirror.disc_potential(ctx, order) != mirror.hori_vafa(ctx, order, "tilde"):
+            return "disc potential != tilde Hori-Vafa"
+
+    def support_vanishing():
+        for ray in range(ctx.m):
+            g = mirror.g_function(ctx, ray, order).series
+            if fans.is_vertex(ctx, ray) and not g.is_zero():
+                return f"g != 0 at vertex ray {ray}"
+            face = set(fans.minimal_face(ctx, ray))
+            for exponent in mirror.delta(ctx, ray, order).terms:
+                cls = CurveClass(exponent)
+                for other in range(ctx.m):
+                    if other not in face and ctx.pairing(other, cls):
+                        return (f"delta_{ray} monomial {exponent} pairs with ray "
+                                f"{other} outside the minimal face")
+
+    def extended_factors():
+        factors = mirror.extended_mirror_factors(ctx, order)
+        mm = mirror.mirror_map(ctx, order)
+        for k in range(ctx.rank):
+            internal = ctx.n + k
+            acc = factors[ctx.basis_perm[internal]]
+            for p in range(ctx.n):
+                e = sum(nu_j * x for nu_j, x in zip(ctx.nu[p], ctx.rays[internal]))
+                if e:
+                    acc = acc.mul(factors[ctx.basis_perm[p]].npow(-e))
+            if acc != mm.units[k]:
+                return f"projection to component {k} disagrees"
+
+    def fano_triviality():
+        if all(ctx.degree(w.curve) > 0 for w in ctx.walls):
+            if not mirror.mirror_map(ctx, order).is_identity():
+                return "Fano fan has a nontrivial mirror map"
+            for ray in range(ctx.m):
+                if not mirror.delta(ctx, ray, order).is_zero():
+                    return f"Fano fan has delta != 0 at ray {ray}"
+
+    checks = [
+        ("roundtrip", roundtrip),
+        ("product-identity", product_identity),
+        ("log-identity", log_identity),
+        ("derivative-identity", derivative_identity),
+        ("oracle", oracle_equality),
+        ("potential-equality", theorem_potentials),
+        ("extended-factors", extended_factors),
+        ("fano-triviality", fano_triviality),
+    ]
+    # minimal faces come from the polytope's facets, found for n <= 3 only
+    if ctx.n <= 3:
+        checks.insert(6, ("support-vanishing", support_vanishing))
+    return checks

@@ -17,6 +17,9 @@ unreadable or invalid fan files, non-semi-Fano input to a command that needs
 it), 2 when a property check fails (oracle-check, check-all).
 
 Output is deterministic: identical inputs produce byte-identical reports.
+
+Every command is one row of :data:`COMMANDS`; :func:`_run` does the shared
+steps (validation, ray range checks, the semi-Fano guard, emission) once.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import fans, mirror, oracle
-from .fans import CurveClass, DiscClass, FanError
+# ``oracle`` stays bound here so that ``cli.oracle`` reaches the module that
+# the invariant suite calls through.
+from . import checks, fans, mirror, oracle  # noqa: F401
+from .fans import FanError
 from .lp import LPUnboundedError
-from .series import QSeries, SeriesError
 
 
 class UsageError(Exception):
@@ -39,7 +43,15 @@ class UsageError(Exception):
 
 
 class CheckFailure(Exception):
-    """A property check found a violation; maps to exit status 2."""
+    """A property check found a violation; maps to exit status 2.
+
+    ``report`` is the ``(lines, payload)`` of the checks run so far, which is
+    printed before the failure is reported.
+    """
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,74 +91,59 @@ def load_fan(path: str) -> fans.Fan:
     raise OSError(f"fan file not found: {path}")
 
 
+# (group, flags, keywords) in the order ``--help`` lists them.  Every command
+# takes the ``None`` group and the groups named in its row of COMMANDS.
+_ARGUMENTS = [
+    (None, ("--fan",), dict(required=True,
+                            help="fan JSON file (or packaged fixture name)")),
+    (None, ("--format",), dict(choices=("text", "json"), default="text",
+                               help="output format (default: text)")),
+    (None, ("--basis-cone",), dict(type=_parse_cone, default=None, metavar="I,J,...",
+                                   help="ray indices of the cone used as coordinate basis")),
+    (None, ("--show-permutation",), dict(action="store_true",
+                                         help="also report the internal ray reordering")),
+    ("order", ("--order",), dict(type=_parse_order, default=Fraction(8),
+                                 help="truncation order in ample-weight units "
+                                      "(integer or p/q, default 8)")),
+    ("ray", ("--ray",), dict(type=int, required=True,
+                             help="ray index (0-based, input order)")),
+    ("ij", ("--i",), dict(type=int, required=True, dest="index_i",
+                          help="first ray index (the g series)")),
+    ("ij", ("--j",), dict(type=int, required=True, dest="index_j",
+                          help="second ray index (the pairing divisor)")),
+    ("form", ("--form",), dict(choices=("plain", "tilde"), default="plain",
+                               help="potential form (default: plain)")),
+    ("sign", ("--sign",), dict(choices=("plus", "minus"), default="plus",
+                               help="direction of the fiberwise rotation")),
+    ("min_classes", ("--min-classes",), dict(
+        type=int, default=None, metavar="K",
+        help="raise the order until at least K curve classes "
+             "contribute for --ray (bounded search)")),
+]
+
+# argparse destination -> JSON key of the ray indices a command may take.
+_INDICES = (("ray", "ray"), ("index_i", "i"), ("index_j", "j"))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="toricmirror",
                      description="Exact mirror maps and open GW potentials "
                                  "for smooth semi-Fano toric fans.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text, order=True, ray=False, ij=False, form=False,
-            sign=False, min_classes=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--fan", required=True,
-                       help="fan JSON file (or packaged fixture name)")
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output format (default: text)")
-        p.add_argument("--basis-cone", type=_parse_cone, default=None,
-                       metavar="I,J,...",
-                       help="ray indices of the cone used as coordinate basis")
-        p.add_argument("--show-permutation", action="store_true",
-                       help="also report the internal ray reordering")
-        if order:
-            p.add_argument("--order", type=_parse_order, default=Fraction(8),
-                           help="truncation order in ample-weight units "
-                                "(integer or p/q, default 8)")
-        if ray:
-            p.add_argument("--ray", type=int, required=True,
-                           help="ray index (0-based, input order)")
-        if ij:
-            p.add_argument("--i", type=int, required=True, dest="index_i",
-                           help="first ray index (the g series)")
-            p.add_argument("--j", type=int, required=True, dest="index_j",
-                           help="second ray index (the pairing divisor)")
-        if form:
-            p.add_argument("--form", choices=("plain", "tilde"), default="plain",
-                           help="potential form (default: plain)")
-        if sign:
-            p.add_argument("--sign", choices=("plus", "minus"), default="plus",
-                           help="direction of the fiberwise rotation")
-        if min_classes:
-            p.add_argument("--min-classes", type=int, default=None, metavar="K",
-                           help="raise the order until at least K curve classes "
-                                "contribute for --ray (bounded search)")
-        return p
-
-    add("validate", "check a fan and report its derived data", order=False)
-    add("walls", "list wall curves with classes and Chern numbers", order=False)
-    add("semifano", "test whether every wall curve has c1 >= 0", order=False)
-    add("g", "hypergeometric series g for one ray", ray=True, min_classes=True)
-    add("gij", "double-index series g_{i,j}", ij=True, min_classes=True)
-    add("mirror", "mirror map unit factors")
-    add("inverse-mirror", "inverse mirror map unit factors")
-    add("delta", "open GW generating series for one ray", ray=True,
-        min_classes=True)
-    add("gw", "nonzero one-pointed open GW invariants for one ray", ray=True)
-    add("potential", "open-GW-corrected disc potential")
-    add("hori-vafa", "Hori-Vafa potential (plain or tilde form)", form=True)
-    add("batyrev", "Batyrev divisor element for one ray", ray=True)
-    add("seidel-element", "normalized Seidel element for one ray", ray=True)
-    add("seidel-fan", "fan of the fiberwise compactification", order=False,
-        ray=True, sign=True)
-    add("oracle-check", "I-function cross-check of all g series")
-    add("check-all", "run every applicable property check")
+    for name, (help_text, groups, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for group, flags, keywords in _ARGUMENTS:
+            if group is None or group in groups:
+                command.add_argument(*flags, **keywords)
     return parser
 
 
-# --------------------------------------------------------------------- output
-
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
+# ------------------------------------------------------------------- reports
+#
+# A report takes the parsed arguments, the validated context and the
+# effective order (None for commands without --order) and returns the text
+# lines and the JSON payload; _run adds the command name, the order and the
+# ray indices to the payload.
 
 def _zmono(exponent) -> str:
     parts = [f"z{i + 1}" if e == 1 else f"z{i + 1}^{e}"
@@ -154,71 +151,24 @@ def _zmono(exponent) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _emit(args, text_lines, payload):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _series(series):
+    return {"order": str(series.order), "terms": series.to_records()}
 
 
-def _series_payload(series: QSeries):
-    return {"order": _fraction_str(series.order), "terms": series.to_records()}
-
-
-def _maybe_permutation(args, ctx, text_lines, payload):
-    if args.show_permutation:
-        text_lines.insert(0, f"internal ray order: {list(ctx.basis_perm)}")
-        payload["basis_permutation"] = list(ctx.basis_perm)
-
-
-def _require_semifano(ctx):
-    ok, wall = fans.semi_fano_check(ctx)
-    if not ok:
-        raise FanError(
-            f"fan is not semi-Fano: wall {list(wall.rays)} has curve class with "
-            f"c1 = {ctx.degree(wall.curve)} < 0")
-
-
-def _auto_order(ctx, ray, order, min_classes):
-    """Raise the order until enough classes contribute (bounded search)."""
-    if min_classes is None:
-        return order
-    current = order
-    ceiling = order + 48
-    while (len(mirror.enumerate_classes(ctx, ray, current)) < min_classes
-           and current < ceiling):
-        current += 1
-    return current
-
-
-# ------------------------------------------------------------------ commands
-
-def _cmd_validate(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
+def _validate(args, ctx, order):
     ok, _ = fans.semi_fano_check(ctx)
+    weight = [str(w) for w in ctx.ample_weight]
     lines = [
         f"fan OK: dim {ctx.n}, {ctx.m} rays, {len(ctx.fan.max_cones)} maximal cones",
         f"curve-class rank: {ctx.rank}",
-        f"ample weight: ({', '.join(_fraction_str(w) for w in ctx.ample_weight)})",
+        f"ample weight: ({', '.join(weight)})",
         f"semi-Fano: {'yes' if ok else 'no'}",
     ]
-    payload = {
-        "command": "validate",
-        "dim": ctx.n,
-        "rays": ctx.m,
-        "max_cones": len(ctx.fan.max_cones),
-        "rank": ctx.rank,
-        "ample_weight": [_fraction_str(w) for w in ctx.ample_weight],
-        "semi_fano": ok,
-    }
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"dim": ctx.n, "rays": ctx.m, "max_cones": len(ctx.fan.max_cones),
+                   "rank": ctx.rank, "ample_weight": weight, "semi_fano": ok}
 
 
-def _cmd_walls(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
+def _walls(args, ctx, order):
     lines, records = [], []
     for wall in ctx.walls:
         chern = ctx.degree(wall.curve)
@@ -226,386 +176,185 @@ def _cmd_walls(args):
                      f"class {list(wall.curve.comps)}, c1 = {chern}")
         records.append({"rays": list(wall.rays), "cones": list(wall.cones),
                         "class": list(wall.curve.comps), "chern": chern})
-    payload = {"command": "walls", "walls": records}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"walls": records}
 
 
-def _cmd_semifano(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
+def _semifano(args, ctx, order):
     ok, wall = fans.semi_fano_check(ctx)
     if ok:
-        lines = ["semi-Fano: yes"]
-        witness = None
-    else:
-        chern = ctx.degree(wall.curve)
-        lines = [f"semi-Fano: no (wall {list(wall.rays)} has c1 = {chern})"]
-        witness = {"rays": list(wall.rays), "class": list(wall.curve.comps),
-                   "chern": chern}
-    payload = {"command": "semifano", "semi_fano": ok, "witness": witness}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+        return ["semi-Fano: yes"], {"semi_fano": ok, "witness": None}
+    chern = ctx.degree(wall.curve)
+    witness = {"rays": list(wall.rays), "class": list(wall.curve.comps), "chern": chern}
+    return ([f"semi-Fano: no (wall {list(wall.rays)} has c1 = {chern})"],
+            {"semi_fano": ok, "witness": witness})
 
 
-def _check_ray(ctx, ray):
-    if not 0 <= ray < ctx.m:
-        raise FanError(f"ray index {ray} out of range 0..{ctx.m - 1}")
-
-
-def _cmd_g(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.ray)
-    _require_semifano(ctx)
-    order = _auto_order(ctx, args.ray, args.order, args.min_classes)
+def _g(args, ctx, order):
     series = mirror.g_function(ctx, args.ray, order).series
-    lines = [f"g_{args.ray} = {series.to_text(var='qc')}"]
-    payload = {"command": "g", "ray": args.ray, "order": _fraction_str(order),
-               "series": _series_payload(series)}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return [f"g_{args.ray} = {series.to_text(var='qc')}"], {"series": _series(series)}
 
 
-def _cmd_gij(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.index_i)
-    _check_ray(ctx, args.index_j)
-    _require_semifano(ctx)
-    order = _auto_order(ctx, args.index_i, args.order, args.min_classes)
+def _gij(args, ctx, order):
     series = mirror.g_ij(ctx, args.index_i, args.index_j, order)
-    lines = [f"g_{args.index_i},{args.index_j} = {series.to_text(var='qc')}"]
-    payload = {"command": "gij", "i": args.index_i, "j": args.index_j,
-               "order": _fraction_str(order), "series": _series_payload(series)}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return ([f"g_{args.index_i},{args.index_j} = {series.to_text(var='qc')}"],
+            {"series": _series(series)})
 
 
-def _cmd_mirror(args, inverse=False):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _require_semifano(ctx)
-    if inverse:
-        smap = mirror.inverse_mirror_map(ctx, args.order)
-        lhs, rhs, var = "qc", "q", "q"
+def _mirror(args, ctx, order):
+    if args.command == "mirror":
+        smap, lhs, rhs = mirror.mirror_map(ctx, order), "q", "qc"
     else:
-        smap = mirror.mirror_map(ctx, args.order)
-        lhs, rhs, var = "q", "qc", "qc"
-    lines = [f"{lhs}{k + 1} = {rhs}{k + 1} ({u.to_text(var=var)})"
+        smap, lhs, rhs = mirror.inverse_mirror_map(ctx, order), "qc", "q"
+    lines = [f"{lhs}{k + 1} = {rhs}{k + 1} ({u.to_text(var=rhs)})"
              for k, u in enumerate(smap.units)]
-    payload = {"command": "inverse-mirror" if inverse else "mirror",
-               "order": _fraction_str(Fraction(args.order)),
-               "units": [_series_payload(u) for u in smap.units]}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"units": [_series(u) for u in smap.units]}
 
 
-def _cmd_delta(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.ray)
-    _require_semifano(ctx)
-    order = _auto_order(ctx, args.ray, args.order, args.min_classes)
+def _delta(args, ctx, order):
     series = mirror.delta(ctx, args.ray, order)
-    lines = [f"delta_{args.ray} = {series.to_text()}"]
-    payload = {"command": "delta", "ray": args.ray, "order": _fraction_str(order),
-               "series": _series_payload(series)}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return [f"delta_{args.ray} = {series.to_text()}"], {"series": _series(series)}
 
 
-def _cmd_gw(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.ray)
-    _require_semifano(ctx)
-    series = mirror.delta(ctx, args.ray, args.order)
+def _gw(args, ctx, order):
     records = [{"alpha": [0] * ctx.rank, "num": 1, "den": 1}]
     lines = [f"n_1(beta_{args.ray}) = 1"]
-    for rec in series.to_records():
+    for rec in mirror.delta(ctx, args.ray, order).to_records():
         exact = Fraction(rec["num"], rec["den"])
-        alpha = tuple(rec["exponent"])
-        lines.append(f"n_1(beta_{args.ray} + {alpha}) = {exact}")
+        lines.append(f"n_1(beta_{args.ray} + {tuple(rec['exponent'])}) = {exact}")
         records.append(rec | {"alpha": rec["exponent"]})
-    payload = {"command": "gw", "ray": args.ray,
-               "order": _fraction_str(Fraction(args.order)),
-               "invariants": records}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    return lines, {"invariants": records}
 
 
-def _potential_report(args, ctx, potential, command):
+def _potential(args, ctx, order):
+    if "form" in args:
+        potential, payload = mirror.hori_vafa(ctx, order, args.form), {"form": args.form}
+    else:
+        potential, payload = mirror.disc_potential(ctx, order), {}
     lines, records = [], []
     for z_exp, series in potential.items():
         lines.append(f"[{_zmono(z_exp)}] {series.to_text()}")
-        records.append({"z_exponent": list(z_exp),
-                        "coefficient": _series_payload(series)})
-    payload = {"command": command,
-               "order": _fraction_str(Fraction(args.order)), "terms": records}
-    if command == "hori-vafa":
-        payload["form"] = args.form
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+        records.append({"z_exponent": list(z_exp), "coefficient": _series(series)})
+    payload["terms"] = records
+    return lines, payload
 
 
-def _cmd_potential(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _require_semifano(ctx)
-    return _potential_report(args, ctx, mirror.disc_potential(ctx, args.order),
-                             "potential")
-
-
-def _cmd_hori_vafa(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _require_semifano(ctx)
-    return _potential_report(args, ctx,
-                             mirror.hori_vafa(ctx, args.order, args.form),
-                             "hori-vafa")
-
-
-def _divisor_report(args, ctx, element, command, ray):
+def _divisor(args, ctx, order):
+    build = mirror.batyrev_element if args.command == "batyrev" else mirror.seidel_element
     lines, records = [], []
-    for i, series in enumerate(element.coeffs):
-        if series.is_zero():
-            continue
-        lines.append(f"D_{i}: {series.to_text()}")
-        records.append({"ray": i, "series": _series_payload(series)})
-    payload = {"command": command, "ray": ray,
-               "order": _fraction_str(Fraction(args.order)), "coeffs": records}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
+    for i, series in enumerate(build(ctx, args.ray, order).coeffs):
+        if not series.is_zero():
+            lines.append(f"D_{i}: {series.to_text()}")
+            records.append({"ray": i, "series": _series(series)})
+    return lines, {"coeffs": records}
 
 
-def _cmd_batyrev(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.ray)
-    _require_semifano(ctx)
-    element = mirror.batyrev_element(ctx, args.ray, args.order)
-    return _divisor_report(args, ctx, element, "batyrev", args.ray)
+def _seidel_fan(args, ctx, order):
+    # no text lines: the fan document is printed as is, whatever --format says
+    return None, fans.seidel_fan(ctx, args.ray, args.sign).to_dict()
 
 
-def _cmd_seidel_element(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.ray)
-    _require_semifano(ctx)
-    element = mirror.seidel_element(ctx, args.ray, args.order)
-    return _divisor_report(args, ctx, element, "seidel-element", args.ray)
+def _oracle_check(args, ctx, order):
+    bad = checks.oracle_mismatches(ctx, order)
+    lines = [f"ray {ray}: {'MISMATCH' if ray in bad else 'OK'}" for ray in range(ctx.m)]
+    payload = {"rays": [{"ray": ray, "match": ray not in bad} for ray in range(ctx.m)]}
+    if bad:
+        raise CheckFailure(f"I-function disagrees with g at rays {bad}", (lines, payload))
+    return lines, payload
 
 
-def _cmd_seidel_fan(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _check_ray(ctx, args.ray)
-    fan = fans.seidel_fan(ctx, args.ray, args.sign)
-    print(json.dumps(fan.to_dict(), sort_keys=True, indent=2))
-    return 0
-
-
-def _cmd_oracle_check(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _require_semifano(ctx)
-    side = oracle.i_one_over_z(ctx, args.order)
+def _check_all(args, ctx, order):
     lines, records = [], []
-    failures = []
-    for ray in range(ctx.m):
-        expected = mirror.g_function(ctx, ray, args.order).series.neg()
-        ok = side.coeffs[ray] == expected
-        lines.append(f"ray {ray}: {'OK' if ok else 'MISMATCH'}")
-        records.append({"ray": ray, "match": ok})
-        if not ok:
-            failures.append(ray)
-    payload = {"command": "oracle-check",
-               "order": _fraction_str(Fraction(args.order)), "rays": records}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    if failures:
-        raise CheckFailure(f"I-function disagrees with g at rays {failures}")
-    return 0
+    for name, check in checks.suite(ctx, order):
+        detail = check()
+        status = "pass" if detail is None else "fail"
+        lines.append(f"{status.upper()} {name}")
+        records.append({"name": name, "status": status})
+        if detail is not None:
+            raise CheckFailure(f"{name}: {detail}", (lines, {"checks": records}))
+    return lines, {"checks": records}
 
 
-def _check_all(ctx, order):
-    """Yield (name, callable) pairs for every applicable property check.
-
-    Each callable raises CheckFailure with detail on violation.
-    """
-    one = QSeries.one(ctx.rank, ctx.ample_weight, order)
-
-    def fail(name, detail):
-        raise CheckFailure(f"{name}: {detail}")
-
-    def roundtrip():
-        mm = mirror.mirror_map(ctx, order)
-        inv = mirror.inverse_mirror_map(ctx, order)
-        for k in range(ctx.rank):
-            total = inv.units[k].log().add(
-                mirror.compose_with_inverse(ctx, mm.units[k].log(), order))
-            if not total.is_zero():
-                fail("roundtrip", f"component {k} of mirror o inverse is not q{k + 1}")
-        small = min(order, Fraction(4))
-        if not mirror.mirror_map(ctx, small).compose(
-                mirror.inverse_mirror_map(ctx, small)).is_identity():
-            fail("roundtrip", f"generic composition differs at order {small}")
-
-    def product_identity():
-        inv = mirror.inverse_mirror_map(ctx, order)
-        units = [one.add(mirror.delta(ctx, ctx.basis_perm[l], order))
-                 for l in range(ctx.m)]
-        for k in range(ctx.rank):
-            acc = one
-            for l in range(ctx.m):
-                p = ctx.P[l][k]
-                if p and units[l] != one:
-                    acc = acc.mul(units[l].npow(p))
-            if acc != inv.units[k]:
-                fail("product-identity", f"component {k} disagrees")
-
-    def log_identity():
-        for ray in range(ctx.m):
-            g = mirror.g_function(ctx, ray, order).series
-            if g.is_zero():
-                continue
-            composed = mirror.compose_with_inverse(ctx, g, order)
-            product = one.add(mirror.delta(ctx, ray, order)).mul(
-                composed.neg().exp())
-            if product != one:
-                fail("log-identity", f"log((1+delta)exp(-g(qc(q)))) != 0 at ray {ray}")
-
-    def derivative_identity():
-        composed = {k: mirror.compose_with_inverse(
-            ctx, mirror.g_function(ctx, k, order).series, order)
-            for k in range(ctx.m)}
-        for i in range(ctx.m):
-            for k in range(ctx.m):
-                lhs = mirror.divisor_derivative(ctx, i, composed[k])
-                rhs = mirror.compose_with_inverse(ctx, mirror.g_ij(ctx, k, i, order),
-                                                  order)
-                for l in range(ctx.m):
-                    if composed[l].is_zero():
-                        continue
-                    rhs = rhs.add(mirror.divisor_derivative(ctx, i, composed[l]).mul(
-                        mirror.compose_with_inverse(ctx, mirror.g_ij(ctx, k, l, order),
-                                                    order)))
-                if lhs != rhs:
-                    fail("derivative-identity", f"fails at i={i}, k={k}")
-
-    def oracle_equality():
-        side = oracle.i_one_over_z(ctx, order)
-        for ray in range(ctx.m):
-            if side.coeffs[ray] != mirror.g_function(ctx, ray, order).series.neg():
-                fail("oracle", f"I-function 1/z coefficient differs at ray {ray}")
-
-    def theorem_potentials():
-        if mirror.disc_potential(ctx, order) != mirror.hori_vafa(ctx, order, "tilde"):
-            fail("potential-equality", "disc potential != tilde Hori-Vafa")
-
-    def support_vanishing():
-        for ray in range(ctx.m):
-            g = mirror.g_function(ctx, ray, order).series
-            if fans.is_vertex(ctx, ray) and not g.is_zero():
-                fail("support-vanishing", f"g != 0 at vertex ray {ray}")
-            face = set(fans.minimal_face(ctx, ray))
-            d = mirror.delta(ctx, ray, order)
-            for exponent in d.terms:
-                cls = CurveClass(exponent)
-                for other in range(ctx.m):
-                    if other not in face and ctx.pairing(other, cls):
-                        fail("support-vanishing",
-                             f"delta_{ray} monomial {exponent} pairs with ray "
-                             f"{other} outside the minimal face")
-
-    def extended_factors():
-        factors = mirror.extended_mirror_factors(ctx, order)
-        mm = mirror.mirror_map(ctx, order)
-        for k in range(ctx.rank):
-            internal = ctx.n + k
-            acc = factors[ctx.basis_perm[internal]]
-            for p in range(ctx.n):
-                e = sum(nu_j * x for nu_j, x in zip(ctx.nu[p], ctx.rays[internal]))
-                if e:
-                    acc = acc.mul(factors[ctx.basis_perm[p]].npow(-e))
-            if acc != mm.units[k]:
-                fail("extended-factors", f"projection to component {k} disagrees")
-
-    def fano_triviality():
-        if all(ctx.degree(w.curve) > 0 for w in ctx.walls):
-            if not mirror.mirror_map(ctx, order).is_identity():
-                fail("fano-triviality", "Fano fan has a nontrivial mirror map")
-            for ray in range(ctx.m):
-                if not mirror.delta(ctx, ray, order).is_zero():
-                    fail("fano-triviality", f"Fano fan has delta != 0 at ray {ray}")
-
-    checks = [
-        ("roundtrip", roundtrip),
-        ("product-identity", product_identity),
-        ("log-identity", log_identity),
-        ("derivative-identity", derivative_identity),
-        ("oracle", oracle_equality),
-        ("potential-equality", theorem_potentials),
-        ("extended-factors", extended_factors),
-        ("fano-triviality", fano_triviality),
-    ]
-    if ctx.n <= 3:
-        checks.insert(6, ("support-vanishing", support_vanishing))
-    return checks
-
-
-def _cmd_check_all(args):
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
-    _require_semifano(ctx)
-    order = Fraction(args.order)
-    lines, records = [], []
-    for name, run in _check_all(ctx, order):
-        try:
-            run()
-        except CheckFailure as exc:
-            lines.append(f"FAIL {name}")
-            records.append({"name": name, "status": "fail"})
-            payload = {"command": "check-all", "order": _fraction_str(order),
-                       "checks": records}
-            _maybe_permutation(args, ctx, lines, payload)
-            _emit(args, lines, payload)
-            raise CheckFailure(str(exc))
-        lines.append(f"PASS {name}")
-        records.append({"name": name, "status": "pass"})
-    payload = {"command": "check-all", "order": _fraction_str(order),
-               "checks": records}
-    _maybe_permutation(args, ctx, lines, payload)
-    _emit(args, lines, payload)
-    return 0
-
-
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "walls": _cmd_walls,
-    "semifano": _cmd_semifano,
-    "g": _cmd_g,
-    "gij": _cmd_gij,
-    "mirror": lambda args: _cmd_mirror(args, inverse=False),
-    "inverse-mirror": lambda args: _cmd_mirror(args, inverse=True),
-    "delta": _cmd_delta,
-    "gw": _cmd_gw,
-    "potential": _cmd_potential,
-    "hori-vafa": _cmd_hori_vafa,
-    "batyrev": _cmd_batyrev,
-    "seidel-element": _cmd_seidel_element,
-    "seidel-fan": _cmd_seidel_fan,
-    "oracle-check": _cmd_oracle_check,
-    "check-all": _cmd_check_all,
+# name -> (help, option groups beyond the common ones, report)
+COMMANDS = {
+    "validate": ("check a fan and report its derived data", (), _validate),
+    "walls": ("list wall curves with classes and Chern numbers", (), _walls),
+    "semifano": ("test whether every wall curve has c1 >= 0", (), _semifano),
+    "g": ("hypergeometric series g for one ray", ("order", "ray", "min_classes"), _g),
+    "gij": ("double-index series g_{i,j}", ("order", "ij", "min_classes"), _gij),
+    "mirror": ("mirror map unit factors", ("order",), _mirror),
+    "inverse-mirror": ("inverse mirror map unit factors", ("order",), _mirror),
+    "delta": ("open GW generating series for one ray", ("order", "ray", "min_classes"),
+              _delta),
+    "gw": ("nonzero one-pointed open GW invariants for one ray", ("order", "ray"), _gw),
+    "potential": ("open-GW-corrected disc potential", ("order",), _potential),
+    "hori-vafa": ("Hori-Vafa potential (plain or tilde form)", ("order", "form"),
+                  _potential),
+    "batyrev": ("Batyrev divisor element for one ray", ("order", "ray"), _divisor),
+    "seidel-element": ("normalized Seidel element for one ray", ("order", "ray"), _divisor),
+    "seidel-fan": ("fan of the fiberwise compactification", ("ray", "sign"), _seidel_fan),
+    "oracle-check": ("I-function cross-check of all g series", ("order",), _oracle_check),
+    "check-all": ("run every applicable property check", ("order",), _check_all),
 }
+
+# ------------------------------------------------------------------ dispatch
+
+def _search_order(ctx, ray, order, wanted):
+    """Raise the order until ``wanted`` classes contribute (at most 48 steps)."""
+    current = order
+    while True:
+        found = len(mirror.enumerate_classes(ctx, ray, current))
+        if found >= wanted:
+            return current
+        if current >= order + 48:
+            raise UsageError(f"--min-classes {wanted} not reached for ray {ray}: "
+                             f"found {found} classes up to order {current}")
+        current += 1
+
+
+def _run(args) -> int:
+    """Validate, guard, run the command's report and print it once."""
+    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
+    indices = {key: getattr(args, dest) for dest, key in _INDICES if dest in args}
+    for index in indices.values():
+        if not 0 <= index < ctx.m:
+            raise FanError(f"ray index {index} out of range 0..{ctx.m - 1}")
+    order = getattr(args, "order", None)
+    if order is not None:
+        ok, wall = fans.semi_fano_check(ctx)
+        if not ok:
+            raise FanError(
+                f"fan is not semi-Fano: wall {list(wall.rays)} has curve class with "
+                f"c1 = {ctx.degree(wall.curve)} < 0")
+        if getattr(args, "min_classes", None) is not None:
+            # the search runs on the first index given: --ray, or --i for gij
+            order = _search_order(ctx, next(iter(indices.values())), order,
+                                  args.min_classes)
+    failure = None
+    try:
+        lines, payload = COMMANDS[args.command][2](args, ctx, order)
+    except CheckFailure as exc:
+        failure, (lines, payload) = exc, exc.report
+    if lines is not None:     # seidel-fan prints the bare fan document
+        payload.update(indices, command=args.command)
+        if order is not None:
+            payload["order"] = str(order)
+        if args.show_permutation:
+            lines.insert(0, f"internal ray order: {list(ctx.basis_perm)}")
+            payload["basis_permutation"] = list(ctx.basis_perm)
+    if lines is None or args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    if failure is not None:
+        raise failure
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FanError, SeriesError, LPUnboundedError, ValueError, OSError) as exc:
+        return _run(build_parser().parse_args(argv))
+    except (UsageError, ValueError, OSError, LPUnboundedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CheckFailure as exc:

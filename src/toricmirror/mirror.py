@@ -341,18 +341,9 @@ class _Inverse:
         return term
 
     def log_units(self):
-        return tuple(
-            _zero(self.ctx, self.order) if not self.active else
-            _sum_series([self.W[l].scalar_mul(self.ctx.P[l][k]) for l in self.active],
-                        _zero(self.ctx, self.order))
-            for k in range(self.ctx.rank))
-
-
-def _sum_series(parts, zero):
-    total = zero
-    for part in parts:
-        total = total.add(part)
-    return total
+        return tuple(sum((self.W[l].scalar_mul(self.ctx.P[l][k]) for l in self.active),
+                         _zero(self.ctx, self.order))
+                     for k in range(self.ctx.rank))
 
 
 def _inverse(ctx: ToricContext, order) -> _Inverse:

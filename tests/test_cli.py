@@ -181,3 +181,17 @@ def test_subprocess_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "g_1 = 0\n"
+
+
+def test_min_classes_out_of_reach_is_an_error(capsys):
+    # p2 is Fano: no class ever contributes, so the bounded search gives up
+    code, out, err = run(capsys, "g", "--fan", "p2", "--ray", "1", "--order", "1",
+                         "--min-classes", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: --min-classes 1 not reached for ray 1: "
+                   "found 0 classes up to order 49\n")
+    code, out, err = run(capsys, "delta", *F2, "--ray", "0", "--order", "1",
+                         "--min-classes", "1", "--format", "json")
+    assert code == 1 and out == ""
+    assert err == ("error: --min-classes 1 not reached for ray 0: "
+                   "found 0 classes up to order 49\n")

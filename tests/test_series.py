@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricmirror.series import QSeries, SeriesError, SubstitutionMap
+from toricmirror.series import QSeries, SeriesError, SubstitutionMap, unit_powers
 
 W = (1, 1)
 
@@ -83,6 +83,15 @@ def test_npow_matches_repeated_mul():
     assert u.npow(3) == u.mul(u).mul(u)
     assert u.npow(0) == QSeries.one(2, W, 8)
     assert u.npow(-2) == u.recip().mul(u.recip())
+
+
+def test_unit_powers_match_npow_and_are_memoised():
+    u = S({(0, 0): 1, (1, 0): 2, (0, 1): Fraction(-1, 3)}, order=5)
+    power = unit_powers(u)
+    for k in (3, -2, 0, 1, -1, 2, -3):
+        assert power(k) == u.npow(k)
+    assert power(3) is power(3) and power(1) is u
+    assert power(-1).mul(u) == S({(0, 0): 1}, order=5)
 
 
 def test_exp_coefficients_are_inverse_factorials():
