@@ -296,6 +296,7 @@ COMMANDS = {
     "check-all": ("run every applicable property check", ("order",), _check_all),
 }
 
+
 # ------------------------------------------------------------------ dispatch
 
 def _search_order(ctx, ray, order, wanted):

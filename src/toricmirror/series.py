@@ -53,9 +53,8 @@ def _coeff(value):
 def unit_powers(unit):
     """Memoised signed integer powers ``k -> unit^k`` of one unit series.
 
-    ``unit^k`` is ``unit^(k-1) * unit`` for ``k > 0`` and ``unit^(k+1) *
-    unit^-1`` for ``k < 0``, so each power costs one product once its
-    neighbour towards zero is known; the reciprocal is formed at most once.
+    Each power is one product with its neighbour towards zero (``unit`` or
+    ``unit^-1``), and the reciprocal is formed at most once.
     """
     cache = {1: unit}
 
@@ -66,10 +65,10 @@ def unit_powers(unit):
                 val = power(k - 1).mul(unit)
             elif k == 0:
                 val = QSeries.one(unit.nvars, unit.weights, unit.order)
+            elif k == -1:
+                val = unit.recip()
             else:
-                if -1 not in cache:
-                    cache[-1] = unit.recip()
-                val = cache[-1] if k == -1 else power(k + 1).mul(cache[-1])
+                val = power(k + 1).mul(power(-1))
             cache[k] = val
         return val
 
