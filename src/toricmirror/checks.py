@@ -66,21 +66,19 @@ def suite(ctx, order):
                 return f"log((1+delta)exp(-g(qc(q)))) != 0 at ray {ray}"
 
     def derivative_identity():
-        composed = {k: mirror.compose_with_inverse(
-            ctx, mirror.g_function(ctx, k, order).series, order)
-            for k in range(ctx.m)}
+        composed = [mirror.compose_with_inverse(
+            ctx, mirror.g_function(ctx, k, order).series, order) for k in range(ctx.m)]
+        composed_ij = {(k, l): mirror.compose_with_inverse(
+            ctx, mirror.g_ij(ctx, k, l, order), order)
+            for k in range(ctx.m) for l in range(ctx.m)}
         for i in range(ctx.m):
+            derivs = [mirror.divisor_derivative(ctx, i, c) for c in composed]
             for k in range(ctx.m):
-                lhs = mirror.divisor_derivative(ctx, i, composed[k])
-                rhs = mirror.compose_with_inverse(ctx, mirror.g_ij(ctx, k, i, order),
-                                                  order)
+                rhs = composed_ij[k, i]
                 for l in range(ctx.m):
-                    if composed[l].is_zero():
-                        continue
-                    rhs = rhs.add(mirror.divisor_derivative(ctx, i, composed[l]).mul(
-                        mirror.compose_with_inverse(ctx, mirror.g_ij(ctx, k, l, order),
-                                                    order)))
-                if lhs != rhs:
+                    if not composed[l].is_zero():
+                        rhs = rhs.add(derivs[l].mul(composed_ij[k, l]))
+                if derivs[k] != rhs:
                     return f"fails at i={i}, k={k}"
 
     def oracle_equality():

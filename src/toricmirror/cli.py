@@ -118,7 +118,7 @@ _ARGUMENTS = [
     ("min_classes", ("--min-classes",), dict(
         type=int, default=None, metavar="K",
         help="raise the order until at least K curve classes "
-             "contribute for --ray (bounded search)")),
+             "contribute for --ray, or --i for gij (bounded search)")),
 ]
 
 # argparse destination -> JSON key of the ray indices a command may take.

@@ -19,10 +19,16 @@ The central objects:
 
         W_l = sum over classes d of  gamma_{l,d} * q^d * prod_j exp(W_j)^{D_j.d}
 
-    which we solve by iteration, gaining one weighted degree per pass and
-    finishing with a verification pass that the result reproduces itself at
-    full order.  The exponentials ``1 + delta_l = exp(W_l)`` then give the
-    open Gromov-Witten generating functions directly.
+    which we solve by Picard iteration, each pass exact to ``step`` (the
+    least class weight) more degrees than the last.  A class ``d`` of weight
+    ``wt`` enters shifted by ``q^d``, so a pass to order ``N`` forms its
+    product only to degree ``N - wt`` and reads each ``exp(W_j)`` only to
+    degree ``N - step``.  That gives an exact stop without a verification
+    pass: once the update after a full-order pass leaves every ``exp(W_j)``
+    unchanged to degree ``N - step``, the next pass would read the same
+    inputs and return the same ``W``, so ``W`` is a fixed point.  The
+    exponentials ``1 + delta_l = exp(W_l)`` then give the open Gromov-Witten
+    generating functions directly.
 
 ``disc_potential`` / ``hori_vafa``
     The Laurent potentials; the "tilde" Hori-Vafa form is assembled through
@@ -36,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add as _add
 
 from . import lp
 from .fans import CurveClass, DiscClass, ToricContext
@@ -247,8 +254,21 @@ class _Inverse:
     # -- fixed point ------------------------------------------------------
 
     def _pass(self, E, order):
-        """One Picard pass: rebuild every W_l from the current exponentials."""
-        powers = {l: unit_powers(E[l].truncate(order)) for l in self.active}
+        """One Picard pass: rebuild every W_l to ``order`` from the exponentials.
+
+        A class ``d`` of weight ``wt`` enters shifted by ``q^d``, so its
+        product ``prod_j E_j^{D_j.d}`` is formed only to degree ``order - wt``
+        (the first factor is cut there and ``mul`` keeps the smaller order).
+        Every class weighs at least ``self.step``, so the pass reads each
+        ``E_l`` only to degree ``order - step``: its result does not change
+        when terms above that degree change.  That is the certificate
+        :meth:`_solve` stops on.  If the update after a full-order pass
+        leaves every ``E_l`` equal to what the pass read, up to that degree,
+        the next pass has the same inputs and returns the same ``W``. So
+        ``W`` is an exact fixed point and no verification pass is needed.
+        """
+        shape = _shape(self.ctx, order)
+        powers = {l: unit_powers(E[l].truncate(order - self.step)) for l in self.active}
         out = {}
         for l, rows in self.sources.items():
             acc = {}
@@ -259,10 +279,13 @@ class _Inverse:
                 for j in self.active:
                     if pair[j]:
                         p = powers[j](pair[j])
-                        term = p if term is None else term.mul(p)
-                term = (QSeries.monomial(comps, gamma, *_shape(self.ctx, order))
-                        if term is None else term.shift(comps, gamma))
-                for e, c in term.terms.items():
+                        term = p.truncate(order - wt) if term is None else term.mul(p)
+                # gamma * q^comps * term, shifted here: QSeries.shift keeps the
+                # unshifted order and would drop the terms above order - wt
+                shifted = ({comps: gamma} if term is None else
+                           {tuple(map(_add, e, comps)): gamma * c
+                            for e, c in term.terms.items()})
+                for e, c in shifted.items():
                     s = acc.get(e)
                     if s is None:
                         acc[e] = c
@@ -270,7 +293,7 @@ class _Inverse:
                         del acc[e]
                     else:
                         acc[e] = s + c
-            out[l] = QSeries(*_shape(self.ctx, order), terms=acc)
+            out[l] = QSeries(*shape, terms=acc)
         return out
 
     def _solve(self):
@@ -278,7 +301,7 @@ class _Inverse:
         if not self.sources:
             self.W, self.E = {}, {}
             return
-        step = min(wt for rows in self.sources.values() for _, wt, _, _ in rows)
+        step = self.step = min(wt for rows in self.sources.values() for _, wt, _, _ in rows)
         if step <= 0:
             raise ArithmeticError("class of non-positive degree in g index set")
         W = {l: _zero(ctx, order) for l in self.active}
@@ -289,6 +312,7 @@ class _Inverse:
             rung = min(order, trusted + step)
             new = self._pass(E, rung)
             if rung == order:
+                read = {l: E[l].truncate(order - step) for l in self.active}
                 # the lowest (degree, internal ray) at which W still moves
                 moving = min(((new[l].sub(W[l]).min_degree(), l)
                               for l in self.active if new[l] != W[l]), default=None)
@@ -302,6 +326,11 @@ class _Inverse:
                     E[l] = E[l].mul(delta_w.exp())
                 W[l] = new[l].truncate(order)
             trusted = rung
+            # certificate: a full-order pass reads E only to order - step; if
+            # that part did not move, the next pass would return this W again
+            if rung == order and all(E[l].truncate(order - step) == read[l]
+                                     for l in self.active):
+                break
         else:
             degree, l = moving
             raise ArithmeticError("inverse mirror map fixed point did not "

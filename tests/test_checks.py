@@ -1,6 +1,6 @@
 """The invariant suite as a library: names, order and failure details."""
 
-from toricmirror import checks, oracle
+from toricmirror import checks, mirror, oracle
 from toricmirror.mirror import DivisorSeries
 from toricmirror.series import QSeries
 
@@ -28,3 +28,17 @@ def test_oracle_check_names_the_ray(f2, monkeypatch):
     assert checks.oracle_mismatches(f2, 4) == [0]
     check = dict(checks.suite(f2, 4))["oracle"]
     assert check() == "I-function 1/z coefficient differs at ray 0"
+
+
+def test_derivative_identity_composes_each_series_once(chain3, monkeypatch):
+    # m compositions of g_k and m^2 of g_{k,l}, not one per (i, k, l)
+    real = mirror.compose_with_inverse
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mirror, "compose_with_inverse", counting)
+    assert dict(checks.suite(chain3, 4))["derivative-identity"]() is None
+    assert 0 < len(calls) <= chain3.m + chain3.m ** 2

@@ -195,3 +195,11 @@ def test_min_classes_out_of_reach_is_an_error(capsys):
     assert code == 1 and out == ""
     assert err == ("error: --min-classes 1 not reached for ray 0: "
                    "found 0 classes up to order 49\n")
+
+
+def test_min_classes_help_names_the_gij_index(capsys):
+    # gij has no --ray; its bounded search runs on --i
+    with pytest.raises(SystemExit):
+        main(["gij", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--i" in text.rsplit("--min-classes K", 1)[1]

@@ -24,6 +24,8 @@ from toricmirror import (
     open_gw,
     open_gw_divisor,
     seidel_element,
+    seidel_fan,
+    validate,
 )
 from toricmirror import mirror
 from toricmirror.series import QSeries
@@ -324,7 +326,7 @@ def test_extended_factors_project_to_mirror_map(f2):
 
 def test_inverse_nonconvergence_names_ray_and_degree(monkeypatch, load):
     # perturb one term of one W_l by a fresh amount on every Picard pass, so
-    # the verification pass never reproduces its input
+    # the full-order passes never reproduce their input and never certify
     ctx = load("chain3")
     real_pass = mirror._Inverse._pass
     bumps = itertools.count(1)
@@ -343,3 +345,126 @@ def test_inverse_nonconvergence_names_ray_and_degree(monkeypatch, load):
         delta(ctx, 2, 4)
     assert str(info.value).endswith(
         f"W for ray {where['ray']} still changes at degree {where['degree']}")
+
+
+def test_certificate_sees_changes_at_order_minus_step(monkeypatch, load):
+    # a full-order pass that moves W at degree order - step changes what the
+    # next pass reads, so the solver must not stop after it
+    ctx = load("chain3")
+    real_pass = mirror._Inverse._pass
+    bumps = itertools.count(1)
+    where = {}
+
+    def drifting(self, E, order):
+        out = real_pass(self, E, order)
+        if order == self.order:
+            l = self.active[-1]
+            e = (int(order - self.step),) + (0,) * (ctx.rank - 1)
+            where.update(ray=ctx.basis_perm[l], degree=ctx.weight(e))
+            out[l] = out[l].add(mono(ctx, e, next(bumps), order))
+        return out
+
+    monkeypatch.setattr(mirror._Inverse, "_pass", drifting)
+    with pytest.raises(ArithmeticError) as info:
+        delta(ctx, 2, 4)
+    assert where["degree"] == 3
+    assert str(info.value).endswith(
+        f"W for ray {where['ray']} still changes at degree 3")
+
+
+# ------------------------------------------------- the inverse fixed point
+
+def plain_picard(inv):
+    """The reference solver: Picard passes that form every product to the
+    full rung, then repeat full-order passes until one reproduces W."""
+    if not inv.sources:
+        return {}, {}
+    ctx, order = inv.ctx, inv.order
+    shape = (ctx.rank, ctx.ample_weight)
+    W = {l: QSeries.zero(*shape, order) for l in inv.active}
+    E = {l: QSeries.one(*shape, order) for l in inv.active}
+    step = min(wt for rows in inv.sources.values() for _, wt, _, _ in rows)
+    rung = Fraction(0)
+    for _ in range(int(order / step) + 4):
+        rung = min(order, rung + step)
+        powers = {}
+        new = {}
+        for l, rows in inv.sources.items():
+            total = QSeries.zero(*shape, rung)
+            for comps, wt, gamma, pair in rows:
+                term = QSeries.monomial(comps, gamma, *shape, rung)
+                for j in inv.active:
+                    if pair[j]:
+                        if (j, pair[j]) not in powers:
+                            powers[j, pair[j]] = E[j].truncate(rung).npow(pair[j])
+                        term = term.mul(powers[j, pair[j]])
+                total = total.add(term)
+            new[l] = total.truncate(order)
+        if rung == order and new == W:
+            return W, E
+        for l in inv.active:
+            E[l] = E[l].mul(new[l].sub(W[l]).exp())
+            W[l] = new[l]
+    raise AssertionError("the reference fixed point did not stabilize")
+
+
+@pytest.mark.parametrize("order", [4, Fraction(7, 2), 10], ids=str)
+@pytest.mark.parametrize("name", ["p2", "f2", "chain3"])
+def test_fixed_point_matches_plain_picard(request, name, order):
+    inv = mirror._inverse(request.getfixturevalue(name), order)
+    assert plain_picard(inv) == (inv.W, inv.E)
+
+
+# the semi-Fano Seidel 3-folds of f2, and the rank-7 one of chain3
+SEIDEL_CASES = [("f2", ray, sign, 6) for ray, sign in
+                [(0, "plus"), (1, "plus"), (2, "plus"), (3, "plus"),
+                 (1, "minus"), (3, "minus")]] + [("chain3", 2, "minus", 2)]
+
+
+@pytest.mark.parametrize("name, ray, sign, order", SEIDEL_CASES)
+def test_seidel_fixed_point_matches_plain_picard(request, name, ray, sign, order):
+    ctx = validate(seidel_fan(request.getfixturevalue(name), ray, sign))
+    inv = mirror._inverse(ctx, order)
+    assert inv.sources
+    assert plain_picard(inv) == (inv.W, inv.E)
+
+
+@pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", Fraction(7, 2)),
+                                         ("chain3", 10)], ids=str)
+def test_pass_reads_exponentials_only_to_order_minus_step(request, name, order):
+    # the stability certificate rests on this: a pass at full order cannot
+    # see terms of E above degree order - step
+    ctx = request.getfixturevalue(name)
+    inv = mirror._inverse(ctx, order)
+    rng = random.Random(7)
+
+    def noise(low, high):
+        """A few random terms of weighted degree in (low, high]."""
+        terms = {}
+        while len(terms) < 4:
+            e = tuple(rng.randrange(-4, 9) for _ in range(ctx.rank))
+            if low < ctx.weight(e) <= high:
+                terms[e] = rng.randrange(1, 9)
+        return QSeries(ctx.rank, ctx.ample_weight, order, terms)
+
+    step = inv.step
+    assert inv._pass(inv.E, order) == inv.W
+    above = {l: e.add(noise(order - step, order)) for l, e in inv.E.items()}
+    assert inv._pass(above, order) == inv.W
+    # and the budget is tight: terms at degree order - step do show
+    at = {l: e.add(noise(order - 2 * step, order - step)) for l, e in inv.E.items()}
+    assert inv._pass(at, order) != inv.W
+
+
+def test_chain3_order_10_runs_ten_passes(monkeypatch, load):
+    # rungs 1..10; the certificate replaces an eleventh, verifying pass
+    rungs = []
+    real_pass = mirror._Inverse._pass
+
+    def counting(self, E, order):
+        rungs.append(order)
+        return real_pass(self, E, order)
+
+    monkeypatch.setattr(mirror._Inverse, "_pass", counting)
+    mirror._inverse(load("chain3"), 10)
+    assert rungs == list(range(1, 11))
