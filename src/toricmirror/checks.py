@@ -25,6 +25,16 @@ def oracle_mismatches(ctx, order):
             if side.coeffs[ray] != mirror.g_function(ctx, ray, order).series.neg()]
 
 
+def first_difference(got, expected):
+    """`` at e: a != b`` for the lowest monomial, by (degree, exponent), whose
+    coefficients in ``got`` and ``expected`` differ; a missing term is 0."""
+    exponent = min((e for e in got.terms.keys() | expected.terms.keys()
+                    if got.coefficient(e) != expected.coefficient(e)),
+                   key=lambda e: (got.degree(e), e))
+    return (f" at {exponent}: {got.coefficient(exponent)} != "
+            f"{expected.coefficient(exponent)}")
+
+
 def suite(ctx, order):
     """``[(name, check)]`` for every property that applies to ``ctx``."""
     one = QSeries.one(ctx.rank, ctx.ample_weight, order)
@@ -53,7 +63,7 @@ def suite(ctx, order):
                 if p and units[l] != one:
                     acc = acc.mul(units[l].npow(p))
             if acc != inv.units[k]:
-                return f"component {k} disagrees"
+                return f"component {k} disagrees" + first_difference(acc, inv.units[k])
 
     def log_identity():
         for ray in range(ctx.m):
@@ -114,7 +124,8 @@ def suite(ctx, order):
                 if e:
                     acc = acc.mul(factors[ctx.basis_perm[p]].npow(-e))
             if acc != mm.units[k]:
-                return f"projection to component {k} disagrees"
+                return (f"projection to component {k} disagrees"
+                        + first_difference(acc, mm.units[k]))
 
     def fano_triviality():
         if all(ctx.degree(w.curve) > 0 for w in ctx.walls):

@@ -42,11 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import add as _add
 
 from . import lp
 from .fans import CurveClass, DiscClass, ToricContext
-from .series import QSeries, SubstitutionMap, unit_powers
+from .series import GradedRing, QSeries, SubstitutionMap, unit_powers
 
 
 @dataclass(frozen=True)
@@ -228,11 +227,16 @@ class _Inverse:
     class set, ``E[l] = exp(W[l])``, and :meth:`image` sends a formal checked
     monomial ``qc^d`` to its expression in the Kaehler variables,
     ``q^d * prod_j E_j^{D_j . d}``.
+
+    ``sources[l]`` lists one row ``(d, wt, gamma, D.d)`` per class of ray
+    ``l``, where ``wt`` is the level of ``d`` in :attr:`ring` (its weight
+    times the ring's integer ``scale``), so degree budgets are ``int``.
     """
 
     def __init__(self, ctx: ToricContext, order: Fraction):
         self.ctx = ctx
         self.order = order
+        ring = self.ring = GradedRing.of(ctx.rank, ctx.ample_weight)
         sources = {}
         for internal in range(ctx.m):
             classes = enumerate_classes(ctx, ctx.basis_perm[internal], order)
@@ -243,7 +247,7 @@ class _Inverse:
                 gamma = _g_coefficient(ctx, internal, cls.comps)
                 pair = tuple(sum(p * c for p, c in zip(ctx.P[j], cls.comps))
                              for j in range(ctx.m))
-                rows.append((cls.comps, ctx.weight(cls.comps), gamma, pair))
+                rows.append((cls.comps, ring.grade(cls.comps), gamma, pair))
             sources[internal] = rows
         self.sources = sources
         self.active = sorted(sources)
@@ -258,8 +262,10 @@ class _Inverse:
 
         A class ``d`` of weight ``wt`` enters shifted by ``q^d``, so its
         product ``prod_j E_j^{D_j.d}`` is formed only to degree ``order - wt``
-        (the first factor is cut there and ``mul`` keeps the smaller order).
-        Every class weighs at least ``self.step``, so the pass reads each
+        (the first factor is cut there and ``mul`` keeps the smaller order),
+        and :meth:`QSeries.shifted_sum` adds the shifted products up to
+        ``order``.  The budget is integer: ``wt`` and ``order`` are ring
+        levels here.  Every class weighs at least ``self.step``, so the pass reads each
         ``E_l`` only to degree ``order - step``: its result does not change
         when terms above that degree change.  That is the certificate
         :meth:`_solve` stops on.  If the update after a full-order pass
@@ -268,32 +274,25 @@ class _Inverse:
         ``W`` is an exact fixed point and no verification pass is needed.
         """
         shape = _shape(self.ctx, order)
+        ring = self.ring
+        top = ring.level(order)
+        one = QSeries.one(*shape)
         powers = {l: unit_powers(E[l].truncate(order - self.step)) for l in self.active}
         out = {}
         for l, rows in self.sources.items():
-            acc = {}
+            parts = []
             for comps, wt, gamma, pair in rows:
-                if wt > order:
+                if wt > top:
                     continue
                 term = None
                 for j in self.active:
                     if pair[j]:
                         p = powers[j](pair[j])
-                        term = p.truncate(order - wt) if term is None else term.mul(p)
-                # gamma * q^comps * term, shifted here: QSeries.shift keeps the
-                # unshifted order and would drop the terms above order - wt
-                shifted = ({comps: gamma} if term is None else
-                           {tuple(map(_add, e, comps)): gamma * c
-                            for e, c in term.terms.items()})
-                for e, c in shifted.items():
-                    s = acc.get(e)
-                    if s is None:
-                        acc[e] = c
-                    elif s == -c:
-                        del acc[e]
-                    else:
-                        acc[e] = s + c
-            out[l] = QSeries(*shape, terms=acc)
+                        term = p.truncate(ring.degree(top - wt)) if term is None else term.mul(p)
+                parts.append((one if term is None else term, comps, gamma))
+            # sum of gamma * q^comps * term: QSeries.shift would keep the
+            # unshifted order and drop the terms above order - wt
+            out[l] = QSeries.shifted_sum(parts, *shape)
         return out
 
     def _solve(self):
@@ -301,7 +300,8 @@ class _Inverse:
         if not self.sources:
             self.W, self.E = {}, {}
             return
-        step = self.step = min(wt for rows in self.sources.values() for _, wt, _, _ in rows)
+        step = self.step = self.ring.degree(
+            min(wt for rows in self.sources.values() for _, wt, _, _ in rows))
         if step <= 0:
             raise ArithmeticError("class of non-positive degree in g index set")
         W = {l: _zero(ctx, order) for l in self.active}
@@ -402,7 +402,7 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:
     out_order = min(Fraction(order), f.order)
     # monomials of negative degree need the inverse map at deeper relative
     # order to stay exact at the requested absolute order
-    drop = min((f.degree(e) for e in f.terms), default=0)
+    drop = f.min_degree() or 0
     inv = _inverse(ctx, Fraction(order) - min(0, drop))
     total = _zero(ctx, out_order)
     for e, c in sorted(f.terms.items()):

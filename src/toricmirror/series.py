@@ -14,6 +14,27 @@ series produced by the engine is supported on a pointed monoid of exponent
 vectors on which the weight is strictly positive, so each degree slice is
 finite even though individual exponent entries may be negative.
 
+Every series belongs to a :class:`GradedRing`, one memoised object per shape
+``(nvars, weights)``.  The ring validates the weights once and scales them to
+integers by the lcm ``L`` of their denominators, so ``L * deg(e)`` is an
+``int``.  It stores each monomial as one packed ``int`` key (the
+packed-exponent technique of Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007)::
+
+    key(e) = (L * deg(e) << nvars * W) + sum_k (e_k + B) << k * W
+
+with one fixed field width ``W = 16`` and bias ``B = 2^15``.  Keys sort by
+degree first, so truncation to order ``N`` is ``key < cutoff(N)``, the
+product of two monomials has key ``k1 + k2 - C`` (``C`` is the key of the
+constant monomial), and the degree budget of a product is one ``bisect`` over
+a sorted key list.  A field holds ``e_k + B``, so every exponent entry must
+satisfy ``|e_k| < B``.  A field never wraps silently: each series carries an
+upper bound on ``|e_k|`` over its terms, ``mul`` and ``shifted_sum`` check
+it at O(1) cost, recompute it exactly only when it nears ``B``, and raise
+:class:`SeriesError` when a true exponent leaves the field.  Readers see the
+terms through :attr:`QSeries.terms`, a dict keyed by exponent tuples in
+(degree, exponent) order, built once on first use.
+
 :class:`SubstitutionMap` represents a coordinate change of "unit" shape
 ``q_k -> q_k * u_k(q)`` with ``u_k(0) = 1``.  Maps of this shape form a group
 under composition; :meth:`SubstitutionMap.revert` computes the inverse by a
@@ -22,11 +43,15 @@ fixed-point iteration that gains one weighted degree per pass.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor
-from operator import add as _add, mul as _mul
+from math import factorial, lcm
+from operator import index, mul as _mul
+
+WIDTH = 16                      # bits per packed exponent field
+BIAS = 1 << (WIDTH - 1)         # a field holds e + BIAS, so |e| < BIAS
+_FIELD = (1 << WIDTH) - 1
 
 
 class SeriesError(ValueError):
@@ -48,6 +73,17 @@ def _coeff(value):
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise SeriesError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
+
+
+def _clean(terms):
+    """Drop cancelled terms and turn integral ``Fraction`` sums into ``int``."""
+    return {k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in terms.items() if c}
+
+
+def _overflow():
+    return SeriesError(f"exponent leaves the packed field: every entry must lie "
+                       f"strictly between -{BIAS} and {BIAS}")
 
 
 def unit_powers(unit):
@@ -75,17 +111,31 @@ def unit_powers(unit):
     return power
 
 
-class QSeries:
-    """An exactly-truncated power series in ``nvars`` variables.
+_RINGS = {}
 
-    ``weights`` is the strictly positive grading vector and ``order`` the
-    truncation bound, both exact rationals.  The instance is immutable by
-    convention: all operations return fresh series.
+
+class GradedRing:
+    """The shape ``(nvars, weights)`` of a series: validated once, memoised.
+
+    ``scale`` is the lcm ``L`` of the weights' denominators and ``scaled``
+    the integer weights ``L * w``, so a *level* ``L * deg(e)`` is an ``int``.
+    ``shift`` is the bit offset ``nvars * WIDTH`` of the level in a key and
+    ``bias`` the key of the constant monomial.
     """
 
-    __slots__ = ("nvars", "weights", "order", "terms", "_bydeg", "_intw")
+    __slots__ = ("nvars", "weights", "scale", "scaled", "shift", "bias",
+                 "_units", "_fields")
 
-    def __init__(self, nvars, weights, order, terms=None):
+    @staticmethod
+    def of(nvars, weights) -> "GradedRing":
+        """The one ring of this shape."""
+        weights = tuple(weights)
+        ring = _RINGS.get((nvars, weights))
+        if ring is None:
+            ring = _RINGS[nvars, weights] = GradedRing(nvars, weights)
+        return ring
+
+    def __init__(self, nvars, weights):
         if len(weights) != nvars:
             raise SeriesError("weight vector length does not match variable count")
         weights = tuple(_as_fraction(w) for w in weights)
@@ -93,33 +143,129 @@ class QSeries:
             raise SeriesError("weights must be strictly positive")
         self.nvars = nvars
         self.weights = weights
-        # Integer weights are by far the common case; degree computations sit
-        # on the hot path, so keep an all-int copy when possible.
-        self._intw = (tuple(int(w) for w in weights)
-                      if all(w.denominator == 1 for w in weights) else None)
-        self.order = _as_fraction(order)
-        limit = self.order if self._intw is None else floor(self.order)
-        clean = {}
+        self.scale = lcm(*(w.denominator for w in weights))
+        self.scaled = tuple(int(w * self.scale) for w in weights)
+        self._fields = tuple(k * WIDTH for k in range(nvars))
+        self.shift = nvars * WIDTH
+        self.bias = sum(BIAS << f for f in self._fields)
+        # key(e) = bias + sum_k e_k * unit_k
+        self._units = tuple((s << self.shift) + (1 << f)
+                            for s, f in zip(self.scaled, self._fields))
+
+    def key(self, exponent) -> int:
+        """The packed key of an exponent vector, checked against the fields."""
+        try:
+            e = tuple(map(index, exponent))
+        except TypeError:
+            raise SeriesError("exponent entries must be integers") from None
+        if len(e) != self.nvars:
+            raise SeriesError("exponent length does not match variable count")
+        if not all(-BIAS < x < BIAS for x in e):
+            raise _overflow()
+        return sum(map(_mul, e, self._units), self.bias)
+
+    def exponent(self, key) -> tuple:
+        """The exponent vector of a packed key."""
+        return tuple(((key >> f) & _FIELD) - BIAS for f in self._fields)
+
+    def grade(self, exponent) -> int:
+        """The level ``L * deg(exponent)`` of an exponent vector."""
+        return sum(map(_mul, self.scaled, exponent))
+
+    def level(self, order) -> int:
+        """The largest level of weighted degree ``<= order``."""
+        return order.numerator * self.scale // order.denominator
+
+    def degree(self, level):
+        """The weighted degree of a level: ``int`` when integral weights make it one."""
+        return level if self.scale == 1 else Fraction(level, self.scale)
+
+    def cutoff(self, level) -> int:
+        """Keys of level ``<= level`` are exactly those below this."""
+        return (level + 1) << self.shift
+
+
+class QSeries:
+    """An exactly-truncated power series in ``nvars`` variables.
+
+    ``weights`` is the strictly positive grading vector and ``order`` the
+    truncation bound, both exact rationals.  Terms are stored as a dict from
+    packed keys of :attr:`ring` (see the module docstring) to coefficients;
+    :attr:`terms` is the same map keyed by exponent tuples.  The instance is
+    immutable by convention: all operations return fresh series, and only
+    the public constructor validates its input.
+    """
+
+    __slots__ = ("ring", "order", "_top", "_packed", "_bound", "_sorted", "_view")
+
+    def __init__(self, nvars, weights, order, terms=None):
+        ring = GradedRing.of(nvars, weights)
+        order = _as_fraction(order)
+        top = ring.level(order)
+        stop = ring.cutoff(top)
+        packed = {}
+        bound = 0
         if terms:
             for e, c in terms.items():
                 c = _coeff(c)
                 if not c:
                     continue
-                e = tuple(e)
-                if len(e) != nvars:
-                    raise SeriesError("exponent length does not match variable count")
-                if self.degree(e) <= limit:
-                    clean[e] = c
-        self.terms = clean
-        self._bydeg = None
+                k = ring.key(e)
+                if k < stop:
+                    packed[k] = c
+                    bound = max(bound, max(map(abs, e), default=0))
+        self._set(ring, order, top, packed, bound)
+
+    def _set(self, ring, order, top, packed, bound):
+        self.ring = ring
+        self.order = order
+        self._top = top            # ring.level(order)
+        self._packed = packed
+        self._bound = bound        # >= |e_k| over every term
+        self._sorted = None
+        self._view = None
+
+    @staticmethod
+    def _of(ring, order, top, packed, bound):
+        """A series from trusted parts: nothing is re-checked."""
+        out = QSeries.__new__(QSeries)
+        out._set(ring, order, top, packed, bound)
+        return out
+
+    def _const(self, value, order=None):
+        """``value`` as a series of this ring, to ``order`` (default: own order)."""
+        if order is None:
+            order, top = self.order, self._top
+        else:
+            top = self.ring.level(order)
+        ring = self.ring
+        packed = {ring.bias: value} if value and ring.bias < ring.cutoff(top) else {}
+        return QSeries._of(ring, order, top, packed, 0)
 
     # ---------------------------------------------------------------- basics
 
+    @property
+    def nvars(self):
+        return self.ring.nvars
+
+    @property
+    def weights(self):
+        return self.ring.weights
+
+    @property
+    def terms(self):
+        """``{exponent tuple: coefficient}``, in (degree, exponent) order."""
+        if self._view is None:
+            ring = self.ring
+            shift, exponent = ring.shift, ring.exponent
+            rows = sorted((k >> shift, exponent(k), c) for k, c in self._packed.items())
+            self._view = {e: c for _, e, c in rows}
+        return self._view
+
     def degree(self, exponent):
         """Weighted degree of an exponent vector (int or Fraction)."""
-        if self._intw is not None:
-            return sum(map(_mul, self._intw, exponent))
-        return sum((w * x for w, x in zip(self.weights, exponent)), Fraction(0))
+        ring = self.ring
+        return ring.degree(ring.grade(exponent))
 
     @classmethod
     def zero(cls, nvars, weights, order):
@@ -145,109 +291,183 @@ class QSeries:
         return self.terms.get(tuple(exponent), 0)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._packed.get(self.ring.bias, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
+
+    def _min_level(self):
+        if not self._packed:
+            return None
+        return min(self._packed) >> self.ring.shift
 
     def min_degree(self):
         """Smallest weighted degree present, or None for the zero series."""
-        if not self.terms:
-            return None
-        return min(self.degree(e) for e in self.terms)
+        level = self._min_level()
+        return None if level is None else self.ring.degree(level)
 
     def truncate(self, order):
+        """Drop the terms above ``order``; the terms are shared when none is."""
+        ring, packed = self.ring, self._packed
         order = _as_fraction(order)
-        if order >= self.order:
-            return QSeries(self.nvars, self.weights, order, self.terms)
-        return QSeries(self.nvars, self.weights, order,
-                       {e: c for e, c in self.terms.items() if self.degree(e) <= order})
+        top = ring.level(order)
+        if top < self._top and packed:
+            stop = ring.cutoff(top)
+            if max(packed) >= stop:
+                cut = {k: c for k, c in packed.items() if k < stop}
+                return QSeries._of(ring, order, top, cut, self._bound)
+        out = QSeries._of(ring, order, top, packed, self._bound)
+        out._sorted, out._view = self._sorted, self._view
+        return out
 
-    def _sorted_by_degree(self):
-        if self._bydeg is None:
-            rows = sorted((self.degree(e), e) for e in self.terms)
-            self._bydeg = ([d for d, _ in rows], [e for _, e in rows])
-        return self._bydeg
+    def _by_key(self):
+        """``(keys, items)``: the terms sorted by key, i.e. by degree first."""
+        if self._sorted is None:
+            items = sorted(self._packed.items())
+            self._sorted = ([k for k, _ in items], items)
+        return self._sorted
 
     def _check_shape(self, other):
-        if self.nvars != other.nvars:
-            raise SeriesError("variable count mismatch")
-        if self.weights != other.weights:
+        if self.ring is not other.ring:
+            if self.nvars != other.nvars:
+                raise SeriesError("variable count mismatch")
             raise SeriesError("grading weight mismatch")
+
+    def _exact_bound(self):
+        """Recompute ``max |e_k|`` over the terms and keep it as the bound."""
+        exponent = self.ring.exponent
+        self._bound = max((abs(x) for k in self._packed for x in exponent(k)), default=0)
+        return self._bound
 
     # ------------------------------------------------------------ arithmetic
 
     def add(self, other):
         self._check_shape(other)
-        order = min(self.order, other.order)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return QSeries(self.nvars, self.weights, order, out)
+        order, top = min(self.order, other.order), min(self._top, other._top)
+        out = dict(self._packed)
+        get = out.get
+        for k, c in other._packed.items():
+            s = get(k)
+            if s is None:
+                out[k] = c
+            else:
+                s += c
+                if s:
+                    out[k] = _coeff(s)
+                else:
+                    del out[k]
+        if self._top != other._top:
+            stop = self.ring.cutoff(top)
+            out = {k: c for k, c in out.items() if k < stop}
+        return QSeries._of(self.ring, order, top, out, max(self._bound, other._bound))
 
     def neg(self):
-        return QSeries(self.nvars, self.weights, self.order,
-                       {e: -c for e, c in self.terms.items()})
+        return QSeries._of(self.ring, self.order, self._top,
+                           {k: -c for k, c in self._packed.items()}, self._bound)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scalar_mul(self, value):
         value = _coeff(value)
-        if not value:
-            return QSeries(self.nvars, self.weights, self.order)
-        return QSeries(self.nvars, self.weights, self.order,
-                       {e: value * c for e, c in self.terms.items()})
+        return QSeries._of(self.ring, self.order, self._top,
+                           _clean({k: value * c for k, c in self._packed.items()}),
+                           self._bound)
 
     def shift(self, exponent, scalar=1):
-        """Multiply by ``scalar * q^exponent`` without a full convolution."""
-        exponent = tuple(exponent)
-        scalar = _coeff(scalar)
-        if not scalar:
-            return QSeries(self.nvars, self.weights, self.order)
-        return QSeries(self.nvars, self.weights, self.order,
-                       {tuple(map(_add, e, exponent)): scalar * c
-                        for e, c in self.terms.items()})
+        """Multiply by ``scalar * q^exponent``, keeping this series' order."""
+        return QSeries.shifted_sum([(self, exponent, scalar)],
+                                   self.nvars, self.weights, self.order)
+
+    @classmethod
+    def shifted_sum(cls, parts, nvars, weights, order):
+        """``sum(scalar * q^exponent * s)`` over ``(s, exponent, scalar)`` in
+        ``parts``, cut at ``order``.
+
+        Each part keeps every term of ``s``: ``q^exponent * s`` is cut only
+        at ``order``, never at ``s.order``, so a part formed exactly to
+        ``order - deg(q^exponent)`` lands exact to ``order``.  The shift is
+        one integer add per term.  Raises :class:`SeriesError` when a shifted
+        exponent leaves its packed field.
+        """
+        ring = GradedRing.of(nvars, weights)
+        order = _as_fraction(order)
+        top = ring.level(order)
+        stop, bias = ring.cutoff(top), ring.bias
+        out = {}
+        get = out.get
+        bound = 0
+        for s, exponent, scalar in parts:
+            if s.ring is not ring:
+                raise SeriesError("shifted part has another shape")
+            key = ring.key(exponent)
+            monomial = QSeries._of(ring, order, top, {key: 1}, max(map(abs, exponent), default=0))
+            bound = max(bound, s._product_bound(monomial, top))
+            offset = key - bias
+            scalar = _coeff(scalar)
+            for k, c in s._packed.items():
+                k += offset
+                if k < stop:
+                    c *= scalar
+                    t = get(k)
+                    out[k] = c if t is None else t + c
+        return QSeries._of(ring, order, top, _clean(out), bound)
+
+    def _product_bound(self, other, top):
+        """A bound on ``|e_k|`` over ``self * other`` cut at level ``top``.
+
+        O(1) while the operands' bounds sum below ``BIAS``.  Near the limit
+        the bounds are recomputed exactly, and if they still reach it every
+        pair that a key test against ``top`` may form is checked: those of
+        level up to ``top + 1``, since a field that borrows lowers the key.
+        Raises :class:`SeriesError` when such a pair leaves its field.
+        """
+        bound = self._bound + other._bound
+        if bound < BIAS:
+            return bound
+        bound = self._exact_bound() + other._exact_bound()
+        if bound < BIAS:
+            return bound
+        ring = self.ring
+        shift, exponent = ring.shift, ring.exponent
+        partners = [(k >> shift, exponent(k)) for k in other._packed]
+        for k in self._packed:
+            level, e1 = k >> shift, exponent(k)
+            for level2, e2 in partners:
+                if level + level2 <= top + 1 and not all(
+                        -BIAS < x + y < BIAS for x, y in zip(e1, e2)):
+                    raise _overflow()
+        return BIAS - 1
 
     def mul(self, other):
         self._check_shape(other)
         order = min(self.order, other.order)
+        top = min(self._top, other._top)
+        bound = self._product_bound(other, top)
         # Iterate the smaller support on the outside and cut the inner loop
         # by remaining degree budget; this keeps dense*dense products at the
-        # cost of the genuinely contributing pairs only.
-        small, big = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        degs, exps = big._sorted_by_degree()
-        bigterms = big.terms
-        # With integer weights every degree is an int, so the budget is one too.
-        limit = order if self._intw is None else floor(order)
+        # cost of the genuinely contributing pairs only.  A product key is
+        # k1 + k2 - bias and must stay below cutoff(top), so the partners of
+        # k1 are the sorted keys below cutoff(top) + bias - k1.
+        small, big = (self, other) if len(self._packed) <= len(other._packed) else (other, self)
+        keys, items = big._by_key()
+        bias = self.ring.bias
+        stop = self.ring.cutoff(top) + bias
         out = {}
-        for e1, c1 in small.terms.items():
-            hi = bisect_right(degs, limit - small.degree(e1))
-            for e2 in exps[:hi]:
-                e = tuple(map(_add, e1, e2))
-                s = out.get(e, 0) + c1 * bigterms[e2]
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        # Every term is nonzero and within ``order`` by construction; only a
-        # sum of Fractions that came out integral needs normalising.
-        for e, c in out.items():
-            if type(c) is not int and c.denominator == 1:
-                out[e] = c.numerator
-        product = QSeries.__new__(QSeries)
-        product.nvars, product.weights, product._intw = self.nvars, self.weights, self._intw
-        product.order, product.terms, product._bydeg = order, out, None
-        return product
+        get = out.get
+        for k1, c1 in small._packed.items():
+            base = k1 - bias
+            for k2, c2 in items[:bisect_left(keys, stop - k1)]:
+                k = base + k2
+                c = c1 * c2
+                s = get(k)
+                out[k] = c if s is None else s + c
+        return QSeries._of(self.ring, order, top, _clean(out), bound)
 
     def npow(self, k: int):
         """Integer power; negative exponents require an invertible constant term."""
         if k == 0:
-            return QSeries.one(self.nvars, self.weights, self.order)
+            return self._const(1)
         base = self if k > 0 else self.recip()
         k = abs(k)
         result = None
@@ -265,34 +485,33 @@ class QSeries:
         c0 = self.constant_term()
         if not c0:
             raise SeriesError("cannot invert a series with zero constant term")
-        rest = self.scalar_mul(Fraction(1, 1) / c0)
-        tail = rest.sub(QSeries.one(self.nvars, self.weights, self.order))
-        mind = tail.min_degree()
-        r = QSeries.constant(Fraction(1, 1) / c0, self.nvars, self.weights, self.order)
-        if mind is None:
+        inv0 = Fraction(1, 1) / c0
+        tail = self.scalar_mul(inv0).sub(self._const(1))
+        level = tail._min_level()
+        r = self._const(_coeff(inv0))
+        if level is None:
             return r
-        if mind <= 0:
+        if level <= 0:
             raise SeriesError("cannot invert: non-constant term of non-positive degree")
-        two = QSeries.constant(2, self.nvars, self.weights, self.order)
-        correct = mind
-        while correct <= self.order:
+        two = self._const(2)
+        while level <= self._top:
             r = r.mul(two.sub(self.mul(r)))
-            correct *= 2
+            level *= 2
         return r
 
     def exp(self):
         """Exponential of a series whose terms all have positive degree."""
         if self.constant_term():
             raise SeriesError("exp requires zero constant term")
-        mind = self.min_degree()
-        out = QSeries.one(self.nvars, self.weights, self.order)
-        if mind is None:
+        level = self._min_level()
+        out = self._const(1)
+        if level is None:
             return out
-        if mind <= 0:
+        if level <= 0:
             raise SeriesError("exp requires terms of positive weighted degree")
         power = out
         i = 0
-        while mind * (i + 1) <= self.order:
+        while level * (i + 1) <= self._top:
             i += 1
             power = power.mul(self)
             out = out.add(power.scalar_mul(Fraction(1, factorial(i))))
@@ -302,16 +521,16 @@ class QSeries:
         """Logarithm of a unit series (constant term exactly 1)."""
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        tail = self.sub(QSeries.one(self.nvars, self.weights, self.order))
-        mind = tail.min_degree()
-        out = QSeries.zero(self.nvars, self.weights, self.order)
-        if mind is None:
+        tail = self.sub(self._const(1))
+        level = tail._min_level()
+        out = self._const(0)
+        if level is None:
             return out
-        if mind <= 0:
+        if level <= 0:
             raise SeriesError("log requires tail terms of positive weighted degree")
-        power = QSeries.one(self.nvars, self.weights, self.order)
+        power = self._const(1)
         i = 0
-        while mind * (i + 1) <= self.order:
+        while level * (i + 1) <= self._top:
             i += 1
             power = power.mul(tail)
             out = out.add(power.scalar_mul(Fraction(-1 if i % 2 == 0 else 1, i)))
@@ -334,14 +553,17 @@ class QSeries:
             self._check_shape(u)
         order = min([self.order] + [u.order for u in smap.units])
         map_order = min(u.order for u in smap.units)
-        drop = min((self.degree(e) for e in self.terms), default=0)
+        drop = self.min_degree() or 0
         exact_to = min(self.order, map_order + min(0, drop))
         powers = [unit_powers(u) for u in smap.units]
 
-        out = QSeries.zero(self.nvars, self.weights, order)
-        for e, c in self.terms.items():
-            acc = QSeries.monomial(e, c, self.nvars, self.weights, order)
-            for k, ek in enumerate(e):
+        ring = self.ring
+        out = self._const(0, order)
+        top = out._top
+        stop = ring.cutoff(top)
+        for key, c in self._packed.items():
+            acc = QSeries._of(ring, order, top, {key: c} if key < stop else {}, self._bound)
+            for k, ek in enumerate(ring.exponent(key)):
                 if ek:
                     acc = acc.mul(powers[k](ek))
             out = out.add(acc)
@@ -369,7 +591,9 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         # Equality is equality of stored truncations; the order metadata is
-        # deliberately not compared.
+        # deliberately not compared, and neither are the weights.
+        if self.ring is other.ring:
+            return self._packed == other._packed
         return self.nvars == other.nvars and self.terms == other.terms
 
     __hash__ = None
@@ -379,14 +603,11 @@ class QSeries:
 
     # ---------------------------------------------------------- presentation
 
-    def _canonical_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (self.degree(item[0]), item[0]))
-
     def to_records(self):
         """Canonical list-of-dicts form (graded-lexicographic term order)."""
         return [
             {"exponent": list(e), "num": c.numerator, "den": c.denominator}
-            for e, c in self._canonical_terms()
+            for e, c in self.terms.items()
         ]
 
     @classmethod
@@ -404,10 +625,10 @@ class QSeries:
 
     def to_text(self, var: str = "q") -> str:
         """Human-readable rendering, e.g. ``1 + 3/2·q1^2 q2 - q3``."""
-        if not self.terms:
+        if not self._packed:
             return "0"
         pieces = []
-        for e, c in self._canonical_terms():
+        for e, c in self.terms.items():
             mono = " ".join(
                 f"{var}{k + 1}" if x == 1 else f"{var}{k + 1}^{x}"
                 for k, x in enumerate(e) if x
@@ -444,10 +665,10 @@ class SubstitutionMap:
         for u in units:
             if u.constant_term() != 1:
                 raise SeriesError("substitution factors must have constant term 1")
-            for e in u.terms:
-                if any(e) and u.degree(e) <= 0:
-                    raise SeriesError("substitution factors must be 1 plus "
-                                      "terms of positive degree")
+            bias, shift = u.ring.bias, u.ring.shift
+            if any(k != bias and k >> shift <= 0 for k in u._packed):
+                raise SeriesError("substitution factors must be 1 plus "
+                                  "terms of positive degree")
 
     @classmethod
     def identity(cls, nvars, weights, order):
@@ -462,7 +683,7 @@ class SubstitutionMap:
         return f.substitute(self)
 
     def is_identity(self) -> bool:
-        return all(not u.sub(QSeries.one(u.nvars, u.weights, u.order)).terms for u in self.units)
+        return all(u.sub(u._const(1)).is_zero() for u in self.units)
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """The map "apply ``inner``, then ``self``"."""
@@ -480,7 +701,7 @@ class SubstitutionMap:
         order / (minimal positive degree in the unit tails).
         """
         template = self.units[0]
-        tails = [u.sub(QSeries.one(u.nvars, u.weights, u.order)) for u in self.units]
+        tails = [u.sub(u._const(1)) for u in self.units]
         steps = [t.min_degree() for t in tails if t.min_degree() is not None]
         t = SubstitutionMap.identity(self.nvars, template.weights, template.order)
         if not steps:

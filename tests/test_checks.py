@@ -42,3 +42,33 @@ def test_derivative_identity_composes_each_series_once(chain3, monkeypatch):
     monkeypatch.setattr(mirror, "compose_with_inverse", counting)
     assert dict(checks.suite(chain3, 4))["derivative-identity"]() is None
     assert 0 < len(calls) <= chain3.m + chain3.m ** 2
+
+
+def test_product_identity_names_the_first_differing_monomial(f2, monkeypatch):
+    # delta_1 = q1 on f2; doubling it makes component 0 of the product
+    # (1 + 2 q1)^-2 = 1 - 4 q1 + ... against the inverse map's 1 - 2 q1 + ...
+    real = mirror.delta
+
+    def doubled(ctx, ray, order):
+        d = real(ctx, ray, order)
+        return d.add(d) if ray == 1 else d
+
+    monkeypatch.setattr(mirror, "delta", doubled)
+    check = dict(checks.suite(f2, 4))["product-identity"]
+    assert check() == "component 0 disagrees at (1, 0): -4 != -2"
+
+
+def test_extended_factors_names_the_first_differing_monomial(f2, monkeypatch):
+    # exp(-g_1) = 1 - q1 - q1^2 - ...; moving its q1^2 coefficient to 0 turns
+    # the q1^2 coefficient of the projection (1 - q1 - ...)^-2 from 5 into 3
+    real = mirror.extended_mirror_factors
+
+    def shifted(ctx, order):
+        factors = list(real(ctx, order))
+        factors[1] = factors[1].add(
+            QSeries.monomial((2, 0), 1, ctx.rank, ctx.ample_weight, order))
+        return factors
+
+    monkeypatch.setattr(mirror, "extended_mirror_factors", shifted)
+    check = dict(checks.suite(f2, 4))["extended-factors"]
+    assert check() == "projection to component 0 disagrees at (2, 0): 3 != 5"

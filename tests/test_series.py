@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -303,3 +304,155 @@ def test_random_arithmetic_stays_int_first():
         f, g = rand_series(rng), rand_series(rng)
         for r in (f.mul(g), f.exp(), f.exp().log(), f.add(g), f.exp().recip()):
             assert_int_first(r)
+
+
+# ------------------------------------------------------- packed monomial keys
+
+def ref_degree(weights, e):
+    return sum((Fraction(w) * x for w, x in zip(weights, e)), Fraction(0))
+
+
+def ref_cut(weights, terms, order):
+    return {e: c for e, c in terms.items() if c and ref_degree(weights, e) <= order}
+
+
+def ref_add(weights, a, b, order):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_cut(weights, out, order)
+
+
+def ref_mul(weights, a, b, order):
+    """Plain tuple-keyed convolution with a degree filter."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_cut(weights, out, order)
+
+
+def ref_power_sum(weights, t, coeffs, order):
+    """``sum_i coeffs(i) t^i`` for a tail ``t`` of positive degree."""
+    out, power, i = {}, {(0,) * len(weights): Fraction(1)}, 0
+    while power:
+        out = ref_add(weights, out, {e: coeffs(i) * c for e, c in power.items()}, order)
+        power, i = ref_mul(weights, power, t, order), i + 1
+    return out
+
+
+def ref_recip(weights, u, order):
+    zero = (0,) * len(weights)
+    c0 = Fraction(u[zero])
+    t = {e: -c / c0 for e, c in u.items() if e != zero}
+    return ref_power_sum(weights, t, lambda i: 1 / c0, order)
+
+
+def rand_laurent(rng, weights, lo=-3, hi=5, positive=True, size=5):
+    """Terms with negative entries allowed; every degree is > 0 (or >= 0)."""
+    terms = {}
+    while len(terms) < size:
+        e = tuple(rng.randrange(lo, hi) for _ in weights)
+        d = ref_degree(weights, e)
+        if d > 0 or (not positive and d == 0 and any(e)):
+            terms[e] = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+    return {e: c for e, c in terms.items() if c}
+
+
+PACKING_SHAPES = [(1, 1), (1, 3), (Fraction(1, 2), 3), (Fraction(2, 3), 1, Fraction(5, 2))]
+
+
+@pytest.mark.parametrize("weights", PACKING_SHAPES, ids=str)
+def test_packed_arithmetic_matches_tuple_reference(weights):
+    rng = random.Random(2007)
+    n = len(weights)
+    zero = (0,) * n
+    for order in (Fraction(4), Fraction(7, 2)):
+        for _ in range(6):
+            a, b = rand_laurent(rng, weights), rand_laurent(rng, weights, positive=False)
+            fa, fb = QSeries(n, weights, order, a), QSeries(n, weights, order, b)
+            a, b = ref_cut(weights, a, order), ref_cut(weights, b, order)
+            assert fa.terms == a and fb.terms == b
+            assert fa.mul(fb).terms == ref_mul(weights, a, b, order)
+            assert fa.add(fb).terms == ref_add(weights, a, b, order)
+            assert fa.sub(fb).terms == ref_add(weights, a, {e: -c for e, c in b.items()}, order)
+            low = order - 1
+            assert fa.truncate(low).terms == ref_cut(weights, a, low)
+            s = tuple(rng.randrange(-2, 3) for _ in weights)
+            assert fa.shift(s, Fraction(3, 2)).terms == ref_cut(
+                weights, {tuple(x + y for x, y in zip(e, s)): Fraction(3, 2) * c
+                          for e, c in a.items()}, order)
+            ref_exp = ref_power_sum(weights, a, lambda i: Fraction(1, factorial(i)), order)
+            assert fa.exp().terms == ref_exp
+            unit = ref_add(weights, {zero: 1}, a, order)
+            ref_log = ref_power_sum(weights, a, lambda i: Fraction((-1) ** (i + 1), i) if i
+                                    else 0, order)
+            assert QSeries(n, weights, order, unit).log().terms == ref_log
+            scaled = ref_add(weights, {zero: Fraction(2, 5)}, a, order)
+            assert (QSeries(n, weights, order, scaled).recip().terms
+                    == ref_recip(weights, scaled, order))
+
+
+@pytest.mark.parametrize("weights", PACKING_SHAPES, ids=str)
+def test_packed_substitution_matches_tuple_reference(weights):
+    rng = random.Random(2008)
+    n = len(weights)
+    zero = (0,) * n
+    order = Fraction(7, 2)
+    for _ in range(3):
+        units = [ref_add(weights, {zero: 1}, rand_laurent(rng, weights, size=3), order)
+                 for _ in weights]
+        inverses = [ref_recip(weights, u, order) for u in units]
+        f = ref_cut(weights, rand_laurent(rng, weights, positive=False, size=4), order)
+        expected = {}
+        for e, c in f.items():
+            image = {e: c}
+            for k, x in enumerate(e):
+                for _ in range(abs(x)):
+                    image = ref_mul(weights, image, units[k] if x > 0 else inverses[k], order)
+            expected = ref_add(weights, expected, image, order)
+        smap = SubstitutionMap(tuple(QSeries(n, weights, order, u) for u in units))
+        assert QSeries(n, weights, order, f).substitute(smap).terms == expected
+
+
+def test_exponents_outside_the_packed_field_raise():
+    limit = 1 << 15
+    for bad in (limit, -limit):
+        with pytest.raises(SeriesError, match="packed field"):
+            QSeries(2, W, 4, {(bad, 0): 1})
+    order = 1 << 16
+    up = QSeries(2, W, order, {(1 << 14, 0): 1})
+    with pytest.raises(SeriesError, match="packed field"):
+        up.mul(up)
+    down = QSeries(2, W, order, {(-(1 << 14), 0): 1})
+    with pytest.raises(SeriesError, match="packed field"):
+        down.mul(down)
+    with pytest.raises(SeriesError, match="packed field"):
+        up.shift((1 << 14, 0))
+
+
+def test_products_near_the_field_limit_do_not_raise():
+    limit = 1 << 15
+    order = 1 << 16
+    near = QSeries(2, W, order, {((1 << 14) - 1, 0): 1})
+    assert near.mul(near).terms == {(limit - 2, 0): 1}
+    up = QSeries(2, W, order, {(1 << 14, 0): 1})
+    assert up.mul(near).terms == {(limit - 1, 0): 1}
+    # the bounds sum past the limit, but the only pair that would leave the
+    # field lies above the order and is never formed
+    a = QSeries(2, W, 20001, {(20000, 0): 1, (0, 1): 2})
+    assert a.mul(a).terms == {(0, 2): 4, (20000, 1): 4}
+    # (33000, 0) leaves the field, but at degree 33000 it is cut
+    assert a.shift((13000, 0)).terms == {(13000, 1): 2}
+
+
+def test_terms_view_is_tuple_keyed_in_degree_then_exponent_order():
+    # equal weights: the packed keys put (1, 0) before (0, 1), the canonical
+    # (degree, exponent tuple) order puts (0, 1) first
+    f = S({(1, 0): 3, (0, 1): Fraction(1, 2), (-1, 1): 5, (2, 0): 1})
+    assert f.ring.key((1, 0)) < f.ring.key((0, 1))
+    assert list(f.terms) == [(-1, 1), (0, 1), (1, 0), (2, 0)]
+    assert all(type(e) is tuple for e in f.mul(f).terms)
+    assert [r["exponent"] for r in f.to_records()] == [[-1, 1], [0, 1], [1, 0], [2, 0]]
+    assert f.to_text() == "5·q1^-1 q2 + 1/2·q2 + 3·q1 + q1^2"
