@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 # ``oracle`` stays bound here so that ``cli.oracle`` reaches the module that
 # the invariant suite calls through.
@@ -77,18 +76,25 @@ def _parse_cone(text: str):
             f"basis cone must be comma-separated ray indices, got {text!r}") from exc
 
 
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
 def load_fan(path: str) -> fans.Fan:
-    """Read a fan document from disk, falling back to packaged fixtures."""
-    p = Path(path)
-    if p.exists():
-        return fans.parse_fan(p.read_text())
-    name = p.name
-    if name.endswith(".json"):
-        name = name[:-5]
-    packaged = resources.files("toricmirror").joinpath("fixtures", f"{name}.json")
-    if packaged.is_file():
-        return fans.parse_fan(packaged.read_text())
-    raise OSError(f"fan file not found: {path}")
+    """Read a fan document from disk, falling back to packaged fixtures.
+
+    The fixtures are found next to this file with ``os.path``: ``pathlib``
+    and ``importlib.resources`` would add their import time to every run.
+    """
+    found = path
+    if not os.path.exists(path):
+        name = os.path.basename(os.path.normpath(path))
+        if name.endswith(".json"):
+            name = name[:-5]
+        found = os.path.join(_FIXTURES, f"{name}.json")
+        if not os.path.isfile(found):
+            raise OSError(f"fan file not found: {path}")
+    with open(found) as fh:
+        return fans.parse_fan(fh.read())
 
 
 # (group, flags, keywords) in the order ``--help`` lists them.  Every command
@@ -125,16 +131,23 @@ _ARGUMENTS = [
 _INDICES = (("ray", "ray"), ("index_i", "i"), ("index_j", "j"))
 
 
-def build_parser() -> _Parser:
+def build_parser(command=None) -> _Parser:
+    """The command-line parser, with every subcommand or only ``command``.
+
+    A run names its subcommand first, so it needs only that one's parser;
+    the full parser answers top-level ``--help`` and bad command names.
+    """
     parser = _Parser(prog="toricmirror",
                      description="Exact mirror maps and open GW potentials "
                                  "for smooth semi-Fano toric fans.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, groups, _) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        if command is not None and name != command:
+            continue
+        command_parser = sub.add_parser(name, help=help_text)
         for group, flags, keywords in _ARGUMENTS:
             if group is None or group in groups:
-                command.add_argument(*flags, **keywords)
+                command_parser.add_argument(*flags, **keywords)
     return parser
 
 
@@ -353,8 +366,11 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        return _run(build_parser().parse_args(argv))
+        return _run(build_parser(command).parse_args(argv))
     except (UsageError, ValueError, OSError, LPUnboundedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

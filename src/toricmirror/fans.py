@@ -25,24 +25,23 @@ cone, so a class is just an integer vector of length ``m - dim``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import lp
+from ._record import Record
 
 
 class FanError(ValueError):
     """Raised when a fan document is malformed or fails validation."""
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """An integer homology class expressed in the curve basis of a context."""
 
-    comps: tuple
+    __slots__ = ("comps",)
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "comps", tuple(int(c) for c in self.comps))
 
     def __add__(self, other):
@@ -55,16 +54,13 @@ class CurveClass:
         return not any(self.comps)
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(Record):
     """A basic disc class attached to ``ray`` plus a sphere correction."""
 
-    ray: int
-    curve: CurveClass
+    __slots__ = ("ray", "curve")
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     """An interior codimension-one cone with its primitive curve class.
 
     ``rays`` are the original indices spanning the wall, ``cones`` the two
@@ -72,19 +68,12 @@ class Wall:
     the wall curve with every toric divisor (original ray order).
     """
 
-    rays: tuple
-    cones: tuple
-    curve: CurveClass
-    pairings: tuple
+    __slots__ = ("rays", "cones", "curve", "pairings")
 
 
-@dataclass(frozen=True)
-class Fan:
-    dim: int
-    rays: tuple
-    max_cones: tuple
-    labels: tuple | None = None
-    basis_cone: tuple | None = None
+class Fan(Record):
+    __slots__ = ("dim", "rays", "max_cones", "labels", "basis_cone")
+    _defaults = {"labels": None, "basis_cone": None}
 
     def to_dict(self) -> dict:
         doc = {
@@ -215,28 +204,30 @@ def _det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(eq=False)
 class ToricContext:
     """Validated fan together with its curve-class linear algebra.
 
     ``basis_perm[i]`` is the original index of the i-th internal ray; the
     first ``n`` internal rays span the basis cone.  ``P[i][k]`` is the
     intersection number of the i-th internal divisor with the k-th basis
-    curve class, ``c1`` the column sums (anticanonical degrees).
+    curve class, ``c1`` the column sums (anticanonical degrees).  Contexts
+    compare by identity: ``_cache`` holds results computed on this one.
     """
 
-    fan: Fan
-    n: int
-    m: int
-    basis_perm: tuple
-    inv_perm: tuple
-    rays: tuple
-    nu: tuple
-    P: tuple
-    c1: tuple
-    ample_weight: tuple
-    walls: tuple
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, fan, n, m, basis_perm, inv_perm, rays, nu, P, c1,
+                 ample_weight, walls):
+        self.fan = fan
+        self.n = n
+        self.m = m
+        self.basis_perm = basis_perm
+        self.inv_perm = inv_perm
+        self.rays = rays
+        self.nu = nu
+        self.P = P
+        self.c1 = c1
+        self.ample_weight = ample_weight
+        self.walls = walls
+        self._cache = {}
 
     @property
     def rank(self) -> int:

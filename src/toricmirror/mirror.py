@@ -39,28 +39,25 @@ The central objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import lp
+from ._record import Record
 from .fans import CurveClass, DiscClass, ToricContext
 from .series import GradedRing, QSeries, SubstitutionMap, unit_powers
 
 
-@dataclass(frozen=True)
-class GSeries:
+class GSeries(Record):
     """The series ``g_l`` for one ray, in the complex (checked) variables."""
 
-    ray: int
-    series: QSeries
+    __slots__ = ("ray", "series")
 
 
-@dataclass(frozen=True)
-class DivisorSeries:
+class DivisorSeries(Record):
     """An H^2-valued series: one QSeries coefficient per ray divisor."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def component(self, ray: int) -> QSeries:
         return self.coeffs[ray]

@@ -44,10 +44,11 @@ fixed-point iteration that gains one weighted degree per pass.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import index, mul as _mul
+
+from ._record import Record
 
 WIDTH = 16                      # bits per packed exponent field
 BIAS = 1 << (WIDTH - 1)         # a field holds e + BIAS, so |e| < BIAS
@@ -651,13 +652,12 @@ class QSeries:
         return out
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
+class SubstitutionMap(Record):
     """A coordinate change ``q_k -> q_k * u_k(q)`` with unit factors ``u_k``."""
 
-    units: tuple
+    __slots__ = ("units",)
 
-    def __post_init__(self):
+    def _check(self):
         units = tuple(self.units)
         object.__setattr__(self, "units", units)
         if not units:

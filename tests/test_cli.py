@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -203,3 +205,80 @@ def test_min_classes_help_names_the_gij_index(capsys):
         main(["gij", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "--i" in text.rsplit("--min-classes K", 1)[1]
+
+
+def _subcommands(parser):
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _arguments(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_matches_the_full_parser(name):
+    full = _subcommands(cli.build_parser())[name]
+    alone = _subcommands(cli.build_parser(name))
+    assert list(alone) == [name]
+    assert _arguments(alone[name]) == _arguments(full)
+    assert alone[name].format_help() == full.format_help()
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "validate", *CHAIN3)[0] == 0
+    assert run(capsys, "frobnicate")[0] == 1
+    assert run(capsys)[0] == 1
+    assert built == ["validate", None, None]
+
+
+def test_top_level_help_and_bad_commands_list_every_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name, (help_text, _, _) in cli.COMMANDS.items():
+        assert f"{name} {help_text}" in text
+    code, _, err = run(capsys, "frobnicate")
+    listed = err.split("choose from", 1)[1].split(",")
+    assert code == 1 and [c.strip(" '()\n") for c in listed] == list(cli.COMMANDS)
+    code, _, err = run(capsys)
+    assert code == 1 and err == "error: the following arguments are required: command\n"
+
+
+def test_load_fan_resolves_paths_and_fixture_names(tmp_path, monkeypatch, fixture_text):
+    chain3, p2 = parse_fan(fixture_text("chain3")), parse_fan(fixture_text("p2"))
+    packaged = os.path.join(os.path.dirname(cli.__file__), "fixtures", "chain3.json")
+    monkeypatch.chdir(tmp_path)
+    for path in (packaged, "chain3", "chain3.json", "fixtures/chain3.json", "chain3/",
+                 "./chain3.json"):
+        assert cli.load_fan(path) == chain3, path
+    # a real path wins over the packaged fixture of that name
+    (tmp_path / "chain3.json").write_text(fixture_text("p2"))
+    assert cli.load_fan("chain3.json") == p2
+    assert cli.load_fan(str(tmp_path / "chain3.json")) == p2
+    assert cli.load_fan("chain3") == chain3
+    with pytest.raises(OSError, match="^fan file not found: nowhere/missing.json$"):
+        cli.load_fan("nowhere/missing.json")
+
+
+HEAVY_MODULES = ("dataclasses", "inspect", "pathlib", "importlib.resources", "typing")
+
+
+def test_cold_import_leaves_out_heavy_modules():
+    # -S: no site module, which may preload some of these on its own
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import toricmirror.cli; "
+            "print(*[m for m in sys.argv[2:] if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-E", "-S", "-c", code, src, *HEAVY_MODULES],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

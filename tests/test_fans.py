@@ -1,11 +1,16 @@
 import json
+import pickle
 import time
+from fractions import Fraction
 
 import pytest
 
 from toricmirror import (
     CurveClass,
+    DiscClass,
+    Fan,
     FanError,
+    GSeries,
     enumerate_classes,
     is_vertex,
     minimal_face,
@@ -186,6 +191,34 @@ def test_curve_class_arithmetic():
     assert (a + b).comps == (1, -1)
     assert a.scale(3).comps == (3, -6)
     assert CurveClass((0, 0)).is_zero() and not a.is_zero()
+
+
+def test_records_are_immutable_values():
+    a = CurveClass((1, -2))
+    b = CurveClass(comps=[Fraction(2, 2), -2])
+    assert a == b and hash(a) == hash(b) and {a, b} == {a}
+    assert [type(c) for c in b.comps] == [int, int] and b.comps == (1, -2)
+    assert repr(a) == "CurveClass(comps=(1, -2))"
+    assert repr(DiscClass(1, a)) == "DiscClass(ray=1, curve=CurveClass(comps=(1, -2)))"
+    assert pickle.loads(pickle.dumps(DiscClass(1, a))) == DiscClass(ray=1, curve=b)
+    # records of different types never compare equal, even with equal fields
+    assert DiscClass(1, a) != GSeries(1, a) and a != (1, -2) and a != ((1, -2),)
+    for record, field in ((a, "comps"), (DiscClass(1, a), "ray")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    fan = Fan(1, ((1,), (-1,)), ((0,), (1,)))
+    assert fan.labels is None and fan.basis_cone is None
+    labelled = Fan(dim=1, rays=fan.rays, max_cones=fan.max_cones, labels=("a", "b"))
+    assert labelled.labels == ("a", "b") and labelled.basis_cone is None
+    assert labelled != fan and labelled == Fan(1, fan.rays, fan.max_cones, ("a", "b"))
+    for args, kwargs in (((1, ()), {}), ((1, (), (), None, None, None), {}),
+                         ((1, (), ()), {"dim": 1}), ((1, (), ()), {"colour": 1})):
+        with pytest.raises(TypeError):
+            Fan(*args, **kwargs)
 
 
 # ---------------------------------------------------- polytope faces

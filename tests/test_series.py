@@ -211,6 +211,11 @@ def test_substitution_map_requires_unit_factors():
     bad = S({(1, 0): 1})
     with pytest.raises(SeriesError):
         SubstitutionMap((bad, bad))
+    with pytest.raises(SeriesError):
+        SubstitutionMap(units=[S({(0, 0): 1}), bad])
+    with pytest.raises(SeriesError):
+        SubstitutionMap(())
+    assert SubstitutionMap(units=[S({(0, 0): 1})]).units == (S({(0, 0): 1}),)
 
 
 def test_records_roundtrip_graded_lex():
