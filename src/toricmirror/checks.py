@@ -36,7 +36,7 @@ def first_difference(got, expected):
 
 
 def suite(ctx, order):
-    """``[(name, check)]`` for every property that applies to ``ctx``."""
+    """``[(name, check)]`` for every property, in the order ``check-all`` runs them."""
     one = QSeries.one(ctx.rank, ctx.ample_weight, order)
 
     def roundtrip():
@@ -135,17 +135,14 @@ def suite(ctx, order):
                 if not mirror.delta(ctx, ray, order).is_zero():
                     return f"Fano fan has delta != 0 at ray {ray}"
 
-    checks = [
+    return [
         ("roundtrip", roundtrip),
         ("product-identity", product_identity),
         ("log-identity", log_identity),
         ("derivative-identity", derivative_identity),
         ("oracle", oracle_equality),
         ("potential-equality", theorem_potentials),
+        ("support-vanishing", support_vanishing),
         ("extended-factors", extended_factors),
         ("fano-triviality", fano_triviality),
     ]
-    # minimal faces come from the polytope's facets, found for n <= 3 only
-    if ctx.n <= 3:
-        checks.insert(6, ("support-vanishing", support_vanishing))
-    return checks

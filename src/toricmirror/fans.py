@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 
 from . import lp
@@ -210,8 +211,13 @@ class ToricContext:
     ``basis_perm[i]`` is the original index of the i-th internal ray; the
     first ``n`` internal rays span the basis cone.  ``P[i][k]`` is the
     intersection number of the i-th internal divisor with the k-th basis
-    curve class, ``c1`` the column sums (anticanonical degrees).  Contexts
-    compare by identity: ``_cache`` holds results computed on this one.
+    curve class, ``c1`` the column sums (anticanonical degrees).
+
+    Contexts compare by identity, and everything derived from one is built
+    once: a function decorated with :func:`memoised` keeps its result in
+    ``_cache`` under the key ``(function, *arguments)``, and later calls with
+    equal arguments (``8`` and ``Fraction(8)`` are equal) return that same
+    object.  No other code reads or writes ``_cache``.
     """
 
     def __init__(self, fan, n, m, basis_perm, inv_perm, rays, nu, P, c1,
@@ -249,6 +255,19 @@ class ToricContext:
         if self.fan.labels is not None:
             return self.fan.labels[ray]
         return f"D{ray}"
+
+
+def memoised(builder):
+    """Run ``builder(ctx, *args)`` once per context and arguments."""
+
+    @wraps(builder)
+    def cached(ctx, *args):
+        key = (builder, *args)
+        if key not in ctx._cache:
+            ctx._cache[key] = builder(ctx, *args)
+        return ctx._cache[key]
+
+    return cached
 
 
 def _facets(cone):
@@ -441,18 +460,15 @@ def is_vertex(ctx: ToricContext, ray: int) -> bool:
     return lp.feasible(cons, ctx.n)
 
 
+@memoised
 def _polytope_facets(ctx: ToricContext):
-    """Facets of the fan polytope as frozensets of ray indices (dim <= 3).
+    """Facets of the fan polytope as frozensets of ray indices.
 
     Found by brute force over supporting hyperplanes through ``dim`` of the
-    generators; fine for the small dimensions the engine supports.
+    generators, in any dimension: every facet spans a hyperplane off the
+    origin, so it holds ``dim`` linearly independent generators.  That is
+    ``C(m, dim)`` small solves, fine for the fans the engine handles.
     """
-    cached = ctx._cache.get("polytope_facets")
-    if cached is not None:
-        return cached
-    if ctx.n > 3:
-        raise FanError("face analysis of the fan polytope is only implemented "
-                       "for dimension <= 3")
     from itertools import combinations
 
     pts = ctx.fan.rays
@@ -465,9 +481,7 @@ def _polytope_facets(ctx: ToricContext):
         values = [sum(a * x for a, x in zip(sol, pts[p])) for p in range(ctx.m)]
         if all(val <= 1 for val in values):
             facets.add(frozenset(p for p, val in enumerate(values) if val == 1))
-    facets = tuple(sorted(facets, key=lambda f: tuple(sorted(f))))
-    ctx._cache["polytope_facets"] = facets
-    return facets
+    return tuple(sorted(facets, key=lambda f: tuple(sorted(f))))
 
 
 def minimal_face(ctx: ToricContext, ray: int):

@@ -121,13 +121,9 @@ def eliminate(cons, j):
     union of its rows' histories.  The chain eliminates from the last
     variable down, so once ``x_j`` is gone ``k = width - j`` variables have
     been eliminated, and by Chernikov's rule a pair whose history has more
-    than ``k + 1`` bits is redundant: it is skipped.  Plain ``(coeffs, rhs)``
-    rows have no history, so every pair of them is formed, and they come
-    back as plain rows.
+    than ``k + 1`` bits is redundant: it is skipped.  Rows with history ``0``
+    are never pruned.
     """
-    plain = bool(cons) and len(cons[0]) == 2
-    if plain:
-        cons = [(c, b, 0) for c, b in cons]
     width = len(cons[0][0]) if cons else 0
     cap = width - j + 1
     pos, neg, zero = [], [], []
@@ -136,20 +132,19 @@ def eliminate(cons, j):
         (pos if a > 0 else neg if a < 0 else zero).append(row)
     others = [i for i in range(width) if i != j and any(row[0][i] for row in cons)]
     if len(others) == 1:
-        out = _dedupe(zero + _tightest_bounds(pos, neg, j, others[0], width, cap))
-    else:
-        def combined():
-            yield from zero
-            for cp, bp, hp in pos:
-                ap = cp[j]
-                for cn, bn, hn in neg:
-                    h = hp | hn
-                    if h.bit_count() <= cap:
-                        an = -cn[j]
-                        yield [an * x + ap * y for x, y in zip(cp, cn)], an * bp + ap * bn, h
+        return _dedupe(zero + _tightest_bounds(pos, neg, j, others[0], width, cap))
 
-        out = _dedupe(combined())
-    return [row[:2] for row in out] if plain else out
+    def combined():
+        yield from zero
+        for cp, bp, hp in pos:
+            ap = cp[j]
+            for cn, bn, hn in neg:
+                h = hp | hn
+                if h.bit_count() <= cap:
+                    an = -cn[j]
+                    yield [an * x + ap * y for x, y in zip(cp, cn)], an * bp + ap * bn, h
+
+    return _dedupe(combined())
 
 
 def _chain(cons, nvars):
@@ -205,42 +200,37 @@ def _int_bounds(cons, j, point):
     return lo, hi
 
 
+def _contradicts(stages) -> bool:
+    """Whether the last stage of a chain holds a row ``0 >= rhs > 0``."""
+    return any(not coeffs[0] and rhs > 0 for coeffs, rhs, _ in stages[0])
+
+
+def _back_substitute(stages):
+    """The chain's deterministic rational point, or None when it is empty.
+
+    Each ``x_j`` in turn takes its least value given ``x_0 .. x_{j-1}``, its
+    greatest if it has no lower bound, and zero if it has neither.
+    """
+    if _contradicts(stages):
+        return None
+    point = []
+    for j, stage in enumerate(stages):
+        lo, hi = _var_bounds(stage, j, point)
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
+    return tuple(point)
+
+
 def feasible(cons, nvars) -> bool:
-    if not cons:
-        return True
-    stages = _chain(cons, nvars)
-    for coeffs, rhs, _ in stages[0]:
-        if not coeffs[0]:
-            if rhs > 0:
-                return False
-    lo, hi = _var_bounds(stages[0], 0, ())
-    return lo is None or hi is None or lo <= hi
+    return witness(cons, nvars) is not None
 
 
 def witness(cons, nvars):
-    """A rational feasible point, or None.
-
-    Deterministic back-substitution: pick the lower bound when finite, else
-    the upper bound, else zero.
-    """
+    """A rational feasible point (see :func:`_back_substitute`), or None."""
     if not cons:
         return tuple(Fraction(0) for _ in range(nvars))
-    stages = _chain(cons, nvars)
-    for coeffs, rhs, _ in stages[0]:
-        if not coeffs[0] and rhs > 0:
-            return None
-    point = []
-    for j in range(nvars):
-        lo, hi = _var_bounds(stages[j], j, point)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        if lo is not None:
-            point.append(lo)
-        elif hi is not None:
-            point.append(hi)
-        else:
-            point.append(Fraction(0))
-    return tuple(point)
+    return _back_substitute(_chain(cons, nvars))
 
 
 def minimize(objective, cons, nvars):
@@ -253,33 +243,24 @@ def minimize(objective, cons, nvars):
     variable, eliminating all the ``x``'s, and reading off the lower bound of
     the projected interval in ``t``.
 
-    The point is then found by back-substitution: with ``t`` at its minimum,
-    each ``x_j`` in turn takes its least value given ``x_0 .. x_{j-1}`` (its
-    greatest if it has no lower bound, zero if it has neither).  So when the
-    optimal face is bounded below, the point is the lexicographically
-    smallest point of that face.  That is why the grading which
-    :func:`toricmirror.fans.validate` picks, the printed ample weight, does
-    not depend on how the elimination found it.
+    The point is then found by :func:`_back_substitute`: with ``t`` at its
+    minimum, each ``x_j`` in turn takes its least value given
+    ``x_0 .. x_{j-1}``.  So when the optimal face is bounded below, the point
+    is the lexicographically smallest point of that face.  That is why the
+    grading which :func:`toricmirror.fans.validate` picks, the printed ample
+    weight, does not depend on how the elimination found it.
     """
     objective = tuple(objective)
     # t - objective.x >= 0 and objective.x - t >= 0 pin t to the objective.
     lifted = [((1,) + tuple(-c for c in objective), 0), ((-1,) + objective, 0)]
     lifted += [((0,) + tuple(coeffs), rhs) for coeffs, rhs in cons]
     stages = _chain(lifted, nvars + 1)
-    tcons = stages[0]
-    for coeffs, rhs, _ in tcons:
-        if not coeffs[0] and rhs > 0:
-            raise ValueError("infeasible system")
-    lo, hi = _var_bounds(tcons, 0, ())
-    if lo is not None and hi is not None and lo > hi:
+    point = _back_substitute(stages)
+    if point is None:
         raise ValueError("infeasible system")
-    if lo is None:
+    if _var_bounds(stages[0], 0, ())[0] is None:
         raise LPUnboundedError("objective unbounded below")
-    point = [lo]
-    for j in range(1, nvars + 1):
-        blo, bhi = _var_bounds(stages[j], j, point)
-        point.append(blo if blo is not None else (bhi if bhi is not None else Fraction(0)))
-    return lo, tuple(point[1:])
+    return point[0], point[1:]
 
 
 def integer_points(cons, nvars):
@@ -293,9 +274,8 @@ def integer_points(cons, nvars):
         return [()]
     stages = _chain(cons, nvars)
     normed = stages[nvars - 1]
-    for coeffs, rhs, _ in stages[0]:
-        if not coeffs[0] and rhs > 0:
-            return []
+    if _contradicts(stages):
+        return []
 
     out = []
 

@@ -44,7 +44,7 @@ from math import factorial
 
 from . import lp
 from ._record import Record
-from .fans import CurveClass, DiscClass, ToricContext
+from .fans import CurveClass, DiscClass, ToricContext, memoised
 from .series import GradedRing, QSeries, SubstitutionMap, unit_powers
 
 
@@ -110,6 +110,7 @@ def _one(ctx, order) -> QSeries:
     return QSeries.one(*_shape(ctx, order))
 
 
+@memoised
 def enumerate_classes(ctx: ToricContext, ray: int, order):
     """Curve classes of the g-series index set for one ray, up to order.
 
@@ -119,10 +120,6 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     scanning of the constraint polytope.
     """
     order = Fraction(order)
-    key = ("classes", ray, order)
-    cached = ctx._cache.get(key)
-    if cached is not None:
-        return cached
     rank = ctx.rank
     target = ctx.inv_perm[ray]
     cons = []
@@ -139,41 +136,39 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     points = lp.integer_points(cons, rank)
     classes = [CurveClass(p) for p in points]
     classes.sort(key=lambda c: (ctx.weight(c.comps), c.comps))
-    ctx._cache[key] = classes
     return classes
 
 
-def _g_coefficient(ctx: ToricContext, internal: int, comps) -> Fraction:
-    """The hypergeometric coefficient of one class in g at internal ray index.
+@memoised
+def _class_table(ctx: ToricContext, internal: int, order):
+    """One row ``(d, pair, gamma)`` per class ``d`` of the g index set of an
+    internal ray ``l``, in :func:`enumerate_classes` order.
 
-    With ``a = -(D_l . d) >= 1`` the coefficient is
-    ``(-1)^a (a-1)! / prod_{p != l} (D_p . d)!``.
+    ``pair[j]`` is ``D_j . d`` for every internal divisor, and ``gamma`` is
+    the hypergeometric coefficient of ``d`` in ``g_l``: with
+    ``a = -(D_l . d) >= 1`` it is ``(-1)^a (a-1)! / prod_{j != l} (D_j . d)!``.
     """
-    a = -sum(p * c for p, c in zip(ctx.P[internal], comps))
-    coeff = Fraction(factorial(a - 1) if a % 2 == 0 else -factorial(a - 1))
-    for i in range(ctx.m):
-        if i == internal:
-            continue
-        k = sum(p * c for p, c in zip(ctx.P[i], comps))
-        if k > 1:
-            coeff /= factorial(k)
-    return coeff
+    rows = []
+    for cls in enumerate_classes(ctx, ctx.basis_perm[internal], order):
+        pair = tuple(sum(p * c for p, c in zip(row, cls.comps)) for row in ctx.P)
+        a = -pair[internal]
+        denominator = 1
+        for j, k in enumerate(pair):
+            if j != internal and k > 1:
+                denominator *= factorial(k)
+        gamma = Fraction(factorial(a - 1) if a % 2 == 0 else -factorial(a - 1),
+                         denominator)
+        rows.append((cls.comps, pair, gamma))
+    return rows
 
 
+@memoised
 def g_function(ctx: ToricContext, ray: int, order) -> GSeries:
     """The hypergeometric correction series attached to one ray divisor."""
     order = Fraction(order)
-    key = ("g", ray, order)
-    cached = ctx._cache.get(key)
-    if cached is not None:
-        return cached
-    internal = ctx.inv_perm[ray]
-    terms = {}
-    for cls in enumerate_classes(ctx, ray, order):
-        terms[cls.comps] = _g_coefficient(ctx, internal, cls.comps)
-    result = GSeries(ray=ray, series=QSeries(*_shape(ctx, order), terms=terms))
-    ctx._cache[key] = result
-    return result
+    rows = _class_table(ctx, ctx.inv_perm[ray], order)
+    terms = {comps: gamma for comps, _, gamma in rows}
+    return GSeries(ray=ray, series=QSeries(*_shape(ctx, order), terms=terms))
 
 
 def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
@@ -194,27 +189,18 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
     """The double-index series: g_i weighted per class by ``D_j . d``."""
     order = Fraction(order)
-    internal_i = ctx.inv_perm[i]
     internal_j = ctx.inv_perm[j]
-    terms = {}
-    for cls in enumerate_classes(ctx, i, order):
-        dj = sum(p * c for p, c in zip(ctx.P[internal_j], cls.comps))
-        if dj:
-            terms[cls.comps] = dj * _g_coefficient(ctx, internal_i, cls.comps)
+    terms = {comps: pair[internal_j] * gamma
+             for comps, pair, gamma in _class_table(ctx, ctx.inv_perm[i], order)
+             if pair[internal_j]}
     return QSeries(*_shape(ctx, order), terms=terms)
 
 
+@memoised
 def mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     """The map ``q_k = qc_k * exp(-g^{Psi_k}(qc))`` as a substitution."""
-    order = Fraction(order)
-    key = ("mirror", order)
-    cached = ctx._cache.get(key)
-    if cached is not None:
-        return cached
-    logs = tuple(g_psi(ctx, k, order).neg() for k in range(ctx.rank))
-    result = SubstitutionMap(units=tuple(s.exp() for s in logs))
-    ctx._cache[key] = result
-    return result
+    return SubstitutionMap(units=tuple(g_psi(ctx, k, order).neg().exp()
+                                       for k in range(ctx.rank)))
 
 
 class _Inverse:
@@ -225,9 +211,10 @@ class _Inverse:
     monomial ``qc^d`` to its expression in the Kaehler variables,
     ``q^d * prod_j E_j^{D_j . d}``.
 
-    ``sources[l]`` lists one row ``(d, wt, gamma, D.d)`` per class of ray
-    ``l``, where ``wt`` is the level of ``d`` in :attr:`ring` (its weight
-    times the ring's integer ``scale``), so degree budgets are ``int``.
+    ``sources[l]`` lists one row ``(d, wt, gamma, D.d)`` per row of ray
+    ``l``'s class table, where ``wt`` is the level of ``d`` in :attr:`ring`
+    (its weight times the ring's integer ``scale``), so degree budgets are
+    ``int``.
     """
 
     def __init__(self, ctx: ToricContext, order: Fraction):
@@ -236,16 +223,10 @@ class _Inverse:
         ring = self.ring = GradedRing.of(ctx.rank, ctx.ample_weight)
         sources = {}
         for internal in range(ctx.m):
-            classes = enumerate_classes(ctx, ctx.basis_perm[internal], order)
-            if not classes:
-                continue
-            rows = []
-            for cls in classes:
-                gamma = _g_coefficient(ctx, internal, cls.comps)
-                pair = tuple(sum(p * c for p, c in zip(ctx.P[j], cls.comps))
-                             for j in range(ctx.m))
-                rows.append((cls.comps, ring.grade(cls.comps), gamma, pair))
-            sources[internal] = rows
+            rows = _class_table(ctx, internal, order)
+            if rows:
+                sources[internal] = [(comps, ring.grade(comps), gamma, pair)
+                                     for comps, pair, gamma in rows]
         self.sources = sources
         self.active = sorted(sources)
         self._images = {}
@@ -372,16 +353,12 @@ class _Inverse:
                      for k in range(self.ctx.rank))
 
 
+@memoised
 def _inverse(ctx: ToricContext, order) -> _Inverse:
-    order = Fraction(order)
-    key = ("inverse", order)
-    cached = ctx._cache.get(key)
-    if cached is None:
-        cached = _Inverse(ctx, order)
-        ctx._cache[key] = cached
-    return cached
+    return _Inverse(ctx, Fraction(order))
 
 
+@memoised
 def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     """The compositional inverse ``qc_k = q_k * exp(g^{Psi_k}(qc(q)))``."""
     inv = _inverse(ctx, order)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from toricmirror import cli, g_function, parse_fan, validate
+from toricmirror import cli, g_function, lp, parse_fan, validate
 from toricmirror.cli import main
 
 CHAIN3 = ["--fan", "chain3"]
@@ -137,6 +137,39 @@ def test_check_all(capsys):
     assert all(line.startswith("PASS ") for line in lines)
     assert "PASS roundtrip" in lines and "PASS oracle" in lines
     assert len(lines) == 9
+
+
+def test_check_all_on_a_double_seidel_fourfold(capsys, tmp_path):
+    # the Seidel fan of a Seidel fan of f2 is a semi-Fano 4-fold: the suite,
+    # support-vanishing included, runs in dimension 4
+    first, second = tmp_path / "s.json", tmp_path / "s2.json"
+    code, out, _ = run(capsys, "seidel-fan", *F2, "--ray", "1", "--sign", "plus")
+    first.write_text(out)
+    code, out, _ = run(capsys, "seidel-fan", "--fan", str(first), "--ray", "0",
+                       "--sign", "plus")
+    second.write_text(out)
+    assert validate(parse_fan(out)).n == 4
+    code, out, _ = run(capsys, "check-all", "--fan", str(second), "--order", "4")
+    assert code == 0
+    assert out.splitlines() == ["PASS " + name for name in (
+        "roundtrip", "product-identity", "log-identity", "derivative-identity",
+        "oracle", "potential-equality", "support-vanishing", "extended-factors",
+        "fano-triviality")]
+
+
+def test_check_all_enumerates_each_class_set_once(capsys, monkeypatch):
+    # every (ray, order) constraint system reaches the integer-point scan once
+    real = lp.integer_points
+    systems = []
+
+    def spy(cons, nvars):
+        systems.append(tuple(cons))
+        return real(cons, nvars)
+
+    monkeypatch.setattr(lp, "integer_points", spy)
+    code, out, _ = run(capsys, "check-all", *F2, "--order", "4")
+    assert code == 0
+    assert systems and len(systems) == len(set(systems))
 
 
 def test_check_all_reports_failures(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from toricmirror import (
     validate,
     wall_classes,
 )
+from toricmirror.fans import _polytope_facets
 
 P1 = {"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
 # Hirzebruch F3: the (-3)-section makes this fan *not* semi-Fano
@@ -236,6 +237,25 @@ def test_minimal_face(f2, chain3):
         0: (0,), 1: (0, 1, 2, 3, 4), 2: (0, 1, 2, 3, 4), 3: (0, 1, 2, 3, 4),
         4: (4,), 5: (4, 5, 6), 6: (6,), 7: (0, 6, 7),
     }
+
+
+def test_polytope_facets_in_dimension_four():
+    # the fan polytope of P^4 is a 4-simplex with 5 facets; that of (P^1)^4
+    # is the 4-dimensional cross-polytope with 16
+    simplex = {"dim": 4, "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                  [0, 0, 0, 1], [-1, -1, -1, -1]],
+               "max_cones": [[i for i in range(5) if i != drop] for drop in range(5)]}
+    cube = {"dim": 4,
+            "rays": [[s if k == i else 0 for k in range(4)]
+                     for i in range(4) for s in (1, -1)],
+            "max_cones": [[2 * i + (mask >> i & 1) for i in range(4)]
+                          for mask in range(16)]}
+    p4, p1_4 = validate(simplex), validate(cube)
+    assert len(_polytope_facets(p4)) == 5
+    assert all(len(f) == 4 for f in _polytope_facets(p4))
+    assert len(_polytope_facets(p1_4)) == 16
+    assert {frozenset(c) for c in p1_4.fan.max_cones} == set(_polytope_facets(p1_4))
+    assert minimal_face(p4, 2) == (2,) and minimal_face(p1_4, 5) == (5,)
 
 
 # ---------------------------------------------------------- Seidel fans

@@ -183,7 +183,7 @@ def test_eliminate_matches_plain_fourier_motzkin():
                     ap, an = cp[j], -cn[j]
                     plain.append((tuple(an * x + ap * y for x, y in zip(cp, cn)),
                                   an * bp + ap * bn))
-        got = lp.eliminate(cons, j)
+        got = [(c, b) for c, b, _ in lp.eliminate([(c, b, 0) for c, b in cons], j)]
         assert bounds_by_direction(got) == bounds_by_direction(plain)
         assert len(got) == len(bounds_by_direction(plain))
         for coeffs, rhs in got:

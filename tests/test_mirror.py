@@ -41,6 +41,18 @@ def one(ctx, order=8):
 
 # ------------------------------------------------------------------ g series
 
+def test_derived_series_are_built_once_per_context(load):
+    # the memo keys on equal arguments, so an int order and its Fraction
+    # share one entry
+    ctx = load("f2")
+    assert inverse_mirror_map(ctx, 8) is inverse_mirror_map(ctx, Fraction(8))
+    assert mirror_map(ctx, 8) is mirror_map(ctx, Fraction(8))
+    assert g_function(ctx, 1, 6) is g_function(ctx, 1, Fraction(12, 2))
+    assert enumerate_classes(ctx, 1, 6) is enumerate_classes(ctx, 1, Fraction(6))
+    assert mirror._inverse(ctx, 8) is mirror._inverse(ctx, Fraction(8))
+    assert inverse_mirror_map(load("f2"), 8) is not inverse_mirror_map(ctx, 8)
+
+
 def test_g_vanishes_on_fano(p2, p1xp1):
     for ctx in (p2, p1xp1):
         for ray in range(ctx.m):
