@@ -15,20 +15,22 @@ The central objects:
     The coordinate change ``q_k = qc_k * exp(-g^{Psi_k}(qc))`` and its
     compositional inverse.  The inverse is *not* found by naive reversion of
     the unit factors: in logarithmic coordinates the defining equations say
-    that the functions ``W_l = g_l(qc(q))`` satisfy the sparse fixed point
+    that the functions ``W_l = g_l(qc(q))`` satisfy the sparse equations
 
         W_l = sum over classes d of  gamma_{l,d} * q^d * prod_j exp(W_j)^{D_j.d}
 
-    which we solve by Picard iteration, each pass exact to ``step`` (the
-    least class weight) more degrees than the last.  A class ``d`` of weight
-    ``wt`` enters shifted by ``q^d``, so a pass to order ``N`` forms its
-    product only to degree ``N - wt`` and reads each ``exp(W_j)`` only to
-    degree ``N - step``.  That gives an exact stop without a verification
-    pass: once the update after a full-order pass leaves every ``exp(W_j)``
-    unchanged to degree ``N - step``, the next pass would read the same
-    inputs and return the same ``W``, so ``W`` is a fixed point.  The
-    exponentials ``1 + delta_l = exp(W_l)`` then give the open Gromov-Witten
-    generating functions directly.
+    which are solved online, one ring level ``n = 1..top`` at a time (cf.
+    van der Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 2002).
+    Every class weighs at least one level, so the level-``n`` slice of the
+    right side reads each ``exp(W_j)`` only below level ``n``.  Each slice of
+    every series is therefore formed exactly once, from final lower slices,
+    and the solution is exact by construction: there is no iteration to
+    stop or to certify.  The exponentials ``1 + delta_l = exp(W_l)`` then
+    give the open Gromov-Witten generating functions directly.  Every term
+    the solve forms at level ``m`` is a sum of at most ``m // least`` class
+    vectors (``least`` the least class level), so one bound, checked before
+    the first key is formed, keeps every exponent inside its packed field or
+    raises :class:`~toricmirror.series.SeriesError`.
 
 ``disc_potential`` / ``hori_vafa``
     The Laurent potentials; the "tilde" Hori-Vafa form is assembled through
@@ -40,12 +42,13 @@ The central objects:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import lp
 from ._record import Record
 from .fans import CurveClass, DiscClass, ToricContext, memoised
-from .series import GradedRing, QSeries, SubstitutionMap, unit_powers
+from .series import (GradedRing, QSeries, SubstitutionMap, _clean, _convolve, _div,
+                     _sum_bound, unit_powers)
 
 
 class GSeries(Record):
@@ -204,12 +207,14 @@ def mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
 
 
 class _Inverse:
-    """Shared fixed-point data for everything downstream of the inverse map.
+    """The solved inverse map, shared by everything downstream of it.
 
     ``W[l]`` is ``log(1 + delta_l)`` for each internal ray with a nonempty
     class set, ``E[l] = exp(W[l])``, and :meth:`image` sends a formal checked
     monomial ``qc^d`` to its expression in the Kaehler variables,
-    ``q^d * prod_j E_j^{D_j . d}``.
+    ``q^d * prod_j E_j^{D_j . d}``.  :meth:`_solve` forms ``W`` and ``E``
+    level by level, each slice once and from lower slices only (see the
+    module docstring), so they are exact to :attr:`order` when it returns.
 
     ``sources[l]`` lists one row ``(d, wt, gamma, D.d)`` per row of ray
     ``l``'s class table, where ``wt`` is the level of ``d`` in :attr:`ring`
@@ -233,89 +238,100 @@ class _Inverse:
         self._powers = {}
         self._solve()
 
-    # -- fixed point ------------------------------------------------------
-
-    def _pass(self, E, order):
-        """One Picard pass: rebuild every W_l to ``order`` from the exponentials.
-
-        A class ``d`` of weight ``wt`` enters shifted by ``q^d``, so its
-        product ``prod_j E_j^{D_j.d}`` is formed only to degree ``order - wt``
-        (the first factor is cut there and ``mul`` keeps the smaller order),
-        and :meth:`QSeries.shifted_sum` adds the shifted products up to
-        ``order``.  The budget is integer: ``wt`` and ``order`` are ring
-        levels here.  Every class weighs at least ``self.step``, so the pass reads each
-        ``E_l`` only to degree ``order - step``: its result does not change
-        when terms above that degree change.  That is the certificate
-        :meth:`_solve` stops on.  If the update after a full-order pass
-        leaves every ``E_l`` equal to what the pass read, up to that degree,
-        the next pass has the same inputs and returns the same ``W``. So
-        ``W`` is an exact fixed point and no verification pass is needed.
-        """
-        shape = _shape(self.ctx, order)
-        ring = self.ring
-        top = ring.level(order)
-        one = QSeries.one(*shape)
-        powers = {l: unit_powers(E[l].truncate(order - self.step)) for l in self.active}
-        out = {}
-        for l, rows in self.sources.items():
-            parts = []
-            for comps, wt, gamma, pair in rows:
-                if wt > top:
-                    continue
-                term = None
-                for j in self.active:
-                    if pair[j]:
-                        p = powers[j](pair[j])
-                        term = p.truncate(ring.degree(top - wt)) if term is None else term.mul(p)
-                parts.append((one if term is None else term, comps, gamma))
-            # sum of gamma * q^comps * term: QSeries.shift would keep the
-            # unshifted order and drop the terms above order - wt
-            out[l] = QSeries.shifted_sum(parts, *shape)
-        return out
+    # -- online solve -----------------------------------------------------
 
     def _solve(self):
-        ctx, order = self.ctx, self.order
+        """Form each level slice of every ``W_l`` and ``E_l`` once, from
+        strictly lower slices, for levels ``n = 1..top`` in turn.
+
+        A slice maps the packed keys of one level to their coefficients.  At
+        level ``n``, ``W_l[n] = sum_d gamma_{l,d} q^d X_d[n - wt_d]`` reads
+        the class products only below ``n``; then ``n E_l[n] = sum_i i W_l[i]
+        E_l[n - i]``, and every power and prefix product grows by one slice.
+        """
+        ring, order = self.ring, self.order
         if not self.sources:
             self.W, self.E = {}, {}
             return
-        step = self.step = self.ring.degree(
-            min(wt for rows in self.sources.values() for _, wt, _, _ in rows))
-        if step <= 0:
+        top = ring.level(order)
+        rows = [row for rows in self.sources.values() for row in rows]
+        least = min(wt for _, wt, _, _ in rows)
+        if least <= 0:
             raise ArithmeticError("class of non-positive degree in g index set")
-        W = {l: _zero(ctx, order) for l in self.active}
-        E = {l: _one(ctx, order) for l in self.active}
-        trusted = Fraction(0)
-        limit = int(order / step) + 4
-        for _ in range(limit):
-            rung = min(order, trusted + step)
-            new = self._pass(E, rung)
-            if rung == order:
-                read = {l: E[l].truncate(order - step) for l in self.active}
-                # the lowest (degree, internal ray) at which W still moves
-                moving = min(((new[l].sub(W[l]).min_degree(), l)
-                              for l in self.active if new[l] != W[l]), default=None)
-                if moving is None:
-                    break
-            # E kept exact: multiply by exp of the (high-degree) increment
-            # instead of re-exponentiating from scratch each pass.
+        bound = _sum_bound(top, least, max(abs(x) for d, _, _, _ in rows for x in d))
+        bias = ring.bias
+        one = [{bias: 1}] + [{}] * top
+        # W is kept as D * W, with D the lcm of the gammas' denominators, so
+        # that integral E keeps every slice product in int arithmetic
+        scale = lcm(*(gamma.denominator for _, _, gamma, _ in rows))
+        theta = {l: [{}] for l in self.active}      # level n holds n * D * W_l[n]
+        E = {l: [{bias: 1}] for l in self.active}
+
+        # X_d multiplies the powers E_j^{D_j.d} over the active j in turn; a
+        # power or prefix product is grown only to the level its heaviest
+        # use reads, top - wt
+        chains, powers, products = [], {}, {}
+        for l, ls in self.sources.items():
+            for comps, wt, gamma, pair in ls:
+                chain = tuple((j, pair[j]) for j in self.active if pair[j])
+                chains.append((l, ring.key(comps) - bias, int(gamma * scale), wt, chain))
+                for j, k in chain:
+                    for i in range(2, k + 1) if k > 0 else range(-1, k - 1, -1):
+                        powers[j, i] = max(powers.get((j, i), 0), top - wt)
+                for i in range(2, len(chain) + 1):
+                    products[chain[:i]] = max(products.get(chain[:i], 0), top - wt)
+
+        def power(j, k):
+            return E[j] if k == 1 else one if k == 0 else slices[j, k]
+
+        def product(chain):
+            return one if not chain else power(*chain[0]) if len(chain) == 1 else slices[chain]
+
+        # (slices, reach, a, b, above): a * b, or, with ``above``, the
+        # negative power solving a * slices = above.  Inputs come first.
+        slices, nodes = {}, []
+        for (j, k), reach in sorted(powers.items(), key=lambda p: (p[0][0], abs(p[0][1]))):
+            out = slices[j, k] = [{bias: 1}]
+            if k > 0:
+                nodes.append((out, reach, E[j], power(j, k - 1), None))
+            else:
+                nodes.append((out, reach, E[j], out, power(j, k + 1)))
+        for chain, reach in sorted(products.items(), key=lambda p: len(p[0])):
+            out = slices[chain] = [{bias: 1}]
+            nodes.append((out, reach, product(chain[:-1]), power(*chain[-1]), None))
+        uses = {l: [] for l in self.active}
+        for l, offset, gamma, wt, chain in chains:
+            uses[l].append((offset, gamma, wt, product(chain)))
+
+        for n in range(1, top + 1):
+            for l, ls in uses.items():
+                out = {}
+                get = out.get
+                for offset, gamma, wt, x in ls:
+                    if wt <= n:
+                        for k, c in x[n - wt].items():
+                            k += offset
+                            c *= gamma
+                            s = get(k)
+                            out[k] = c if s is None else s + c
+                theta[l].append(_clean({k: n * c for k, c in out.items()}))
             for l in self.active:
-                delta_w = new[l].truncate(order).sub(W[l])
-                if not delta_w.is_zero():
-                    E[l] = E[l].mul(delta_w.exp())
-                W[l] = new[l].truncate(order)
-            trusted = rung
-            # certificate: a full-order pass reads E only to order - step; if
-            # that part did not move, the next pass would return this W again
-            if rung == order and all(E[l].truncate(order - step) == read[l]
-                                     for l in self.active):
-                break
-        else:
-            degree, l = moving
-            raise ArithmeticError("inverse mirror map fixed point did not "
-                                  f"stabilize within {limit} passes: W for ray "
-                                  f"{ctx.basis_perm[l]} still changes at degree {degree}")
-        self.W = W
-        self.E = E
+                total = _convolve(theta[l], E[l], n, range(1, n + 1), bias)
+                E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}))
+            for out, reach, a, b, above in nodes:
+                if n > reach:
+                    continue
+                if above is None:
+                    out.append(_clean(_convolve(a, b, n, range(n + 1), bias)))
+                else:
+                    # E_j^k[n] = E_j^{k+1}[n] - sum_{i>=1} E_j[i] E_j^k[n-i]
+                    out.append(_clean(_convolve(a, b, n, range(1, n + 1), bias,
+                                                dict(above[n]), -1)))
+        zero = _zero(self.ctx, order)
+        self.W = {l: zero._from_slices([{k: _div(c, n * scale) for k, c in s.items()}
+                                        for n, s in enumerate(theta[l])], bound)
+                  for l in self.active}
+        self.E = {l: zero._from_slices(E[l], bound) for l in self.active}
 
     # -- consumers --------------------------------------------------------
 

@@ -27,25 +27,42 @@ with one fixed field width ``W = 16`` and bias ``B = 2^15``.  Keys sort by
 degree first, so truncation to order ``N`` is ``key < cutoff(N)``, the
 product of two monomials has key ``k1 + k2 - C`` (``C`` is the key of the
 constant monomial), and the degree budget of a product is one ``bisect`` over
-a sorted key list.  A field holds ``e_k + B``, so every exponent entry must
-satisfy ``|e_k| < B``.  A field never wraps silently: each series carries an
-upper bound on ``|e_k|`` over its terms, ``mul`` and ``shifted_sum`` check
-it at O(1) cost, recompute it exactly only when it nears ``B``, and raise
-:class:`SeriesError` when a true exponent leaves the field.  Readers see the
+a sorted key list.
+
+``exp``, ``log`` and ``recip`` split their operand into level slices (the
+terms of one level ``L * deg``) and form the result one slice at a time from
+strictly lower slices, by a recurrence that costs about one product in all
+(cf. Brent & Kung, J. ACM 1978): with ``theta`` the derivation
+``q^e -> level(e) q^e``, ``theta exp(f) = exp(f) theta f``, ``theta log(u) =
+theta u / u`` and ``u * (1/u) = 1``.  One private slice kernel,
+:func:`_convolve`, forms every such slice; ``mirror`` solves the inverse
+mirror map on it too.
+
+Overflow.  A field holds ``e_k + B``, so every exponent entry must satisfy
+``|e_k| < B``, and a field never wraps silently: an exponent that could leave
+its field raises :class:`SeriesError`.  Each series carries an upper bound
+on ``|e_k|`` over its terms.  ``mul`` and ``shifted_sum`` check the sum of
+their operands' bounds at O(1) cost, recompute it exactly only when it nears
+``B``, and then check the pairs they may form.  A term of ``exp(f)``,
+``log(1 + f)`` or ``1/(c + f)`` at level ``<= top`` is a sum of at most
+``top // least`` terms of ``f``, ``least`` being the least level in ``f``;
+these kernels raise unless that count times ``f``'s bound, recomputed exactly
+when it nears ``B``, stays below ``B`` (:func:`_sum_bound`).  Readers see the
 terms through :attr:`QSeries.terms`, a dict keyed by exponent tuples in
 (degree, exponent) order, built once on first use.
 
 :class:`SubstitutionMap` represents a coordinate change of "unit" shape
 ``q_k -> q_k * u_k(q)`` with ``u_k(0) = 1``.  Maps of this shape form a group
 under composition; :meth:`SubstitutionMap.revert` computes the inverse by a
-fixed-point iteration that gains one weighted degree per pass.
+fixed-point iteration that gains one weighted degree per pass.  It does not
+use the slice kernel.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from operator import index, mul as _mul
 
 from ._record import Record
@@ -85,6 +102,57 @@ def _clean(terms):
 def _overflow():
     return SeriesError(f"exponent leaves the packed field: every entry must lie "
                        f"strictly between -{BIAS} and {BIAS}")
+
+
+def _sum_bound(top, least, entry):
+    """A bound on ``|e_k|`` over every monomial of level ``<= top`` that is a
+    sum of monomials of level ``>= least`` with entries bounded by ``entry``.
+
+    Such a sum has at most ``top // least`` summands.  Raises
+    :class:`SeriesError` when the bound reaches the packed field's limit.
+    """
+    bound = top // least * entry
+    if bound >= BIAS:
+        raise _overflow()
+    return bound
+
+
+def _div(c, n):
+    """``c / n`` as a normalised coefficient."""
+    if type(c) is int:
+        q, r = divmod(c, n)
+        return Fraction(c, n) if r else q
+    return _coeff(c / n)
+
+
+def _convolve(a, b, n, levels, bias, out=None, scalar=1):
+    """The slice kernel: add ``scalar * sum_{i in levels} a[i] * b[n - i]``,
+    the level-``n`` slice of a product, to ``out`` and return it.
+
+    ``a`` and ``b`` are lists of level slices ``{packed key: coeff}``, and
+    ``levels`` names the levels ``i`` of ``a`` to read, ascending; those
+    above ``n`` are skipped, and ``b[n - i]`` must be formed for the others.
+    Keys of levels ``i`` and ``n - i`` multiply to ``k1 + k2 - bias``, of
+    level ``n``.  The sum is not cleaned.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for i in levels:
+        if i > n:
+            break
+        x, y = a[i], b[n - i]
+        if x and y:
+            y = y.items()
+            for k1, c1 in x.items():
+                base = k1 - bias
+                c1 *= scalar
+                for k2, c2 in y:
+                    k = base + k2
+                    c = c1 * c2
+                    s = get(k)
+                    out[k] = c if s is None else s + c
+    return out
 
 
 def unit_powers(unit):
@@ -297,15 +365,11 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self._packed
 
-    def _min_level(self):
-        if not self._packed:
-            return None
-        return min(self._packed) >> self.ring.shift
-
     def min_degree(self):
         """Smallest weighted degree present, or None for the zero series."""
-        level = self._min_level()
-        return None if level is None else self.ring.degree(level)
+        if not self._packed:
+            return None
+        return self.ring.degree(min(self._packed) >> self.ring.shift)
 
     def truncate(self, order):
         """Drop the terms above ``order``; the terms are shared when none is."""
@@ -481,61 +545,104 @@ class QSeries:
                 acc = acc.mul(acc)
         return result
 
+    def _tail_level(self):
+        """The least level of a non-constant term, or None if there is none."""
+        bias, shift = self.ring.bias, self.ring.shift
+        return min((k >> shift for k in self._packed if k != bias), default=None)
+
+    def _slices(self, least):
+        """``(slices, bound)`` for a kernel whose terms are sums of this
+        series' non-constant terms, all of level ``>= least``.
+
+        ``slices[n]`` holds the terms of level ``n`` for ``n = 0..top`` as
+        ``{key: coeff}``, and ``bound`` is the :func:`_sum_bound` of the
+        result, with this series' own bound recomputed exactly if the cheap
+        one would reach the field's limit.
+        """
+        if self._top // least * self._bound >= BIAS:
+            self._exact_bound()
+        bound = _sum_bound(self._top, least, self._bound)
+        slices = [{} for _ in range(self._top + 1)]
+        shift = self.ring.shift
+        for k, c in self._packed.items():
+            slices[k >> shift][k] = c
+        return slices, bound
+
+    def _from_slices(self, slices, bound):
+        """The series of this ring and order with the given level slices."""
+        packed = {}
+        for s in slices:
+            packed.update(s)
+        return QSeries._of(self.ring, self.order, self._top, packed, bound)
+
     def recip(self):
-        """Multiplicative inverse of a series with nonzero constant term."""
+        """Multiplicative inverse of a series with nonzero constant term.
+
+        ``u r = 1`` read at level ``n``: ``r[n] = -(1/u_0) sum_{i>=1} u[i] r[n-i]``.
+        """
         c0 = self.constant_term()
         if not c0:
             raise SeriesError("cannot invert a series with zero constant term")
-        inv0 = Fraction(1, 1) / c0
-        tail = self.scalar_mul(inv0).sub(self._const(1))
-        level = tail._min_level()
-        r = self._const(_coeff(inv0))
-        if level is None:
-            return r
-        if level <= 0:
+        inv0 = _coeff(Fraction(1, 1) / c0)
+        least = self._tail_level()
+        if least is None:
+            return self._const(inv0)
+        if least <= 0:
             raise SeriesError("cannot invert: non-constant term of non-positive degree")
-        two = self._const(2)
-        while level <= self._top:
-            r = r.mul(two.sub(self.mul(r)))
-            level *= 2
-        return r
+        u, bound = self._slices(least)
+        levels = [n for n, s in enumerate(u) if n and s]
+        bias = self.ring.bias
+        r = [{bias: inv0}]
+        for n in range(1, self._top + 1):
+            r.append(_clean(_convolve(u, r, n, levels, bias, scalar=-inv0)))
+        return self._from_slices(r, bound)
 
     def exp(self):
-        """Exponential of a series whose terms all have positive degree."""
+        """Exponential of a series whose terms all have positive degree.
+
+        With ``theta`` the derivation ``q^e -> level(e) q^e``,
+        ``theta E = E theta f``, read at level ``n``:
+        ``n E[n] = sum_{i>=1} i f[i] E[n-i]``.
+        """
         if self.constant_term():
             raise SeriesError("exp requires zero constant term")
-        level = self._min_level()
-        out = self._const(1)
-        if level is None:
-            return out
-        if level <= 0:
+        least = self._tail_level()
+        if least is None:
+            return self._const(1)
+        if least <= 0:
             raise SeriesError("exp requires terms of positive weighted degree")
-        power = out
-        i = 0
-        while level * (i + 1) <= self._top:
-            i += 1
-            power = power.mul(self)
-            out = out.add(power.scalar_mul(Fraction(1, factorial(i))))
-        return out
+        f, bound = self._slices(least)
+        theta = [{k: n * c for k, c in s.items()} for n, s in enumerate(f)]
+        levels = [n for n, s in enumerate(f) if s]
+        bias = self.ring.bias
+        e = [{bias: 1}]
+        for n in range(1, self._top + 1):
+            e.append(_clean({k: _div(c, n) for k, c in
+                             _convolve(theta, e, n, levels, bias).items()}))
+        return self._from_slices(e, bound)
 
     def log(self):
-        """Logarithm of a unit series (constant term exactly 1)."""
+        """Logarithm of a unit series (constant term exactly 1).
+
+        ``theta L = theta u / u`` (``theta`` as in :meth:`exp`), read at level
+        ``n``: ``n L[n] = n u[n] - sum_{1<=i<n} u[i] (n-i) L[n-i]``.
+        """
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        tail = self.sub(self._const(1))
-        level = tail._min_level()
-        out = self._const(0)
-        if level is None:
-            return out
-        if level <= 0:
+        least = self._tail_level()
+        if least is None:
+            return self._const(0)
+        if least <= 0:
             raise SeriesError("log requires tail terms of positive weighted degree")
-        power = self._const(1)
-        i = 0
-        while level * (i + 1) <= self._top:
-            i += 1
-            power = power.mul(tail)
-            out = out.add(power.scalar_mul(Fraction(-1 if i % 2 == 0 else 1, i)))
-        return out
+        u, bound = self._slices(least)
+        levels = [n for n, s in enumerate(u) if n and s]
+        bias = self.ring.bias
+        theta = [{}]            # level n holds n * L[n]; level 0 is empty
+        for n in range(1, self._top + 1):
+            t = {k: n * c for k, c in u[n].items()}
+            theta.append(_clean(_convolve(u, theta, n, levels, bias, t, -1)))
+        return self._from_slices([{k: _div(c, n) for k, c in s.items()}
+                                  for n, s in enumerate(theta)], bound)
 
     def substitute(self, smap: "SubstitutionMap"):
         """Simultaneous substitution ``q_k -> q_k * u_k(q)``.
@@ -665,8 +772,8 @@ class SubstitutionMap(Record):
         for u in units:
             if u.constant_term() != 1:
                 raise SeriesError("substitution factors must have constant term 1")
-            bias, shift = u.ring.bias, u.ring.shift
-            if any(k != bias and k >> shift <= 0 for k in u._packed):
+            level = u._tail_level()
+            if level is not None and level <= 0:
                 raise SeriesError("substitution factors must be 1 plus "
                                   "terms of positive degree")
 

@@ -1,8 +1,10 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -315,3 +317,18 @@ def test_cold_import_leaves_out_heavy_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_cold_chain3_delta_at_order_20_runs_in_under_4_s():
+    # chain3's delta stabilises by order 4; order 20 prints the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from toricmirror.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-E", "-c", code, src, "delta", *CHAIN3,
+                           "--ray", "2", "--order", "20"], capture_output=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "6fca07bce55b396e0d765e9b50b2facf860021040ba366b1201fd5a02a89b661")
+    assert elapsed < 4.0, f"took {elapsed:.2f} s"

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -28,7 +27,7 @@ from toricmirror import (
     validate,
 )
 from toricmirror import mirror
-from toricmirror.series import QSeries
+from toricmirror.series import BIAS, QSeries, SeriesError
 
 
 def mono(ctx, exponent, coeff=1, order=8):
@@ -336,52 +335,56 @@ def test_extended_factors_project_to_mirror_map(f2):
     assert lhs2 == mm.units[1]
 
 
-def test_inverse_nonconvergence_names_ray_and_degree(monkeypatch, load):
-    # perturb one term of one W_l by a fresh amount on every Picard pass, so
-    # the full-order passes never reproduce their input and never certify
-    ctx = load("chain3")
-    real_pass = mirror._Inverse._pass
-    bumps = itertools.count(1)
-    where = {}
+def test_solve_checks_its_exponent_bound_before_forming_a_key(monkeypatch, load):
+    # a term at level m sums at most m // least class vectors, so one bound,
+    # checked before the first slice product, covers every exponent formed
+    events = []
+    real_bound, real_kernel = mirror._sum_bound, mirror._convolve
 
-    def drifting(self, E, order):
-        out = real_pass(self, E, order)
-        l = self.active[-1]
-        comps, wt = self.sources[l][0][:2]
-        where.update(ray=ctx.basis_perm[l], degree=wt)
-        out[l] = out[l].add(mono(ctx, comps, next(bumps), order))
-        return out
+    def bound(top, least, entry):
+        events.append((top, least, entry))
+        return real_bound(top, least, entry)
 
-    monkeypatch.setattr(mirror._Inverse, "_pass", drifting)
-    with pytest.raises(ArithmeticError) as info:
-        delta(ctx, 2, 4)
-    assert str(info.value).endswith(
-        f"W for ray {where['ray']} still changes at degree {where['degree']}")
+    def kernel(*args):
+        events.append("kernel")
+        return real_kernel(*args)
+
+    monkeypatch.setattr(mirror, "_sum_bound", bound)
+    monkeypatch.setattr(mirror, "_convolve", kernel)
+    inv = mirror._Inverse(load("chain3"), Fraction(10))
+    rows = [row for rows in inv.sources.values() for row in rows]
+    least = min(wt for _, wt, _, _ in rows)
+    entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
+    assert events[0] == (10, least, entry)
+    assert events.count("kernel") == len(events) - 1
+    assert {s._bound for s in (*inv.W.values(), *inv.E.values())} == {10 // least * entry}
 
 
-def test_certificate_sees_changes_at_order_minus_step(monkeypatch, load):
-    # a full-order pass that moves W at degree order - step changes what the
-    # next pass reads, so the solver must not stop after it
-    ctx = load("chain3")
-    real_pass = mirror._Inverse._pass
-    bumps = itertools.count(1)
-    where = {}
+def test_solve_bound_raises_where_an_exponent_could_leave_the_field(chain3):
+    # the chain3 solve would first hit it at an order in the tens of
+    # thousands, so the check is called with the numbers such an order gives
+    inv = mirror._inverse(chain3, 4)
+    rows = [row for rows in inv.sources.values() for row in rows]
+    least = min(wt for _, wt, _, _ in rows)
+    entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
+    count = -(-BIAS // entry)           # the fewest summands that may reach BIAS
+    assert mirror._sum_bound(count * least - 1, least, entry) == (count - 1) * entry
+    with pytest.raises(SeriesError, match="packed field"):
+        mirror._sum_bound(count * least, least, entry)
 
-    def drifting(self, E, order):
-        out = real_pass(self, E, order)
-        if order == self.order:
-            l = self.active[-1]
-            e = (int(order - self.step),) + (0,) * (ctx.rank - 1)
-            where.update(ray=ctx.basis_perm[l], degree=ctx.weight(e))
-            out[l] = out[l].add(mono(ctx, e, next(bumps), order))
-        return out
 
-    monkeypatch.setattr(mirror._Inverse, "_pass", drifting)
-    with pytest.raises(ArithmeticError) as info:
-        delta(ctx, 2, 4)
-    assert where["degree"] == 3
-    assert str(info.value).endswith(
-        f"W for ray {where['ray']} still changes at degree 3")
+@pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", 10)])
+def test_each_slice_is_final_once_formed(request, name, order):
+    # the solve never revises a slice, so the solve to any lower order is the
+    # truncation of the deeper one
+    ctx = request.getfixturevalue(name)
+    deep = mirror._inverse(ctx, order)
+    for low in [Fraction(k, 2) for k in range(1, 2 * order)]:
+        inv = mirror._inverse(ctx, low)
+        for l in deep.active:
+            w, e = (inv.W[l], inv.E[l]) if l in inv.sources else (
+                QSeries.zero(ctx.rank, ctx.ample_weight, low), one(ctx, low))
+            assert w == deep.W[l].truncate(low) and e == deep.E[l].truncate(low)
 
 
 # ------------------------------------------------- the inverse fixed point
@@ -420,17 +423,28 @@ def plain_picard(inv):
     raise AssertionError("the reference fixed point did not stabilize")
 
 
-@pytest.mark.parametrize("order", [4, Fraction(7, 2), 10], ids=str)
-@pytest.mark.parametrize("name", ["p2", "f2", "chain3"])
+PICARD_CASES = [(name, order) for name in ("p2", "f2", "chain3")
+                for order in (4, Fraction(7, 2), 10)] + [("chain3", 12)]
+
+
+@pytest.mark.parametrize("name, order", PICARD_CASES, ids=str)
 def test_fixed_point_matches_plain_picard(request, name, order):
     inv = mirror._inverse(request.getfixturevalue(name), order)
     assert plain_picard(inv) == (inv.W, inv.E)
 
 
-# the semi-Fano Seidel 3-folds of f2, and the rank-7 one of chain3
+@pytest.fixture(scope="module")
+def f2_seidel(f2):
+    """The Seidel 3-fold of f2 at ray 1, plus; its own Seidel fans are 4-folds."""
+    return validate(seidel_fan(f2, 1, "plus"))
+
+
+# the semi-Fano Seidel 3-folds of f2, the rank-7 one of chain3, and the f2
+# double-Seidel 4-fold that check-all runs on
 SEIDEL_CASES = [("f2", ray, sign, 6) for ray, sign in
                 [(0, "plus"), (1, "plus"), (2, "plus"), (3, "plus"),
-                 (1, "minus"), (3, "minus")]] + [("chain3", 2, "minus", 2)]
+                 (1, "minus"), (3, "minus")]] + [("chain3", 2, "minus", 2),
+                                                 ("f2_seidel", 0, "plus", 4)]
 
 
 @pytest.mark.parametrize("name, ray, sign, order", SEIDEL_CASES)
@@ -443,40 +457,55 @@ def test_seidel_fixed_point_matches_plain_picard(request, name, ray, sign, order
 
 @pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", Fraction(7, 2)),
                                          ("chain3", 10)], ids=str)
-def test_pass_reads_exponentials_only_to_order_minus_step(request, name, order):
-    # the stability certificate rests on this: a pass at full order cannot
-    # see terms of E above degree order - step
+def test_w_reads_exponentials_only_below_level_n_minus_least(monkeypatch, request,
+                                                             name, order):
+    # W_l[n] reads E only through X_d[n - wt_d], so a change to E at level m
+    # moves W first at level m + least, and the bound is tight
     ctx = request.getfixturevalue(name)
-    inv = mirror._inverse(ctx, order)
-    rng = random.Random(7)
+    base = mirror._inverse(ctx, order)
+    ring = base.ring
+    assert ring.scaled[0] == 1
+    top = ring.level(Fraction(order))
+    least = min(wt for rows in base.sources.values() for _, wt, _, _ in rows)
+    real_kernel = mirror._convolve
+    for m in range(1, top + 1):
+        bumped = []
 
-    def noise(low, high):
-        """A few random terms of weighted degree in (low, high]."""
-        terms = {}
-        while len(terms) < 4:
-            e = tuple(rng.randrange(-4, 9) for _ in range(ctx.rank))
-            if low < ctx.weight(e) <= high:
-                terms[e] = rng.randrange(1, 9)
-        return QSeries(ctx.rank, ctx.ample_weight, order, terms)
+        def kernel(a, b, n, *rest):
+            out = real_kernel(a, b, n, *rest)
+            # the E step is the one product that reads theta W, empty at level 0
+            if n == m and not a[0] and not bumped:
+                key = ring.key((m,) + (0,) * (ring.nvars - 1))
+                out[key] = out.get(key, 0) + n * 2 ** 10
+                bumped.append(key)
+            return out
 
-    step = inv.step
-    assert inv._pass(inv.E, order) == inv.W
-    above = {l: e.add(noise(order - step, order)) for l, e in inv.E.items()}
-    assert inv._pass(above, order) == inv.W
-    # and the budget is tight: terms at degree order - step do show
-    at = {l: e.add(noise(order - 2 * step, order - step)) for l, e in inv.E.items()}
-    assert inv._pass(at, order) != inv.W
+        monkeypatch.setattr(mirror, "_convolve", kernel)
+        moved = mirror._Inverse(ctx, Fraction(order))
+        assert bumped
+        lowest = min((moved.W[l].sub(base.W[l]).min_degree() for l in base.active
+                      if moved.W[l] != base.W[l]), default=None)
+        assert lowest == (m + least if m + least <= top else None)
 
 
-def test_chain3_order_10_runs_ten_passes(monkeypatch, load):
-    # rungs 1..10; the certificate replaces an eleventh, verifying pass
-    rungs = []
-    real_pass = mirror._Inverse._pass
+def test_chain3_order_10_forms_each_slice_once(monkeypatch, load):
+    # level by level: each E_l[n] is formed once, after W_l[n] and before
+    # any slice of level n + 1; powers and products stop at top - least
+    calls = []
+    real_kernel = mirror._convolve
 
-    def counting(self, E, order):
-        rungs.append(order)
-        return real_pass(self, E, order)
+    def kernel(a, b, n, *rest):
+        calls.append((id(a), id(b), n, len(a), len(b), not a[0]))
+        return real_kernel(a, b, n, *rest)
 
-    monkeypatch.setattr(mirror._Inverse, "_pass", counting)
-    mirror._inverse(load("chain3"), 10)
-    assert rungs == list(range(1, 11))
+    monkeypatch.setattr(mirror, "_convolve", kernel)
+    inv = mirror._Inverse(load("chain3"), Fraction(10))
+    least = min(wt for rows in inv.sources.values() for _, wt, _, _ in rows)
+    assert len({c[:3] for c in calls}) == len(calls)
+    assert [c[2] for c in calls] == sorted(c[2] for c in calls)
+    steps = [c for c in calls if c[5]]
+    assert len({c[:2] for c in steps}) == len(inv.active)
+    assert sorted(c[2] for c in steps) == [n for n in range(1, 11) for _ in inv.active]
+    # theta W holds levels 0..n and E levels 0..n-1 when E[n] is formed
+    assert all(len_a == n + 1 and len_b == n for _, _, n, len_a, len_b, _ in steps)
+    assert max(c[2] for c in calls if not c[5]) == 10 - least

@@ -283,6 +283,14 @@ CORPUS = {
         "cdd27fe658d79de0ae925d1b254ab4ad37c8ea24687a26b71bfe1ce7bfe6d536",
     "potential --fan f2 --order 5/2 --format json":
         "b5f738d07f177ffaeff9fbd731cb241f29c88e647f5f130eb4112ba6df8a0182",
+    # deep orders: chain3's delta stabilises, so these print the same bytes
+    # as ("chain3", "delta", "text") at order 4
+    "delta --fan chain3 --ray 2 --order 14":
+        "6fca07bce55b396e0d765e9b50b2facf860021040ba366b1201fd5a02a89b661",
+    "delta --fan chain3 --ray 2 --order 16":
+        "6fca07bce55b396e0d765e9b50b2facf860021040ba366b1201fd5a02a89b661",
+    "delta --fan chain3 --ray 2 --order 20":
+        "6fca07bce55b396e0d765e9b50b2facf860021040ba366b1201fd5a02a89b661",
 }
 
 

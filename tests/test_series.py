@@ -437,6 +437,38 @@ def test_exponents_outside_the_packed_field_raise():
         up.shift((1 << 14, 0))
 
 
+def test_exp_log_recip_raise_where_a_sum_of_terms_could_leave_the_field():
+    # a term of exp(f), log(1 + f) or 1/(1 + f) at level <= top is a sum of
+    # at most top // least terms of f; with f = q1^(2^13), an order that
+    # admits f^4 = q1^(2^15) could leave the field
+    big = 1 << 13
+    order = 4 * big
+    f = S({(big, 0): 1}, order)
+    unit = S({(0, 0): 1, (big, 0): 1}, order)
+    for kernel in (f.exp, unit.log, unit.recip):
+        with pytest.raises(SeriesError, match="packed field"):
+            kernel()
+    # one degree lower admits only the cube, and every kernel is exact
+    order -= 1
+    f, unit = S({(big, 0): 1}, order), S({(0, 0): 1, (big, 0): 1}, order)
+    powers = [(k * big, 0) for k in range(4)]
+    assert f.exp().terms == dict(zip(powers, (1, 1, Fraction(1, 2), Fraction(1, 6))))
+    assert unit.log().terms == dict(zip(powers[1:], (1, Fraction(-1, 2), Fraction(1, 3))))
+    assert unit.recip().terms == dict(zip(powers, (1, -1, 1, -1)))
+
+
+def test_kernels_recompute_a_stale_bound_near_the_limit():
+    # bounds only grow, so one near the limit is recomputed before raising
+    f = S({(1, 0): 1, (0, 2): 3})
+    f._bound = (1 << 15) - 1
+    assert f.exp() == S({(1, 0): 1, (0, 2): 3}).exp()
+    assert f._bound == 2
+    unit = S({(0, 0): 1, (-1, 2): 1})
+    unit._bound = (1 << 15) - 1
+    assert unit.recip().mul(unit) == S({(0, 0): 1})
+    assert unit._bound == 2
+
+
 def test_products_near_the_field_limit_do_not_raise():
     limit = 1 << 15
     order = 1 << 16
