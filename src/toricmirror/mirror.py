@@ -254,7 +254,7 @@ class _Inverse:
             self.W, self.E = {}, {}
             return
         top = ring.level(order)
-        rows = [row for rows in self.sources.values() for row in rows]
+        rows = [row for table in self.sources.values() for row in table]
         least = min(wt for _, wt, _, _ in rows)
         if least <= 0:
             raise ArithmeticError("class of non-positive degree in g index set")

@@ -551,13 +551,14 @@ class QSeries:
         return min((k >> shift for k in self._packed if k != bias), default=None)
 
     def _slices(self, least):
-        """``(slices, bound)`` for a kernel whose terms are sums of this
-        series' non-constant terms, all of level ``>= least``.
+        """``(slices, levels, bound)`` for a kernel whose terms are sums of
+        this series' non-constant terms, all of level ``>= least``.
 
         ``slices[n]`` holds the terms of level ``n`` for ``n = 0..top`` as
-        ``{key: coeff}``, and ``bound`` is the :func:`_sum_bound` of the
-        result, with this series' own bound recomputed exactly if the cheap
-        one would reach the field's limit.
+        ``{key: coeff}``, ``levels`` lists the positive levels that hold
+        terms, and ``bound`` is the :func:`_sum_bound` of the result, with
+        this series' own bound recomputed exactly if the cheap one would
+        reach the field's limit.
         """
         if self._top // least * self._bound >= BIAS:
             self._exact_bound()
@@ -566,7 +567,7 @@ class QSeries:
         shift = self.ring.shift
         for k, c in self._packed.items():
             slices[k >> shift][k] = c
-        return slices, bound
+        return slices, [n for n, s in enumerate(slices) if n and s], bound
 
     def _from_slices(self, slices, bound):
         """The series of this ring and order with the given level slices."""
@@ -589,8 +590,7 @@ class QSeries:
             return self._const(inv0)
         if least <= 0:
             raise SeriesError("cannot invert: non-constant term of non-positive degree")
-        u, bound = self._slices(least)
-        levels = [n for n, s in enumerate(u) if n and s]
+        u, levels, bound = self._slices(least)
         bias = self.ring.bias
         r = [{bias: inv0}]
         for n in range(1, self._top + 1):
@@ -611,9 +611,8 @@ class QSeries:
             return self._const(1)
         if least <= 0:
             raise SeriesError("exp requires terms of positive weighted degree")
-        f, bound = self._slices(least)
+        f, levels, bound = self._slices(least)
         theta = [{k: n * c for k, c in s.items()} for n, s in enumerate(f)]
-        levels = [n for n, s in enumerate(f) if s]
         bias = self.ring.bias
         e = [{bias: 1}]
         for n in range(1, self._top + 1):
@@ -634,8 +633,7 @@ class QSeries:
             return self._const(0)
         if least <= 0:
             raise SeriesError("log requires tail terms of positive weighted degree")
-        u, bound = self._slices(least)
-        levels = [n for n, s in enumerate(u) if n and s]
+        u, levels, bound = self._slices(least)
         bias = self.ring.bias
         theta = [{}]            # level n holds n * L[n]; level 0 is empty
         for n in range(1, self._top + 1):
