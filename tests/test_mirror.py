@@ -352,7 +352,7 @@ def test_solve_checks_its_exponent_bound_before_forming_a_key(monkeypatch, load)
     monkeypatch.setattr(mirror, "_sum_bound", bound)
     monkeypatch.setattr(mirror, "_convolve", kernel)
     inv = mirror._Inverse(load("chain3"), Fraction(10))
-    rows = [row for rows in inv.sources.values() for row in rows]
+    rows = [row for table in inv.sources.values() for row in table]
     least = min(wt for _, wt, _, _ in rows)
     entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
     assert events[0] == (10, least, entry)
@@ -364,7 +364,7 @@ def test_solve_bound_raises_where_an_exponent_could_leave_the_field(chain3):
     # the chain3 solve would first hit it at an order in the tens of
     # thousands, so the check is called with the numbers such an order gives
     inv = mirror._inverse(chain3, 4)
-    rows = [row for rows in inv.sources.values() for row in rows]
+    rows = [row for table in inv.sources.values() for row in table]
     least = min(wt for _, wt, _, _ in rows)
     entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
     count = -(-BIAS // entry)           # the fewest summands that may reach BIAS
