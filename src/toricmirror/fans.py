@@ -28,6 +28,7 @@ import json
 from fractions import Fraction
 from functools import wraps
 from math import gcd
+from operator import index
 
 from . import lp
 from ._record import Record
@@ -37,13 +38,26 @@ class FanError(ValueError):
     """Raised when a fan document is malformed or fails validation."""
 
 
+def _integer(value) -> int:
+    """An ``int`` or integral ``Fraction`` as an ``int``; anything else raises."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"curve class components must be integers, got {value!r}") from None
+
+
 class CurveClass(Record):
     """An integer homology class expressed in the curve basis of a context."""
 
     __slots__ = ("comps",)
 
     def _check(self):
-        object.__setattr__(self, "comps", tuple(int(c) for c in self.comps))
+        comps = tuple(self.comps)
+        if not all(type(c) is int for c in comps):
+            comps = tuple(map(_integer, comps))
+        object.__setattr__(self, "comps", comps)
 
     def __add__(self, other):
         return CurveClass(tuple(a + b for a, b in zip(self.comps, other.comps)))

@@ -12,9 +12,13 @@ they all share, so it is pruned no sooner than any of them would have been.
 What is dropped is redundant, so every stage is still the exact projection.
 
 Everything here is exact ``int``/``Fraction`` arithmetic, never float:
-constraints are scaled to coprime ``int`` rows, so elimination and
-lattice-point enumeration run on plain integers, and only a bound that has a
-real denominator is a ``Fraction``.
+constraints are scaled to coprime ``int`` rows (an all-``int`` row is taken
+as it is), so elimination and lattice-point enumeration run on plain
+integers, and only a bound that has a real denominator is a ``Fraction``.
+Lattice-point enumeration splits each stage of its chain once into a plan of
+lower and upper rows on that stage's variable, each with its prefix of
+coefficients, and brackets every node of the descent with one integer dot
+product and one floor division per row.
 
 A constraint is a pair ``(coeffs, rhs)`` encoding ``coeffs . x >= rhs``.
 Entry points:
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class LPUnboundedError(ArithmeticError):
@@ -39,7 +44,12 @@ class LPUnboundedError(ArithmeticError):
 
 
 def _norm(coeffs, rhs):
-    """Scale a constraint to ``int`` coefficients and right-hand side."""
+    """Scale a constraint to ``int`` coefficients and right-hand side.
+
+    A row that is all ``int`` already is returned as it is.
+    """
+    if type(rhs) is int and all(type(v) is int for v in coeffs):
+        return coeffs, rhs
     row = [Fraction(v) for v in coeffs] + [Fraction(rhs)]
     scale = lcm(*(v.denominator for v in row))
     ints = [v.numerator * (scale // v.denominator) for v in row]
@@ -180,26 +190,6 @@ def _var_bounds(cons, j, point):
     return lo, hi
 
 
-def _int_bounds(cons, j, point):
-    """Integer bracket ``ceil(lower) .. floor(upper)`` on ``x_j`` given integer
-    values for ``x_0 .. x_{j-1}``, by exact floor division."""
-    lo, hi = None, None
-    for coeffs, rhs, _ in cons:
-        a = coeffs[j]
-        if not a:
-            continue
-        rest = rhs - sum(coeffs[i] * point[i] for i in range(j))
-        if a > 0:
-            bound = -(-rest // a)
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            bound = rest // a
-            if hi is None or bound < hi:
-                hi = bound
-    return lo, hi
-
-
 def _contradicts(stages) -> bool:
     """Whether the last stage of a chain holds a row ``0 >= rhs > 0``."""
     return any(not coeffs[0] and rhs > 0 for coeffs, rhs, _ in stages[0])
@@ -263,36 +253,70 @@ def minimize(objective, cons, nvars):
     return point[0], point[1:]
 
 
+def _plans(stages):
+    """Each stage's bracket plan ``(lower, upper)`` on its variable ``x_j``.
+
+    A row ``c . x >= b`` of stage ``j`` with ``a = c_j > 0`` is a lower row
+    ``(a, c_0..c_{j-1}, b)``: ``x_j >= ceil((b - s) / a)``, where ``s`` is the
+    prefix's pairing with ``x_0 .. x_{j-1}``.  One with ``a < 0`` is an upper
+    row ``(-a, c_0..c_{j-1}, b)``: ``x_j <= floor((s - b) / -a)``.  Rows with
+    ``a = 0`` do not bound ``x_j`` and are not in the plan.
+    """
+    plans = []
+    for j, stage in enumerate(stages):
+        lower, upper = [], []
+        for coeffs, rhs, _ in stage:
+            a = coeffs[j]
+            if a > 0:
+                lower.append((a, coeffs[:j], rhs))
+            elif a < 0:
+                upper.append((-a, coeffs[:j], rhs))
+        plans.append((lower, upper))
+    return plans
+
+
 def integer_points(cons, nvars):
     """All integer points of the (bounded) polyhedron, lexicographically.
 
-    Recursively brackets each coordinate via the elimination chain.  Raises
-    :class:`LPUnboundedError` if some coordinate is unbounded, since the
-    enumeration would then be infinite.
+    Descends through the elimination chain: stage ``j`` brackets ``x_j``
+    given integer ``x_0 .. x_{j-1}``, by exact floor division, through the
+    plan :func:`_plans` made for it once.  A bracket can be empty, since a
+    stage is the exact rational projection, not the integer one.  Raises
+    :class:`LPUnboundedError` at the first node reached whose coordinate has
+    no lower or no upper row, since the enumeration would then be infinite.
+
+    A point inside every bracket already satisfies each input row.  Each
+    row, or the parallel row that :func:`_dedupe` kept in its place and that
+    implies it, sits in the stage of its last nonzero variable, and the
+    bracket of that stage is exact for integer points; a row with no nonzero
+    variable is caught by :func:`_contradicts`.  The final check of each
+    point against the normalised input rows is a guard that should never
+    reject.
     """
     if nvars == 0:
         return [()]
+    last = nvars - 1
     stages = _chain(cons, nvars)
-    normed = stages[nvars - 1]
+    normed = stages[last]
     if _contradicts(stages):
         return []
-
+    plans = _plans(stages)
     out = []
 
     def descend(j, point):
-        lo, hi = _int_bounds(stages[j], j, point)
-        if lo is None or hi is None:
+        lower, upper = plans[j]
+        if not lower or not upper:
             raise LPUnboundedError(f"coordinate {j} is unbounded; cannot enumerate")
+        lo = max([-((sum(map(mul, p, point)) - b) // a) for a, p, b in lower])
+        hi = min([(sum(map(mul, p, point)) - b) // a for a, p, b in upper])
+        if j < last:
+            for v in range(lo, hi + 1):
+                descend(j + 1, point + (v,))
+            return
         for v in range(lo, hi + 1):
             nxt = point + (v,)
-            if j + 1 == nvars:
-                # The elimination chain is sound but not exact stage-by-stage
-                # for integer points; filter against the original system.
-                if all(sum(c * x for c, x in zip(coeffs, nxt)) >= rhs
-                       for coeffs, rhs, _ in normed):
-                    out.append(nxt)
-            else:
-                descend(j + 1, nxt)
+            if all(sum(map(mul, c, nxt)) >= b for c, b, _ in normed):
+                out.append(nxt)
 
     descend(0, ())
     return out

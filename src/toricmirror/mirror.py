@@ -121,25 +121,24 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     <= -1 with the divisor at ``ray`` and >= 0 with every other divisor,
     enumerated exhaustively (and deterministically) by exact integer-point
     scanning of the constraint polytope.
+
+    Every row is ``int``: ``c1`` and the pairing rows of ``ctx.P`` as they
+    are, and for the weight the ring's integer weights ``L * w`` (``L`` the
+    lcm of the weights' denominators) with the floored level
+    ``floor(L * order)``.  ``(L * w) . d`` is an ``int`` for integer ``d``,
+    so it is at most ``L * order`` exactly when it is at most that level.
+    The classes come out by level, then lexicographically.
     """
-    order = Fraction(order)
-    rank = ctx.rank
+    ring = GradedRing.of(ctx.rank, ctx.ample_weight)
     target = ctx.inv_perm[ray]
-    cons = []
-    c1 = tuple(Fraction(c) for c in ctx.c1)
-    cons.append((c1, Fraction(0)))
-    cons.append((tuple(-c for c in c1), Fraction(0)))
-    for i in range(ctx.m):
-        row = tuple(Fraction(p) for p in ctx.P[i])
-        if i == target:
-            cons.append((tuple(-p for p in row), Fraction(1)))
-        else:
-            cons.append((row, Fraction(0)))
-    cons.append((tuple(-w for w in ctx.ample_weight), -order))
-    points = lp.integer_points(cons, rank)
-    classes = [CurveClass(p) for p in points]
-    classes.sort(key=lambda c: (ctx.weight(c.comps), c.comps))
-    return classes
+    c1 = ctx.c1
+    cons = [(c1, 0), (tuple(-c for c in c1), 0)]
+    for i, row in enumerate(ctx.P):
+        cons.append((tuple(-p for p in row), 1) if i == target else (row, 0))
+    cons.append((tuple(-w for w in ring.scaled), -ring.level(Fraction(order))))
+    points = lp.integer_points(cons, ctx.rank)
+    points.sort(key=lambda p: (ring.grade(p), p))
+    return [CurveClass(p) for p in points]
 
 
 @memoised
@@ -385,7 +384,8 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:
     """Substitute the inverse mirror map into a series in checked variables.
 
     Much faster than a generic substitution: each monomial's image under the
-    inverse map is a cached product of ``(1+delta)`` powers.
+    inverse map is a cached product of ``(1+delta)`` powers, and the scaled
+    images are summed into one dict.
     """
     if order is None:
         order = f.order
@@ -394,10 +394,9 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:
     # order to stay exact at the requested absolute order
     drop = f.min_degree() or 0
     inv = _inverse(ctx, Fraction(order) - min(0, drop))
-    total = _zero(ctx, out_order)
-    for e, c in sorted(f.terms.items()):
-        total = total.add(inv.image(e).scalar_mul(c).truncate(out_order))
-    return total.truncate(out_order)
+    zero = (0,) * ctx.rank
+    return QSeries.shifted_sum([(inv.image(e), zero, c) for e, c in sorted(f.terms.items())],
+                               *_shape(ctx, out_order))
 
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:

@@ -646,7 +646,8 @@ class QSeries:
         """Simultaneous substitution ``q_k -> q_k * u_k(q)``.
 
         Every term ``c * q^e`` maps to ``c * q^e * prod_k u_k^{e_k}``; powers
-        of the unit factors are memoised across terms.
+        of the unit factors are memoised across terms, and the images are
+        summed into one dict.
 
         A monomial of negative total degree shifts truncation error downward:
         its image is only exact to (map order + that degree).  The result's
@@ -664,16 +665,17 @@ class QSeries:
         powers = [unit_powers(u) for u in smap.units]
 
         ring = self.ring
-        out = self._const(0, order)
-        top = out._top
+        top = ring.level(order)
         stop = ring.cutoff(top)
+        zero = (0,) * self.nvars
+        parts = []
         for key, c in self._packed.items():
             acc = QSeries._of(ring, order, top, {key: c} if key < stop else {}, self._bound)
             for k, ek in enumerate(ring.exponent(key)):
                 if ek:
                     acc = acc.mul(powers[k](ek))
-            out = out.add(acc)
-        return out.truncate(exact_to)
+            parts.append((acc, zero, 1))
+        return QSeries.shifted_sum(parts, self.nvars, self.weights, order).truncate(exact_to)
 
     # ------------------------------------------------------------- protocols
 

@@ -199,6 +199,10 @@ def test_records_are_immutable_values():
     b = CurveClass(comps=[Fraction(2, 2), -2])
     assert a == b and hash(a) == hash(b) and {a, b} == {a}
     assert [type(c) for c in b.comps] == [int, int] and b.comps == (1, -2)
+    # a component that is not an integer is an error, never truncated
+    for comps in ((Fraction(3, 2), 2), (2.7, 1), (-0.5,), (2.0,), ("1",)):
+        with pytest.raises(ValueError):
+            CurveClass(comps)
     assert repr(a) == "CurveClass(comps=(1, -2))"
     assert repr(DiscClass(1, a)) == "DiscClass(ray=1, curve=CurveClass(comps=(1, -2)))"
     assert pickle.loads(pickle.dumps(DiscClass(1, a))) == DiscClass(ray=1, curve=b)

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from toricmirror import enumerate_classes, lp
+from toricmirror import enumerate_classes, lp, seidel_fan, validate
 from toricmirror.lp import LPUnboundedError
 
 # every constraint is coeffs . x >= rhs
@@ -85,6 +86,19 @@ def test_integer_points_unbounded():
         lp.integer_points([((1, 0), 0), ((0, 1), 0)], 2)
 
 
+def test_integer_points_empty_with_an_unbounded_direction():
+    # x_1 has no upper row, but 1 <= x_0 <= 0 leaves no node at which to
+    # bracket it, so the polyhedron is empty rather than unbounded
+    assert lp.integer_points([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0)], 2) == []
+
+
+def test_norm_keeps_int_rows_and_scales_the_others():
+    row = (2, -4)
+    assert lp._norm(row, 3)[0] is row and lp._norm(row, 3)[1] == 3
+    assert lp._norm((Fraction(1, 2), 1), Fraction(1, 3)) == ([3, 6], 2)
+    assert lp._norm((Fraction(2), 1), 0) == ([2, 1], 0)
+
+
 def test_integer_points_match_brute_force():
     rng = random.Random(5)
     for _ in range(25):
@@ -154,6 +168,44 @@ def test_fan_systems_give_exact_results(monkeypatch, load, name):
     for _, sol in calls["solve_linear"]:
         if sol is not None:
             assert_exact(*sol)
+
+
+@pytest.fixture(scope="module")
+def chain3_seidel(chain3):
+    """The rank-7 Seidel 3-fold of chain3 at ray 2, minus."""
+    return validate(seidel_fan(chain3, 2, "minus"))
+
+
+@pytest.mark.parametrize("order", [2, Fraction(7, 2), 6], ids=str)
+@pytest.mark.parametrize("name", ["f2", "chain3", "chain3_seidel"])
+def test_enumerate_classes_matches_a_box_scan(request, name, order):
+    # an index set found without the descent: every integer point of the
+    # polytope's bounding box, filtered by the original Fraction constraints
+    ctx = request.getfixturevalue(name)
+    rank, weight, order = ctx.rank, ctx.ample_weight, Fraction(order)
+    c1 = tuple(Fraction(c) for c in ctx.c1)
+    for ray in range(ctx.m):
+        pairing = [tuple(Fraction(p) for p in ctx.P[ctx.inv_perm[i]]) for i in range(ctx.m)]
+        cons = [(c1, 0), (tuple(-c for c in c1), 0), (tuple(-w for w in weight), -order)]
+        cons += [(tuple(-p for p in row), 1) if i == ray else (row, 0)
+                 for i, row in enumerate(pairing)]
+        try:
+            box = []
+            for k in range(rank):
+                unit = tuple(Fraction(int(i == k)) for i in range(rank))
+                lo = lp.minimize(unit, cons, rank)[0]
+                hi = -lp.minimize(tuple(-u for u in unit), cons, rank)[0]
+                box.append(range(math.ceil(lo), math.floor(hi) + 1))
+        except ValueError:          # no rational point, so no class
+            box = [range(0)]
+        assert math.prod(map(len, box)) <= 1000
+        dot = lambda a, d: sum(x * y for x, y in zip(a, d))
+        scan = [d for d in itertools.product(*box)
+                if dot(c1, d) == 0 and dot(pairing[ray], d) <= -1
+                and all(dot(row, d) >= 0 for i, row in enumerate(pairing) if i != ray)
+                and dot(weight, d) <= order]
+        scan.sort(key=lambda d: (dot(weight, d), d))
+        assert [c.comps for c in enumerate_classes(ctx, ray, order)] == scan
 
 
 def bounds_by_direction(cons):
