@@ -301,15 +301,11 @@ class QSeries:
         out._set(ring, order, top, packed, bound)
         return out
 
-    def _const(self, value, order=None):
-        """``value`` as a series of this ring, to ``order`` (default: own order)."""
-        if order is None:
-            order, top = self.order, self._top
-        else:
-            top = self.ring.level(order)
-        ring = self.ring
+    def _const(self, value):
+        """``value`` as a series of this ring, to this series' order."""
+        ring, top = self.ring, self._top
         packed = {ring.bias: value} if value and ring.bias < ring.cutoff(top) else {}
-        return QSeries._of(ring, order, top, packed, 0)
+        return QSeries._of(ring, self.order, top, packed, 0)
 
     # ---------------------------------------------------------------- basics
 

@@ -184,8 +184,9 @@ def test_enumerate_classes_matches_a_box_scan(request, name, order):
     ctx = request.getfixturevalue(name)
     rank, weight, order = ctx.rank, ctx.ample_weight, Fraction(order)
     c1 = tuple(Fraction(c) for c in ctx.c1)
+    pairing = [tuple(Fraction(p) for p in ctx.P[ctx.inv_perm[i]]) for i in range(ctx.m)]
+    dot = lambda a, d: sum(x * y for x, y in zip(a, d))
     for ray in range(ctx.m):
-        pairing = [tuple(Fraction(p) for p in ctx.P[ctx.inv_perm[i]]) for i in range(ctx.m)]
         cons = [(c1, 0), (tuple(-c for c in c1), 0), (tuple(-w for w in weight), -order)]
         cons += [(tuple(-p for p in row), 1) if i == ray else (row, 0)
                  for i, row in enumerate(pairing)]
@@ -199,7 +200,6 @@ def test_enumerate_classes_matches_a_box_scan(request, name, order):
         except ValueError:          # no rational point, so no class
             box = [range(0)]
         assert math.prod(map(len, box)) <= 1000
-        dot = lambda a, d: sum(x * y for x, y in zip(a, d))
         scan = [d for d in itertools.product(*box)
                 if dot(c1, d) == 0 and dot(pairing[ray], d) <= -1
                 and all(dot(row, d) >= 0 for i, row in enumerate(pairing) if i != ray)
