@@ -13,24 +13,19 @@ The central objects:
 
 ``mirror_map`` / ``inverse_mirror_map``
     The coordinate change ``q_k = qc_k * exp(-g^{Psi_k}(qc))`` and its
-    compositional inverse.  The inverse is *not* found by naive reversion of
-    the unit factors: in logarithmic coordinates the defining equations say
+    compositional inverse.  The inverse is found in logarithmic coordinates,
+    per ray rather than per curve-basis unit: the defining equations say
     that the functions ``W_l = g_l(qc(q))`` satisfy the sparse equations
 
         W_l = sum over classes d of  gamma_{l,d} * q^d * prod_j exp(W_j)^{D_j.d}
 
-    which are solved online, one ring level ``n = 1..top`` at a time (cf.
-    van der Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 2002).
-    Every class weighs at least one level, so the level-``n`` slice of the
-    right side reads each ``exp(W_j)`` only below level ``n``.  Each slice of
-    every series is therefore formed exactly once, from final lower slices,
-    and the solution is exact by construction: there is no iteration to
-    stop or to certify.  The exponentials ``1 + delta_l = exp(W_l)`` then
-    give the open Gromov-Witten generating functions directly.  Every term
-    the solve forms at level ``m`` is a sum of at most ``m // least`` class
-    vectors (``least`` the least class level), so one bound, checked before
-    the first key is formed, keeps every exponent inside its packed field or
-    raises :class:`~toricmirror.series.SeriesError`.
+    which :func:`~toricmirror.series.solve_units` solves online, one ring
+    level at a time: each slice of every series is formed exactly once, from
+    final lower slices, so the solution is exact by construction and there
+    is no iteration to stop or to certify.  The exponentials ``1 + delta_l =
+    exp(W_l)`` then give the open Gromov-Witten generating functions
+    directly.  An exponent that could leave its packed field raises
+    :class:`~toricmirror.series.SeriesError` before the first key is formed.
 
 ``disc_potential`` / ``hori_vafa``
     The Laurent potentials; the "tilde" Hori-Vafa form is assembled through
@@ -42,13 +37,12 @@ The central objects:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from . import lp
 from ._record import Record
 from .fans import CurveClass, DiscClass, ToricContext, memoised
-from .series import (GradedRing, QSeries, SubstitutionMap, _clean, _convolve, _div,
-                     _sum_bound, unit_powers)
+from .series import GradedRing, QSeries, SubstitutionMap, solve_units, unit_powers
 
 
 class GSeries(Record):
@@ -211,9 +205,9 @@ class _Inverse:
     ``W[l]`` is ``log(1 + delta_l)`` for each internal ray with a nonempty
     class set, ``E[l] = exp(W[l])``, and :meth:`image` sends a formal checked
     monomial ``qc^d`` to its expression in the Kaehler variables,
-    ``q^d * prod_j E_j^{D_j . d}``.  :meth:`_solve` forms ``W`` and ``E``
-    level by level, each slice once and from lower slices only (see the
-    module docstring), so they are exact to :attr:`order` when it returns.
+    ``q^d * prod_j E_j^{D_j . d}``.  :func:`~toricmirror.series.solve_units`
+    forms ``W`` and ``E`` level by level, each slice once and from lower
+    slices only, so they are exact to :attr:`order`.
 
     ``sources[l]`` lists one row ``(d, wt, gamma, D.d)`` per row of ray
     ``l``'s class table, where ``wt`` is the level of ``d`` in :attr:`ring`
@@ -235,102 +229,7 @@ class _Inverse:
         self.active = sorted(sources)
         self._images = {}
         self._powers = {}
-        self._solve()
-
-    # -- online solve -----------------------------------------------------
-
-    def _solve(self):
-        """Form each level slice of every ``W_l`` and ``E_l`` once, from
-        strictly lower slices, for levels ``n = 1..top`` in turn.
-
-        A slice maps the packed keys of one level to their coefficients.  At
-        level ``n``, ``W_l[n] = sum_d gamma_{l,d} q^d X_d[n - wt_d]`` reads
-        the class products only below ``n``; then ``n E_l[n] = sum_i i W_l[i]
-        E_l[n - i]``, and every power and prefix product grows by one slice.
-        """
-        ring, order = self.ring, self.order
-        if not self.sources:
-            self.W, self.E = {}, {}
-            return
-        top = ring.level(order)
-        rows = [row for table in self.sources.values() for row in table]
-        least = min(wt for _, wt, _, _ in rows)
-        if least <= 0:
-            raise ArithmeticError("class of non-positive degree in g index set")
-        bound = _sum_bound(top, least, max(abs(x) for d, _, _, _ in rows for x in d))
-        bias = ring.bias
-        one = [{bias: 1}] + [{}] * top
-        # W is kept as D * W, with D the lcm of the gammas' denominators, so
-        # that integral E keeps every slice product in int arithmetic
-        scale = lcm(*(gamma.denominator for _, _, gamma, _ in rows))
-        theta = {l: [{}] for l in self.active}      # level n holds n * D * W_l[n]
-        E = {l: [{bias: 1}] for l in self.active}
-
-        # X_d multiplies the powers E_j^{D_j.d} over the active j in turn; a
-        # power or prefix product is grown only to the level its heaviest
-        # use reads, top - wt
-        chains, powers, products = [], {}, {}
-        for l, ls in self.sources.items():
-            for comps, wt, gamma, pair in ls:
-                chain = tuple((j, pair[j]) for j in self.active if pair[j])
-                chains.append((l, ring.key(comps) - bias, int(gamma * scale), wt, chain))
-                for j, k in chain:
-                    for i in range(2, k + 1) if k > 0 else range(-1, k - 1, -1):
-                        powers[j, i] = max(powers.get((j, i), 0), top - wt)
-                for i in range(2, len(chain) + 1):
-                    products[chain[:i]] = max(products.get(chain[:i], 0), top - wt)
-
-        def power(j, k):
-            return E[j] if k == 1 else one if k == 0 else slices[j, k]
-
-        def product(chain):
-            return one if not chain else power(*chain[0]) if len(chain) == 1 else slices[chain]
-
-        # (slices, reach, a, b, above): a * b, or, with ``above``, the
-        # negative power solving a * slices = above.  Inputs come first.
-        slices, nodes = {}, []
-        for (j, k), reach in sorted(powers.items(), key=lambda p: (p[0][0], abs(p[0][1]))):
-            out = slices[j, k] = [{bias: 1}]
-            if k > 0:
-                nodes.append((out, reach, E[j], power(j, k - 1), None))
-            else:
-                nodes.append((out, reach, E[j], out, power(j, k + 1)))
-        for chain, reach in sorted(products.items(), key=lambda p: len(p[0])):
-            out = slices[chain] = [{bias: 1}]
-            nodes.append((out, reach, product(chain[:-1]), power(*chain[-1]), None))
-        uses = {l: [] for l in self.active}
-        for l, offset, gamma, wt, chain in chains:
-            uses[l].append((offset, gamma, wt, product(chain)))
-
-        for n in range(1, top + 1):
-            for l, ls in uses.items():
-                out = {}
-                get = out.get
-                for offset, gamma, wt, x in ls:
-                    if wt <= n:
-                        for k, c in x[n - wt].items():
-                            k += offset
-                            c *= gamma
-                            s = get(k)
-                            out[k] = c if s is None else s + c
-                theta[l].append(_clean({k: n * c for k, c in out.items()}))
-            for l in self.active:
-                total = _convolve(theta[l], E[l], n, range(1, n + 1), bias)
-                E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}))
-            for out, reach, a, b, above in nodes:
-                if n > reach:
-                    continue
-                if above is None:
-                    out.append(_clean(_convolve(a, b, n, range(n + 1), bias)))
-                else:
-                    # E_j^k[n] = E_j^{k+1}[n] - sum_{i>=1} E_j[i] E_j^k[n-i]
-                    out.append(_clean(_convolve(a, b, n, range(1, n + 1), bias,
-                                                dict(above[n]), -1)))
-        zero = _zero(self.ctx, order)
-        self.W = {l: zero._from_slices([{k: _div(c, n * scale) for k, c in s.items()}
-                                        for n, s in enumerate(theta[l])], bound)
-                  for l in self.active}
-        self.E = {l: zero._from_slices(E[l], bound) for l in self.active}
+        self.W, self.E = solve_units(ring, order, sources)
 
     # -- consumers --------------------------------------------------------
 

@@ -35,8 +35,8 @@ strictly lower slices, by a recurrence that costs about one product in all
 (cf. Brent & Kung, J. ACM 1978): with ``theta`` the derivation
 ``q^e -> level(e) q^e``, ``theta exp(f) = exp(f) theta f``, ``theta log(u) =
 theta u / u`` and ``u * (1/u) = 1``.  One private slice kernel,
-:func:`_convolve`, forms every such slice; ``mirror`` solves the inverse
-mirror map on it too.
+:func:`_convolve`, forms every such slice, in :func:`solve_units` too, which
+solves the inverse mirror map for ``mirror`` and reverts substitution maps.
 
 Overflow.  A field holds ``e_k + B``, so every exponent entry must satisfy
 ``|e_k| < B``, and a field never wraps silently: an exponent that could leave
@@ -53,9 +53,7 @@ terms through :attr:`QSeries.terms`, a dict keyed by exponent tuples in
 
 :class:`SubstitutionMap` represents a coordinate change of "unit" shape
 ``q_k -> q_k * u_k(q)`` with ``u_k(0) = 1``.  Maps of this shape form a group
-under composition; :meth:`SubstitutionMap.revert` computes the inverse by a
-fixed-point iteration that gains one weighted degree per pass.  It does not
-use the slice kernel.
+under composition.
 """
 
 from __future__ import annotations
@@ -159,25 +157,130 @@ def unit_powers(unit):
     """Memoised signed integer powers ``k -> unit^k`` of one unit series.
 
     Each power is one product with its neighbour towards zero (``unit`` or
-    ``unit^-1``), and the reciprocal is formed at most once.
+    ``unit^-1``), and the reciprocal is formed at most once.  A power is built
+    in a loop up from the nearest cached one, so no call recurses.
     """
     cache = {1: unit}
 
     def power(k: int) -> "QSeries":
         val = cache.get(k)
         if val is None:
-            if k > 0:
-                val = power(k - 1).mul(unit)
-            elif k == 0:
-                val = QSeries.one(unit.nvars, unit.weights, unit.order)
-            elif k == -1:
-                val = unit.recip()
-            else:
-                val = power(k + 1).mul(power(-1))
-            cache[k] = val
+            if k == 0:
+                return cache.setdefault(0, QSeries.one(unit.nvars, unit.weights, unit.order))
+            if k < 0 and -1 not in cache:
+                cache[-1] = unit.recip()
+            step = 1 if k > 0 else -1
+            j = k
+            while j not in cache:
+                j -= step
+            val = cache[j]
+            while j != k:
+                j += step
+                val = cache[j] = val.mul(cache[step])
         return val
 
     return power
+
+
+def solve_units(ring, order, sources):
+    """Solve ``W_l = sum_d gamma_{l,d} q^d prod_j exp(W_j)^{pair_j}`` online.
+
+    ``sources`` maps each unknown ``l`` to its nonempty rows ``(d, wt, gamma,
+    pair)``: an exponent vector, its level in ``ring``, a coefficient and a
+    tuple read only at the keys of ``sources`` (an unknown without rows has
+    ``W = 0``).  Returns the dicts of ``W_l`` and ``E_l = exp(W_l)``, exact to
+    ``order``.  Each row weighs at least one level, so level ``n`` of the
+    right side reads each ``E_j`` only below ``n``, and every slice is formed
+    once, from final lower slices, for ``n = 1..top`` (cf. van der Hoeven,
+    "Relax, but don't be too lazy", J. Symb. Comput. 2002): ``W_l[n] = sum_d
+    gamma_{l,d} q^d X_d[n - wt_d]``, with ``X_d`` the product of the powers
+    ``E_j^{pair_j}``, then ``n E_l[n] = sum_i i W_l[i] E_l[n - i]``.  A term
+    of level ``m`` sums at most ``m // least`` row vectors, so one
+    :func:`_sum_bound`, checked before the first key is formed, keeps every
+    exponent inside its packed field.
+    """
+    if not sources:
+        return {}, {}
+    top = ring.level(order)
+    active = sorted(sources)
+    rows = [row for table in sources.values() for row in table]
+    least = min(wt for _, wt, _, _ in rows)
+    if least <= 0:
+        raise SeriesError("solve rows must have positive level")
+    bound = _sum_bound(top, least, max(abs(x) for d, _, _, _ in rows for x in d))
+    bias = ring.bias
+    one = [{bias: 1}] + [{}] * top
+    # W is kept as D * W, with D the lcm of the gammas' denominators, so
+    # that integral E keeps every slice product in int arithmetic
+    scale = lcm(*(gamma.denominator for _, _, gamma, _ in rows))
+    theta = {l: [{}] for l in active}      # level n holds n * D * W_l[n]
+    E = {l: [{bias: 1}] for l in active}
+
+    # X_d multiplies the powers E_j^{pair_j} over the active j in turn; a
+    # power or prefix product is grown only to the level its heaviest use
+    # reads, top - wt
+    chains, powers, products = [], {}, {}
+    for l, ls in sources.items():
+        for comps, wt, gamma, pair in ls:
+            chain = tuple((j, pair[j]) for j in active if pair[j])
+            chains.append((l, ring.key(comps) - bias, int(gamma * scale), wt, chain))
+            for j, k in chain:
+                for i in range(2, k + 1) if k > 0 else range(-1, k - 1, -1):
+                    powers[j, i] = max(powers.get((j, i), 0), top - wt)
+            for i in range(2, len(chain) + 1):
+                products[chain[:i]] = max(products.get(chain[:i], 0), top - wt)
+
+    def power(j, k):
+        return E[j] if k == 1 else one if k == 0 else slices[j, k]
+
+    def product(chain):
+        return one if not chain else power(*chain[0]) if len(chain) == 1 else slices[chain]
+
+    # (slices, reach, a, b, above): a * b, or, with ``above``, the negative
+    # power solving a * slices = above.  Inputs come first.
+    slices, nodes = {}, []
+    for (j, k), reach in sorted(powers.items(), key=lambda p: (p[0][0], abs(p[0][1]))):
+        out = slices[j, k] = [{bias: 1}]
+        if k > 0:
+            nodes.append((out, reach, E[j], power(j, k - 1), None))
+        else:
+            nodes.append((out, reach, E[j], out, power(j, k + 1)))
+    for chain, reach in sorted(products.items(), key=lambda p: len(p[0])):
+        out = slices[chain] = [{bias: 1}]
+        nodes.append((out, reach, product(chain[:-1]), power(*chain[-1]), None))
+    uses = {l: [] for l in active}
+    for l, offset, gamma, wt, chain in chains:
+        uses[l].append((offset, gamma, wt, product(chain)))
+
+    for n in range(1, top + 1):
+        for l, ls in uses.items():
+            out = {}
+            get = out.get
+            for offset, gamma, wt, x in ls:
+                if wt <= n:
+                    for k, c in x[n - wt].items():
+                        k += offset
+                        c *= gamma
+                        s = get(k)
+                        out[k] = c if s is None else s + c
+            theta[l].append(_clean({k: n * c for k, c in out.items()}))
+        for l in active:
+            total = _convolve(theta[l], E[l], n, range(1, n + 1), bias)
+            E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}))
+        for out, reach, a, b, above in nodes:
+            if n > reach:
+                continue
+            if above is None:
+                out.append(_clean(_convolve(a, b, n, range(n + 1), bias)))
+            else:
+                # E_j^k[n] = E_j^{k+1}[n] - sum_{i>=1} E_j[i] E_j^k[n-i]
+                out.append(_clean(_convolve(a, b, n, range(1, n + 1), bias,
+                                            dict(above[n]), -1)))
+    zero = QSeries._of(ring, order, top, {}, 0)
+    W = {l: zero._from_slices([{k: _div(c, n * scale) for k, c in s.items()}
+                               for n, s in enumerate(theta[l])], bound)
+         for l in active}
+    return W, {l: zero._from_slices(E[l], bound) for l in active}
 
 
 _RINGS = {}
@@ -368,9 +471,12 @@ class QSeries:
         return self.ring.degree(min(self._packed) >> self.ring.shift)
 
     def truncate(self, order):
-        """Drop the terms above ``order``; the terms are shared when none is."""
+        """Drop the terms above ``order``; the terms are shared when none is.
+
+        A series is never declared exact beyond its own order.
+        """
         ring, packed = self.ring, self._packed
-        order = _as_fraction(order)
+        order = min(self.order, _as_fraction(order))
         top = ring.level(order)
         if top < self._top and packed:
             stop = ring.cutoff(top)
@@ -797,29 +903,23 @@ class SubstitutionMap(Record):
         return SubstitutionMap(units=units)
 
     def revert(self) -> "SubstitutionMap":
-        """Compositional inverse, found by fixed-point iteration.
+        """Compositional inverse ``q_k -> q_k * v_k``, by :func:`solve_units`.
 
-        Each pass recomputes ``v_k = 1 / (u_k o t)`` and is exact one more
-        weighted degree than the previous one, so the loop is bounded by
-        order / (minimal positive degree in the unit tails).
+        The inverse satisfies ``v_k = 1 / u_k(q * v)``, so ``log v_k = -sum_e
+        c_{k,e} q^e prod_j v_j^{e_j}`` with ``c_{k,e}`` the terms of ``log
+        u_k``: one row ``(e, level(e), -c, e)`` per term, all cut at the
+        least order of the units.
         """
-        template = self.units[0]
-        tails = [u.sub(u._const(1)) for u in self.units]
-        steps = [t.min_degree() for t in tails if t.min_degree() is not None]
-        t = SubstitutionMap.identity(self.nvars, template.weights, template.order)
-        if not steps:
-            return t
-        step = min(steps)
-        if step <= 0:
-            raise SeriesError("cannot revert: unit tail of non-positive degree")
-        passes = int(template.order / step) + 2
-        for _ in range(passes):
-            prev = t
-            units = tuple(self.units[k].substitute(prev).recip() for k in range(self.nvars))
-            t = SubstitutionMap(units=units)
-            if t.units == prev.units:
-                return t
-        degree, k = min((t.units[k].sub(prev.units[k]).min_degree(), k)
-                        for k in range(self.nvars) if t.units[k] != prev.units[k])
-        raise ArithmeticError(f"reversion fixed point did not stabilise within {passes} "
-                              f"passes: component {k} still changes at degree {degree}")
+        units = self.units
+        for u in units:
+            units[0]._check_shape(u)
+        ring = units[0].ring
+        order = min(u.order for u in units)
+        sources = {}
+        for k, u in enumerate(units):
+            terms = u.truncate(order).log().terms
+            if terms:
+                sources[k] = [(e, ring.grade(e), -c, e) for e, c in terms.items()]
+        _, E = solve_units(ring, order, sources)
+        one = QSeries.one(ring.nvars, ring.weights, order)
+        return SubstitutionMap(units=tuple(E.get(k, one) for k in range(len(units))))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -26,7 +27,7 @@ from toricmirror import (
     seidel_fan,
     validate,
 )
-from toricmirror import mirror
+from toricmirror import mirror, series
 from toricmirror.series import BIAS, QSeries, SeriesError
 
 
@@ -142,6 +143,20 @@ def test_roundtrip_all_fixtures(p2, p1xp1, f2, chain3):
         assert inverse_mirror_map(ctx, 8).compose(mirror_map(ctx, 8)).is_identity()
     small = mirror_map(chain3, 4)
     assert small.compose(inverse_mirror_map(chain3, 4)).is_identity()
+
+
+@pytest.mark.parametrize("name, order", [("f2", 16), ("chain3", 10)])
+def test_revert_of_the_mirror_map_is_the_inverse_map(request, name, order):
+    ctx = request.getfixturevalue(name)
+    assert mirror_map(ctx, order).revert() == inverse_mirror_map(ctx, order)
+
+
+def test_chain3_order_10_revert_is_quick(chain3):
+    # reversion is one online solve over the logarithms of the units
+    m = mirror_map(chain3, 10)
+    start = time.perf_counter()
+    m.revert()
+    assert time.perf_counter() - start < 1
 
 
 def test_compose_with_inverse_matches_substitute(f2, chain3):
@@ -339,7 +354,7 @@ def test_solve_checks_its_exponent_bound_before_forming_a_key(monkeypatch, load)
     # a term at level m sums at most m // least class vectors, so one bound,
     # checked before the first slice product, covers every exponent formed
     events = []
-    real_bound, real_kernel = mirror._sum_bound, mirror._convolve
+    real_bound, real_kernel = series._sum_bound, series._convolve
 
     def bound(top, least, entry):
         events.append((top, least, entry))
@@ -349,8 +364,8 @@ def test_solve_checks_its_exponent_bound_before_forming_a_key(monkeypatch, load)
         events.append("kernel")
         return real_kernel(*args)
 
-    monkeypatch.setattr(mirror, "_sum_bound", bound)
-    monkeypatch.setattr(mirror, "_convolve", kernel)
+    monkeypatch.setattr(series, "_sum_bound", bound)
+    monkeypatch.setattr(series, "_convolve", kernel)
     inv = mirror._Inverse(load("chain3"), Fraction(10))
     rows = [row for table in inv.sources.values() for row in table]
     least = min(wt for _, wt, _, _ in rows)
@@ -368,9 +383,9 @@ def test_solve_bound_raises_where_an_exponent_could_leave_the_field(chain3):
     least = min(wt for _, wt, _, _ in rows)
     entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
     count = -(-BIAS // entry)           # the fewest summands that may reach BIAS
-    assert mirror._sum_bound(count * least - 1, least, entry) == (count - 1) * entry
+    assert series._sum_bound(count * least - 1, least, entry) == (count - 1) * entry
     with pytest.raises(SeriesError, match="packed field"):
-        mirror._sum_bound(count * least, least, entry)
+        series._sum_bound(count * least, least, entry)
 
 
 @pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", 10)])
@@ -414,7 +429,9 @@ def plain_picard(inv):
                             powers[j, pair[j]] = E[j].truncate(rung).npow(pair[j])
                         term = term.mul(powers[j, pair[j]])
                 total = total.add(term)
-            new[l] = total.truncate(order)
+            # exact to rung only; the levels above it start at zero, and
+            # later passes fill them in
+            new[l] = QSeries(*shape, order, total.terms)
         if rung == order and new == W:
             return W, E
         for l in inv.active:
@@ -467,7 +484,7 @@ def test_w_reads_exponentials_only_below_level_n_minus_least(monkeypatch, reques
     assert ring.scaled[0] == 1
     top = ring.level(Fraction(order))
     least = min(wt for rows in base.sources.values() for _, wt, _, _ in rows)
-    real_kernel = mirror._convolve
+    real_kernel = series._convolve
     for m in range(1, top + 1):
         bumped = []
 
@@ -480,7 +497,7 @@ def test_w_reads_exponentials_only_below_level_n_minus_least(monkeypatch, reques
                 bumped.append(key)
             return out
 
-        monkeypatch.setattr(mirror, "_convolve", kernel)
+        monkeypatch.setattr(series, "_convolve", kernel)
         moved = mirror._Inverse(ctx, Fraction(order))
         assert bumped
         lowest = min((moved.W[l].sub(base.W[l]).min_degree() for l in base.active
@@ -492,13 +509,13 @@ def test_chain3_order_10_forms_each_slice_once(monkeypatch, load):
     # level by level: each E_l[n] is formed once, after W_l[n] and before
     # any slice of level n + 1; powers and products stop at top - least
     calls = []
-    real_kernel = mirror._convolve
+    real_kernel = series._convolve
 
     def kernel(a, b, n, *rest):
         calls.append((id(a), id(b), n, len(a), len(b), not a[0]))
         return real_kernel(a, b, n, *rest)
 
-    monkeypatch.setattr(mirror, "_convolve", kernel)
+    monkeypatch.setattr(series, "_convolve", kernel)
     inv = mirror._Inverse(load("chain3"), Fraction(10))
     least = min(wt for rows in inv.sources.values() for _, wt, _, _ in rows)
     assert len({c[:3] for c in calls}) == len(calls)

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -95,6 +94,19 @@ def test_unit_powers_match_npow_and_are_memoised():
     assert power(-1).mul(u) == S({(0, 0): 1}, order=5)
 
 
+def test_unit_powers_of_large_exponents_do_not_recurse():
+    u = S({(0, 0): 1, (0, 1): 1}, order=2)
+    power = unit_powers(u)
+    for k in (1100, -1100):
+        assert power(k) == u.npow(k)
+
+
+def test_substitute_a_monomial_of_large_exponent():
+    f = S({(1100, 0): 1}, order=1200)
+    m = SubstitutionMap((S({(0, 0): 1, (0, 50): 1}, order=1200), S({(0, 0): 1}, order=1200)))
+    assert f.substitute(m).terms == {(1100, 0): 1, (1100, 50): 1100, (1100, 100): 1100 * 1099 // 2}
+
+
 def test_exp_coefficients_are_inverse_factorials():
     from math import factorial
     e = S({(1, 0): 1}).exp()
@@ -153,6 +165,8 @@ def test_truncate_and_coefficient():
     f = S({(1, 0): 1, (2, 0): 2, (3, 0): 3})
     t = f.truncate(2)
     assert t.order == 2 and set(t.terms) == {(1, 0), (2, 0)}
+    # a series is never declared exact beyond its own order
+    assert QSeries(1, (1,), 2, {(1,): 1}).truncate(5).order == 2
     assert f.coefficient((5, 5)) == 0
     assert f.constant_term() == 0
 
@@ -190,20 +204,16 @@ def test_revert_gives_two_sided_inverse():
         assert inv.compose(m).is_identity()
 
 
-def test_revert_nonconvergence_names_component_and_degree():
-    # a unit factor whose substitution drifts by a fresh multiple of q1 q2 on
-    # every call can never reach a fixed point; component 1 moves at degree 2
-    bumps = itertools.count(1)
+def test_revert_raises_where_an_exponent_could_leave_the_field():
+    # log u already needs q1^40000 q2^-39998 at order 2
+    m = SubstitutionMap((S({(0, 0): 1, (20000, -19999): 1}, order=2), S({(0, 0): 1}, order=2)))
+    with pytest.raises(SeriesError, match="packed field"):
+        m.revert()
 
-    class Drifting(QSeries):
-        __slots__ = ()
 
-        def substitute(self, smap):
-            return super().substitute(smap).add(S({(1, 1): next(bumps)}, order=6))
-
-    m = SubstitutionMap((S({(0, 0): 1, (0, 1): 1}, order=6),
-                         Drifting(2, W, 6, {(0, 0): 1, (1, 0): Fraction(1, 2)})))
-    with pytest.raises(ArithmeticError, match="component 1 still changes at degree 2$"):
+def test_revert_rejects_units_of_different_shapes():
+    m = SubstitutionMap((S({(0, 0): 1, (1, 0): 1}), S({(0, 0): 1}, weights=(1, 2))))
+    with pytest.raises(SeriesError, match="grading weight mismatch"):
         m.revert()
 
 
@@ -215,6 +225,8 @@ def test_substitution_map_requires_unit_factors():
         SubstitutionMap(units=[S({(0, 0): 1}), bad])
     with pytest.raises(SeriesError):
         SubstitutionMap(())
+    with pytest.raises(SeriesError):
+        SubstitutionMap(units=[S({(0, 0): 1, (1, -1): 1}), S({(0, 0): 1})])
     assert SubstitutionMap(units=[S({(0, 0): 1})]).units == (S({(0, 0): 1}),)
 
 
