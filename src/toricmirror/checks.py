@@ -38,6 +38,7 @@ def first_difference(got, expected):
 def suite(ctx, order):
     """``[(name, check)]`` for every property, in the order ``check-all`` runs them."""
     one = QSeries.one(ctx.rank, ctx.ample_weight, order)
+    zero = QSeries.zero(ctx.rank, ctx.ample_weight, order)
 
     def roundtrip():
         mm = mirror.mirror_map(ctx, order)
@@ -46,11 +47,15 @@ def suite(ctx, order):
             total = inv.units[k].log().add(
                 mirror.compose_with_inverse(ctx, mm.units[k].log(), order))
             if not total.is_zero():
-                return f"component {k} of mirror o inverse is not q{k + 1}"
+                return (f"component {k} of mirror o inverse is not q{k + 1}"
+                        + first_difference(total, zero))
         small = min(order, Fraction(4))
-        if not mirror.mirror_map(ctx, small).compose(
-                mirror.inverse_mirror_map(ctx, small)).is_identity():
-            return f"generic composition differs at order {small}"
+        identity = QSeries.one(ctx.rank, ctx.ample_weight, small)
+        composed = mirror.mirror_map(ctx, small).compose(mirror.inverse_mirror_map(ctx, small))
+        for k, unit in enumerate(composed.units):
+            if unit != identity:
+                return (f"generic composition at order {small}: component {k} is not 1"
+                        + first_difference(unit, identity))
 
     def product_identity():
         inv = mirror.inverse_mirror_map(ctx, order)
@@ -73,7 +78,8 @@ def suite(ctx, order):
             composed = mirror.compose_with_inverse(ctx, g, order)
             product = one.add(mirror.delta(ctx, ray, order)).mul(composed.neg().exp())
             if product != one:
-                return f"log((1+delta)exp(-g(qc(q)))) != 0 at ray {ray}"
+                return (f"ray {ray}: (1+delta)exp(-g(qc(q))) != 1"
+                        + first_difference(product, one))
 
     def derivative_identity():
         composed = [mirror.compose_with_inverse(
@@ -89,7 +95,7 @@ def suite(ctx, order):
                     if not composed[l].is_zero():
                         rhs = rhs.add(derivs[l].mul(composed_ij[k, l]))
                 if derivs[k] != rhs:
-                    return f"fails at i={i}, k={k}"
+                    return f"i={i}, k={k} disagrees" + first_difference(derivs[k], rhs)
 
     def oracle_equality():
         bad = oracle_mismatches(ctx, order)
@@ -97,8 +103,13 @@ def suite(ctx, order):
             return f"I-function 1/z coefficient differs at ray {bad[0]}"
 
     def theorem_potentials():
-        if mirror.disc_potential(ctx, order) != mirror.hori_vafa(ctx, order, "tilde"):
-            return "disc potential != tilde Hori-Vafa"
+        disc = mirror.disc_potential(ctx, order).terms
+        tilde = mirror.hori_vafa(ctx, order, "tilde").terms
+        for z in sorted(disc.keys() | tilde.keys()):
+            got, expected = disc.get(z, zero), tilde.get(z, zero)
+            if got != expected:
+                return (f"disc potential and tilde Hori-Vafa differ in z^{z}"
+                        + first_difference(got, expected))
 
     def support_vanishing():
         for ray in range(ctx.m):

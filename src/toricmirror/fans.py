@@ -170,7 +170,7 @@ def parse_fan(source) -> Fan:
                 raise FanError(f"cone {i} references ray {x}, out of range")
         if len(set(idx)) != len(idx):
             raise FanError(f"cone {i} repeats a ray")
-        key = frozenset(idx)
+        key = tuple(sorted(idx))
         if key in seen:
             raise FanError(f"cone {i} duplicates an earlier cone")
         seen.add(key)
@@ -191,7 +191,7 @@ def parse_fan(source) -> Fan:
         if not isinstance(bc, list):
             raise FanError("basis_cone must be a list of ray indices")
         basis_cone = tuple(_check_int(x, "basis_cone entry") for x in bc)
-        if frozenset(basis_cone) not in seen:
+        if tuple(sorted(basis_cone)) not in seen:
             raise FanError("basis_cone is not one of the maximal cones")
 
     return Fan(dim=dim, rays=tuple(rays), max_cones=tuple(cones),
@@ -345,7 +345,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     if basis_cone is None:
         basis_cone = fan.basis_cone if fan.basis_cone is not None else fan.max_cones[0]
     basis = tuple(sorted(basis_cone))
-    if frozenset(basis) not in {frozenset(c) for c in fan.max_cones}:
+    if basis not in {tuple(sorted(c)) for c in fan.max_cones}:
         raise FanError("basis cone is not a maximal cone of the fan")
 
     basis_perm = basis + tuple(i for i in range(m) if i not in set(basis))

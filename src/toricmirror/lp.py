@@ -15,10 +15,11 @@ Everything here is exact ``int``/``Fraction`` arithmetic, never float:
 constraints are scaled to coprime ``int`` rows (an all-``int`` row is taken
 as it is), so elimination and lattice-point enumeration run on plain
 integers, and only a bound that has a real denominator is a ``Fraction``.
-Lattice-point enumeration splits each stage of its chain once into a plan of
-lower and upper rows on that stage's variable, each with its prefix of
-coefficients, and brackets every node of the descent with one integer dot
-product and one floor division per row.
+Each stage of a chain is split once into a plan of lower and upper rows on
+that stage's variable, each with its prefix of coefficients.  Lattice-point
+enumeration brackets every node of its descent with one integer dot product
+and one floor division per row; back substitution reads the same plan with
+exact division.
 
 A constraint is a pair ``(coeffs, rhs)`` encoding ``coeffs . x >= rhs``.
 Entry points:
@@ -173,39 +174,26 @@ def _chain(cons, nvars):
     return stages
 
 
-def _var_bounds(cons, j, point):
-    """Bounds on ``x_j`` given values for ``x_0 .. x_{j-1}`` in ``point``."""
-    lo, hi = None, None
-    for coeffs, rhs, _ in cons:
-        a = coeffs[j]
-        if not a:
-            continue
-        bound = Fraction(rhs - sum(coeffs[i] * point[i] for i in range(j)), a)
-        if a > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    return lo, hi
-
-
 def _contradicts(stages) -> bool:
     """Whether the last stage of a chain holds a row ``0 >= rhs > 0``."""
     return any(not coeffs[0] and rhs > 0 for coeffs, rhs, _ in stages[0])
 
 
-def _back_substitute(stages):
+def _back_substitute(stages, plans):
     """The chain's deterministic rational point, or None when it is empty.
 
     Each ``x_j`` in turn takes its least value given ``x_0 .. x_{j-1}``, its
-    greatest if it has no lower bound, and zero if it has neither.
+    greatest if it has no lower bound, and zero if it has neither: the
+    stage's plan (see :func:`_plans`) read with exact division.
     """
     if _contradicts(stages):
         return None
     point = []
-    for j, stage in enumerate(stages):
-        lo, hi = _var_bounds(stage, j, point)
+    for lower, upper in plans:
+        lo = max((Fraction(b - sum(map(mul, p, point)), a) for a, p, b in lower),
+                 default=None)
+        hi = min((Fraction(sum(map(mul, p, point)) - b, a) for a, p, b in upper),
+                 default=None)
         if lo is not None and hi is not None and lo > hi:
             return None
         point.append(lo if lo is not None else hi if hi is not None else Fraction(0))
@@ -220,7 +208,8 @@ def witness(cons, nvars):
     """A rational feasible point (see :func:`_back_substitute`), or None."""
     if not cons:
         return tuple(Fraction(0) for _ in range(nvars))
-    return _back_substitute(_chain(cons, nvars))
+    stages = _chain(cons, nvars)
+    return _back_substitute(stages, _plans(stages))
 
 
 def minimize(objective, cons, nvars):
@@ -245,10 +234,11 @@ def minimize(objective, cons, nvars):
     lifted = [((1,) + tuple(-c for c in objective), 0), ((-1,) + objective, 0)]
     lifted += [((0,) + tuple(coeffs), rhs) for coeffs, rhs in cons]
     stages = _chain(lifted, nvars + 1)
-    point = _back_substitute(stages)
+    plans = _plans(stages)
+    point = _back_substitute(stages, plans)
     if point is None:
         raise ValueError("infeasible system")
-    if _var_bounds(stages[0], 0, ())[0] is None:
+    if not plans[0][0]:
         raise LPUnboundedError("objective unbounded below")
     return point[0], point[1:]
 

@@ -42,7 +42,7 @@ from math import factorial
 from . import lp
 from ._record import Record
 from .fans import CurveClass, DiscClass, ToricContext, memoised
-from .series import GradedRing, QSeries, SubstitutionMap, solve_units, unit_powers
+from .series import GradedRing, QSeries, SubstitutionMap, solve_units
 
 
 class GSeries(Record):
@@ -203,7 +203,9 @@ class _Inverse:
     """The solved inverse map, shared by everything downstream of it.
 
     ``W[l]`` is ``log(1 + delta_l)`` for each internal ray with a nonempty
-    class set, ``E[l] = exp(W[l])``, and :meth:`image` sends a formal checked
+    class set, ``E[l] = exp(W[l])``, and :meth:`unit` is ``1 + delta_l`` for
+    every internal ray (one shared ``1`` without classes); a unit's powers
+    are its own memoised ``npow``.  :meth:`image` sends a formal checked
     monomial ``qc^d`` to its expression in the Kaehler variables,
     ``q^d * prod_j E_j^{D_j . d}``.  :func:`~toricmirror.series.solve_units`
     forms ``W`` and ``E`` level by level, each slice once and from lower
@@ -228,19 +230,14 @@ class _Inverse:
         self.sources = sources
         self.active = sorted(sources)
         self._images = {}
-        self._powers = {}
+        self._one = _one(ctx, order)
         self.W, self.E = solve_units(ring, order, sources)
 
     # -- consumers --------------------------------------------------------
 
-    def power(self, internal: int, k: int) -> QSeries:
-        """Cached powers (including negative) of ``1 + delta`` factors."""
-        if internal not in self.sources:
-            return _one(self.ctx, self.order)
-        powers = self._powers.get(internal)
-        if powers is None:
-            powers = self._powers[internal] = unit_powers(self.E[internal])
-        return powers(k)
+    def unit(self, internal: int) -> QSeries:
+        """``1 + delta`` of an internal ray: ``E[internal]``, or ``1``."""
+        return self.E.get(internal, self._one)
 
     def image(self, exponent) -> QSeries:
         """The checked monomial ``qc^exponent`` written in Kaehler variables."""
@@ -252,7 +249,7 @@ class _Inverse:
         for j in self.active:
             pj = sum(p * c for p, c in zip(self.ctx.P[j], exponent))
             if pj:
-                p = self.power(j, pj)
+                p = self.E[j].npow(pj)
                 term = p if term is None else term.mul(p)
         if term is None:
             term = QSeries.monomial(exponent, 1, *_shape(self.ctx, self.order))
@@ -300,11 +297,7 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:
     """The open Gromov-Witten generating series ``exp(g_l(qc(q))) - 1``."""
-    inv = _inverse(ctx, order)
-    internal = ctx.inv_perm[ray]
-    if internal not in inv.sources:
-        return _zero(ctx, order)
-    return inv.E[internal].sub(_one(ctx, order))
+    return _inverse(ctx, order).unit(ctx.inv_perm[ray]).sub(_one(ctx, order))
 
 
 def open_gw(ctx: ToricContext, beta: DiscClass, order=None) -> Fraction:
@@ -340,10 +333,9 @@ def _z_exponent(ctx: ToricContext, internal: int) -> tuple:
 def disc_potential(ctx: ToricContext, order) -> Potential:
     """The open-GW-corrected Laurent potential ``sum_l (1+delta_l) Z_l``."""
     inv = _inverse(ctx, order)
-    one = _one(ctx, order)
     terms = {}
     for internal in range(ctx.m):
-        coeff = inv.E[internal] if internal in inv.sources else one
+        coeff = inv.unit(internal)
         if internal >= ctx.n:
             exponent = tuple(1 if k == internal - ctx.n else 0 for k in range(ctx.rank))
             coeff = coeff.shift(exponent)
@@ -379,7 +371,7 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> Potential:
                 for p in range(ctx.n):
                     e = sum(nu_j * x for nu_j, x in zip(ctx.nu[p], ctx.rays[internal]))
                     if e:
-                        coeff = coeff.mul(inv.power(p, e))
+                        coeff = coeff.mul(inv.unit(p).npow(e))
         terms[_z_exponent(ctx, internal)] = coeff
     return Potential(terms)
 
@@ -408,7 +400,7 @@ def batyrev_element(ctx: ToricContext, ray: int, order) -> DivisorSeries:
 def seidel_element(ctx: ToricContext, ray: int, order) -> DivisorSeries:
     """The normalized Seidel element ``exp(-g_j(qc(q))) B_j``."""
     inv = _inverse(ctx, order)
-    scale = inv.power(ctx.inv_perm[ray], -1)
+    scale = inv.unit(ctx.inv_perm[ray]).npow(-1)
     b = batyrev_element(ctx, ray, order)
     return DivisorSeries(tuple(scale.mul(c) if not c.is_zero() else c
                                for c in b.coeffs))

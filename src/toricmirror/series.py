@@ -38,6 +38,10 @@ theta u / u`` and ``u * (1/u) = 1``.  One private slice kernel,
 :func:`_convolve`, forms every such slice, in :func:`solve_units` too, which
 solves the inverse mirror map for ``mirror`` and reverts substitution maps.
 
+Integer powers have one path, :meth:`QSeries.npow`, memoised on the series
+itself, so a unit's powers are formed once however many terms, components
+(:meth:`SubstitutionMap.compose`) or ``mirror`` consumers read them.
+
 Overflow.  A field holds ``e_k + B``, so every exponent entry must satisfy
 ``|e_k| < B``, and a field never wraps silently: an exponent that could leave
 its field raises :class:`SeriesError`.  Each series carries an upper bound
@@ -151,35 +155,6 @@ def _convolve(a, b, n, levels, bias, out=None, scalar=1):
                     s = get(k)
                     out[k] = c if s is None else s + c
     return out
-
-
-def unit_powers(unit):
-    """Memoised signed integer powers ``k -> unit^k`` of one unit series.
-
-    Each power is one product with its neighbour towards zero (``unit`` or
-    ``unit^-1``), and the reciprocal is formed at most once.  A power is built
-    in a loop up from the nearest cached one, so no call recurses.
-    """
-    cache = {1: unit}
-
-    def power(k: int) -> "QSeries":
-        val = cache.get(k)
-        if val is None:
-            if k == 0:
-                return cache.setdefault(0, QSeries.one(unit.nvars, unit.weights, unit.order))
-            if k < 0 and -1 not in cache:
-                cache[-1] = unit.recip()
-            step = 1 if k > 0 else -1
-            j = k
-            while j not in cache:
-                j -= step
-            val = cache[j]
-            while j != k:
-                j += step
-                val = cache[j] = val.mul(cache[step])
-        return val
-
-    return power
 
 
 def solve_units(ring, order, sources):
@@ -368,7 +343,8 @@ class QSeries:
     the public constructor validates its input.
     """
 
-    __slots__ = ("ring", "order", "_top", "_packed", "_bound", "_sorted", "_view")
+    __slots__ = ("ring", "order", "_top", "_packed", "_bound", "_sorted", "_view",
+                 "_powers")
 
     def __init__(self, nvars, weights, order, terms=None):
         ring = GradedRing.of(nvars, weights)
@@ -396,6 +372,7 @@ class QSeries:
         self._bound = bound        # >= |e_k| over every term
         self._sorted = None
         self._view = None
+        self._powers = None        # {k: self^k} formed by npow, k != 1
 
     @staticmethod
     def _of(ring, order, top, packed, bound):
@@ -632,20 +609,44 @@ class QSeries:
         return QSeries._of(self.ring, order, top, _clean(out), bound)
 
     def npow(self, k: int):
-        """Integer power; negative exponents require an invertible constant term."""
+        """The integer power ``self^k``, memoised on this series.
+
+        Negative ``k`` needs an invertible constant term and works from
+        ``self^-1``, formed once.  For ``m = |k|``, ``self^m`` is one product:
+        ``self^(m-1) * self`` when ``self^(m-1)`` is kept or ``m`` is odd, else
+        ``(self^(m/2))^2``.  So a run of powers costs one product each and a
+        lone power O(log |k|), planned in a loop, not by recursion.  ``self^1``
+        is ``self`` and is not kept: the cache holds no reference to its series.
+        """
+        if k == 1:
+            return self
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = {}
+        val = powers.get(k)
+        if val is not None:
+            return val
         if k == 0:
-            return self._const(1)
-        base = self if k > 0 else self.recip()
-        k = abs(k)
-        result = None
-        acc = base
-        while k:
-            if k & 1:
-                result = acc if result is None else result.mul(acc)
-            k >>= 1
-            if k:
-                acc = acc.mul(acc)
-        return result
+            val = powers[0] = self._const(1)
+            return val
+        sign = 1 if k > 0 else -1
+        if sign < 0 and -1 not in powers:
+            powers[-1] = self.recip()
+        unit = self if sign > 0 else powers[-1]
+
+        def get(m):
+            return unit if m == 1 else powers.get(sign * m)
+
+        steps = []              # m, and whether self^m squares self^(m/2)
+        m = abs(k)
+        while get(m) is None:
+            square = not m & 1 and get(m - 1) is None
+            steps.append((m, square))
+            m = m >> 1 if square else m - 1
+        for m, square in reversed(steps):
+            powers[sign * m] = (get(m >> 1).mul(get(m >> 1)) if square
+                                else get(m - 1).mul(unit))
+        return powers[k]
 
     def _tail_level(self):
         """The least level of a non-constant term, or None if there is none."""
@@ -747,9 +748,9 @@ class QSeries:
     def substitute(self, smap: "SubstitutionMap"):
         """Simultaneous substitution ``q_k -> q_k * u_k(q)``.
 
-        Every term ``c * q^e`` maps to ``c * q^e * prod_k u_k^{e_k}``; powers
-        of the unit factors are memoised across terms, and the images are
-        summed into one dict.
+        Every term ``c * q^e`` maps to ``c * q^e * prod_k u_k^{e_k}``, with
+        the powers from :meth:`npow`, memoised on the units themselves, and
+        the images are summed into one dict.
 
         A monomial of negative total degree shifts truncation error downward:
         its image is only exact to (map order + that degree).  The result's
@@ -764,7 +765,6 @@ class QSeries:
         map_order = min(u.order for u in smap.units)
         drop = self.min_degree() or 0
         exact_to = min(self.order, map_order + min(0, drop))
-        powers = [unit_powers(u) for u in smap.units]
 
         ring = self.ring
         top = ring.level(order)
@@ -775,7 +775,7 @@ class QSeries:
             acc = QSeries._of(ring, order, top, {key: c} if key < stop else {}, self._bound)
             for k, ek in enumerate(ring.exponent(key)):
                 if ek:
-                    acc = acc.mul(powers[k](ek))
+                    acc = acc.mul(smap.units[k].npow(ek))
             parts.append((acc, zero, 1))
         return QSeries.shifted_sum(parts, self.nvars, self.weights, order).truncate(exact_to)
 

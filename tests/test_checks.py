@@ -2,7 +2,7 @@
 
 from toricmirror import checks, mirror, oracle
 from toricmirror.mirror import DivisorSeries
-from toricmirror.series import QSeries
+from toricmirror.series import QSeries, SubstitutionMap
 
 NAMES = ["roundtrip", "product-identity", "log-identity", "derivative-identity",
          "oracle", "potential-equality", "support-vanishing", "extended-factors",
@@ -72,3 +72,74 @@ def test_extended_factors_names_the_first_differing_monomial(f2, monkeypatch):
     monkeypatch.setattr(mirror, "extended_mirror_factors", shifted)
     check = dict(checks.suite(f2, 4))["extended-factors"]
     assert check() == "projection to component 0 disagrees at (2, 0): 3 != 5"
+
+
+def _monomial(ctx, exponent, coeff, order):
+    return QSeries.monomial(exponent, coeff, ctx.rank, ctx.ample_weight, order)
+
+
+def test_roundtrip_names_the_first_differing_monomial(f2, monkeypatch):
+    # adding q1 to every composition adds q1 to the log of component 0
+    real = mirror.compose_with_inverse
+
+    def shifted(ctx, f, order=None):
+        out = real(ctx, f, order)
+        return out.add(_monomial(ctx, (1, 0), 1, out.order))
+
+    monkeypatch.setattr(mirror, "compose_with_inverse", shifted)
+    check = dict(checks.suite(f2, 4))["roundtrip"]
+    assert check() == "component 0 of mirror o inverse is not q1 at (1, 0): 1 != 0"
+
+
+def test_generic_composition_names_the_first_differing_monomial(f2, monkeypatch):
+    real = SubstitutionMap.compose
+
+    def shifted(self, inner):
+        units = list(real(self, inner).units)
+        units[0] = units[0].add(_monomial(f2, (1, 0), 1, units[0].order))
+        return SubstitutionMap(units=tuple(units))
+
+    monkeypatch.setattr(SubstitutionMap, "compose", shifted)
+    check = dict(checks.suite(f2, 4))["roundtrip"]
+    assert check() == "generic composition at order 4: component 0 is not 1 at (1, 0): 1 != 0"
+
+
+def test_log_identity_names_the_first_differing_monomial(f2, monkeypatch):
+    # delta_1 = q1 on f2; doubled, (1 + 2 q1) / (1 + q1) = 1 + q1 - ...
+    real = mirror.delta
+
+    def doubled(ctx, ray, order):
+        d = real(ctx, ray, order)
+        return d.add(d) if ray == 1 else d
+
+    monkeypatch.setattr(mirror, "delta", doubled)
+    check = dict(checks.suite(f2, 4))["log-identity"]
+    assert check() == "ray 1: (1+delta)exp(-g(qc(q))) != 1 at (1, 0): 1 != 0"
+
+
+def test_derivative_identity_names_the_first_differing_monomial(f2, monkeypatch):
+    # adding q1 to g_{1,1} adds q1 times the D_0-derivative of g_1(qc(q)),
+    # which starts at q1, to the right side at i=0, k=1: a q1^2 term
+    real = mirror.g_ij
+
+    def shifted(ctx, i, j, order):
+        g = real(ctx, i, j, order)
+        return g.add(_monomial(ctx, (1, 0), 1, order)) if (i, j) == (1, 1) else g
+
+    monkeypatch.setattr(mirror, "g_ij", shifted)
+    check = dict(checks.suite(f2, 4))["derivative-identity"]
+    assert check() == "i=0, k=1 disagrees at (2, 0): -1 != 0"
+
+
+def test_potential_equality_names_the_first_differing_z_exponent(f2, monkeypatch):
+    real = mirror.disc_potential
+
+    def shifted(ctx, order):
+        terms = dict(real(ctx, order).terms)
+        terms[0, -1] = terms[0, -1].add(_monomial(ctx, (2, 0), 3, order))
+        return mirror.Potential(terms)
+
+    monkeypatch.setattr(mirror, "disc_potential", shifted)
+    check = dict(checks.suite(f2, 4))["potential-equality"]
+    assert check() == ("disc potential and tilde Hori-Vafa differ in z^(0, -1) "
+                       "at (2, 0): 3 != 0")

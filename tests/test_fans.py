@@ -76,6 +76,13 @@ def test_parse_checks_labels_and_basis_cone():
     assert fan.basis_cone == (1,)
 
 
+def test_parse_rejects_a_basis_cone_that_repeats_a_ray(fixture_text):
+    doc = json.loads(fixture_text("p2"))
+    with pytest.raises(FanError, match="basis_cone is not one of the maximal cones"):
+        parse_fan(doc | {"basis_cone": [0, 1, 1]})
+    assert parse_fan(doc | {"basis_cone": [1, 0]}).basis_cone == (1, 0)
+
+
 def test_to_dict_roundtrip(fixture_text):
     fan = parse_fan(fixture_text("chain3"))
     again = parse_fan(json.dumps(fan.to_dict()))

@@ -145,6 +145,23 @@ def test_roundtrip_all_fixtures(p2, p1xp1, f2, chain3):
     assert small.compose(inverse_mirror_map(chain3, 4)).is_identity()
 
 
+def test_compose_shares_the_inner_units_powers_across_components(monkeypatch, load):
+    # with one power cache per substitute call, the six components of chain3
+    # rebuilt the powers of the same inner units 547 products in all
+    ctx = load("chain3")
+    outer, inner = mirror_map(ctx, 6), inverse_mirror_map(ctx, 6)
+    real = QSeries.mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(QSeries, "mul", counting)
+    assert outer.compose(inner).is_identity()
+    assert 0 < len(calls) < 547
+
+
 @pytest.mark.parametrize("name, order", [("f2", 16), ("chain3", 10)])
 def test_revert_of_the_mirror_map_is_the_inverse_map(request, name, order):
     ctx = request.getfixturevalue(name)

@@ -315,6 +315,10 @@ ERRORS = {
         "basis cone is not a maximal cone of the fan",
     "delta --fan chain3 --basis-cone 0,2 --ray 1":
         "basis cone is not a maximal cone of the fan",
+    "validate --fan chain3 --basis-cone 4,5,5":
+        "basis cone is not a maximal cone of the fan",
+    "validate --fan p2 --basis-cone 0,1,1":
+        "basis cone is not a maximal cone of the fan",
 }
 
 

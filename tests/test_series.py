@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from toricmirror.series import QSeries, SeriesError, SubstitutionMap, unit_powers
+from toricmirror.series import QSeries, SeriesError, SubstitutionMap
 
 W = (1, 1)
 
@@ -85,20 +86,61 @@ def test_npow_matches_repeated_mul():
     assert u.npow(-2) == u.recip().mul(u.recip())
 
 
-def test_unit_powers_match_npow_and_are_memoised():
+def test_npow_matches_repeated_mul_and_recip_and_is_memoised():
     u = S({(0, 0): 1, (1, 0): 2, (0, 1): Fraction(-1, 3)}, order=5)
-    power = unit_powers(u)
-    for k in (3, -2, 0, 1, -1, 2, -3):
-        assert power(k) == u.npow(k)
-    assert power(3) is power(3) and power(1) is u
-    assert power(-1).mul(u) == S({(0, 0): 1}, order=5)
+    one, r = S({(0, 0): 1}, order=5), u.recip()
+    expected = {0: one, 1: u, -1: r}
+    for k in range(2, 6):
+        expected[k], expected[-k] = expected[k - 1].mul(u), expected[1 - k].mul(r)
+    for k in (3, -2, 0, 1, -1, 2, -3, 5, -5, 4, -4):
+        assert u.npow(k) == expected[k]
+        assert u.npow(k) is u.npow(k)
+    assert u.npow(1) is u
+    assert u.npow(-1).mul(u) == one
+    t = u.truncate(2)           # another order: the cache is not carried over
+    assert t.npow(3) == t.mul(t).mul(t) != u.npow(3)
 
 
-def test_unit_powers_of_large_exponents_do_not_recurse():
+def test_npow_forms_each_power_once_with_few_products(monkeypatch):
+    calls = {"mul": 0, "recip": 0}
+    for name in calls:
+        real = getattr(QSeries, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(QSeries, name, counting)
+    u = S({(0, 0): 1, (1, 0): 1, (0, 1): 2}, order=3)
+    u.npow(1024)                # a lone power: ten squarings
+    assert calls == {"mul": 10, "recip": 0}
+    u.npow(1025)                # one step from a kept power
+    for k in range(-1, -9, -1):
+        u.npow(k)               # a run: one reciprocal, then one product each
+    assert calls == {"mul": 11 + 7, "recip": 1}
+    for k in (1024, 1025, 512, 2, -1, -8, 0, 1):
+        u.npow(k)
+    assert calls == {"mul": 18, "recip": 1}
+
+
+def test_npow_of_large_exponents_matches_the_binomial_form():
+    # (1 + q2)^k cut at degree 2 is 1 + k q2 + k(k-1)/2 q2^2 for every integer k
     u = S({(0, 0): 1, (0, 1): 1}, order=2)
-    power = unit_powers(u)
-    for k in (1100, -1100):
-        assert power(k) == u.npow(k)
+    for k in (1100, -1100, 10 ** 9 + 7, -(10 ** 9 + 7)):
+        assert u.npow(k).terms == {(0, 0): 1, (0, 1): k, (0, 2): k * (k - 1) // 2}
+
+
+def test_dropping_a_series_with_cached_powers_leaves_no_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        u = S({(0, 0): 1, (1, 0): 2, (0, 1): 1}, order=4)
+        for k in (0, 1, -1, 2, 5, -3):
+            u.npow(k)
+        del u
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_substitute_a_monomial_of_large_exponent():
