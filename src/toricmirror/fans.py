@@ -219,6 +219,23 @@ def _det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _cramer(columns, target):
+    """Integer Cramer's rule for ``sum_j x_j * columns[j] == target``.
+
+    Returns ``(nums, det)`` with ``x_j == nums[j] / det``: ``det`` is the
+    determinant of the columns and ``nums[j]`` the one with column ``j``
+    replaced by ``target``, all by :func:`_det`, so all ``int``.  Either
+    way ``sum_j nums[j] * columns[j] == det * target``; a singular system
+    gives ``det == 0`` and zero numerators.
+    """
+    columns = list(columns)
+    det = _det(columns)
+    if not det:
+        return (0,) * len(columns), 0
+    return tuple(_det(columns[:j] + [target] + columns[j + 1:])
+                 for j in range(len(columns))), det
+
+
 class ToricContext:
     """Validated fan together with its curve-class linear algebra.
 
@@ -355,17 +372,13 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     rays_internal = tuple(fan.rays[i] for i in basis_perm)
 
     # Dual basis of the basis cone: nu[p] . rays_internal[q] == delta(p, q).
-    # Unimodularity makes it integral.
-    basis_matrix = [list(rays_internal[q]) for q in range(n)]
+    # The cone is unimodular: its determinant is +-1, so dividing by it is
+    # multiplying by it, and nu is integral.
+    columns = list(zip(*rays_internal[:n]))
     nu = []
     for p in range(n):
-        rhs = [1 if q == p else 0 for q in range(n)]
-        sol = lp.solve_linear(basis_matrix, rhs)
-        if sol is None:
-            raise FanError("basis cone rays are linearly dependent")
-        if any(x.denominator != 1 for x in sol):
-            raise FanError("basis cone dual basis is not integral")
-        nu.append(tuple(int(x) for x in sol))
+        nums, det = _cramer(columns, tuple(int(q == p) for q in range(n)))
+        nu.append(tuple(det * x for x in nums))
     nu = tuple(nu)
 
     rank = m - n
@@ -384,24 +397,20 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
         facet = tuple(sorted(facet_key))
         u = next(i for i in fan.max_cones[ca] if i not in facet_key)
         u2 = next(i for i in fan.max_cones[cb] if i not in facet_key)
-        # Write the opposite ray in the basis {u} + facet of the first cone;
-        # for a genuine fan the u-coordinate is forced to be -1.
-        columns = [fan.rays[u]] + [fan.rays[w] for w in facet]
-        matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-        sol = lp.solve_linear(matrix, list(fan.rays[u2]))
-        if sol is None:
-            raise FanError(f"wall {list(facet)} has degenerate spanning rays")
+        # Write the opposite ray in the basis {u} + facet of the first cone,
+        # which is unimodular (det +-1), so the coordinates are integers; for
+        # a genuine fan the u-coordinate is forced to be -1.
+        nums, det = _cramer([fan.rays[u]] + [fan.rays[w] for w in facet], fan.rays[u2])
+        sol = [det * x for x in nums]
         if sol[0] != -1:
             raise FanError(
                 f"cones {ca} and {cb} overlap: rays {u} and {u2} lie on the same "
                 f"side of wall {list(facet)}")
-        if any(x.denominator != 1 for x in sol):
-            raise FanError(f"wall relation at {list(facet)} is not integral")
         pairings = [0] * m
         pairings[u] = 1
         pairings[u2] = 1
         for w, b in zip(facet, sol[1:]):
-            pairings[w] = -int(b)
+            pairings[w] = -b
         comps = tuple(pairings[basis_perm[n + k]] for k in range(rank))
         curve = CurveClass(comps)
         for i in range(m):
@@ -417,7 +426,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     # for every wall; its existence is projectivity.  Minimising the total
     # wall degree makes the choice deterministic.
     unique = sorted({w.curve.comps for w in walls})
-    cons = [(tuple(Fraction(c) for c in comps), Fraction(1)) for comps in unique]
+    cons = [(comps, 1) for comps in unique]
     objective = [sum(c[k] for c, _ in cons) for k in range(rank)]
     try:
         _, weight = lp.minimize(objective, cons, rank)
@@ -426,8 +435,8 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
                        "wall curves") from exc
     if any(w <= 0 for w in weight):
         # Fall back to a boxed problem when the minimiser grazes the boundary.
-        boxed = cons + [(tuple(Fraction(1 if j == k else 0) for j in range(rank)),
-                         Fraction(1)) for k in range(rank)]
+        boxed = cons + [(tuple(int(j == k) for j in range(rank)), 1)
+                        for k in range(rank)]
         try:
             _, weight = lp.minimize(objective, boxed, rank)
         except ValueError as exc:
@@ -458,20 +467,11 @@ def semi_fano_check(ctx: ToricContext):
 def is_vertex(ctx: ToricContext, ray: int) -> bool:
     """Whether the ray generator is a vertex of the fan polytope.
 
-    The fan polytope is the convex hull of all primitive ray generators; a
-    generator is a vertex exactly when some linear functional separates it
-    strictly from the others, which is a rational feasibility problem.
+    The fan polytope is the convex hull of all primitive ray generators.  A
+    generator is a vertex exactly when the facets through it share no other
+    generator, that is, when its :func:`minimal_face` is itself.
     """
-    if not 0 <= ray < ctx.m:
-        raise FanError(f"ray index {ray} out of range")
-    v = ctx.fan.rays[ray]
-    cons = []
-    for p in range(ctx.m):
-        if p == ray:
-            continue
-        diff = tuple(Fraction(a - b) for a, b in zip(v, ctx.fan.rays[p]))
-        cons.append((diff, Fraction(1)))
-    return lp.feasible(cons, ctx.n)
+    return minimal_face(ctx, ray) == (ray,)
 
 
 @memoised
@@ -479,22 +479,25 @@ def _polytope_facets(ctx: ToricContext):
     """Facets of the fan polytope as frozensets of ray indices.
 
     Found by brute force over supporting hyperplanes through ``dim`` of the
-    generators, in any dimension: every facet spans a hyperplane off the
-    origin, so it holds ``dim`` linearly independent generators.  That is
-    ``C(m, dim)`` small solves, fine for the fans the engine handles.
+    generators, in any dimension: every facet spans a hyperplane
+    ``a . x == 1`` off the origin, so it holds ``dim`` linearly independent
+    generators.  :func:`_cramer` gives ``a`` as ``nums / det``, so each
+    generator ``p`` is compared by ``nums . p`` against ``det``, in ``int``.
+    That is ``C(m, dim)`` small solves, fine for the fans the engine handles.
     """
     from itertools import combinations
 
     pts = ctx.fan.rays
     facets = set()
     for subset in combinations(range(ctx.m), ctx.n):
-        matrix = [list(pts[i]) for i in subset]
-        sol = lp.solve_linear(matrix, [1] * ctx.n)
-        if sol is None:
+        nums, det = _cramer(zip(*(pts[i] for i in subset)), (1,) * ctx.n)
+        if not det:
             continue
-        values = [sum(a * x for a, x in zip(sol, pts[p])) for p in range(ctx.m)]
-        if all(val <= 1 for val in values):
-            facets.add(frozenset(p for p, val in enumerate(values) if val == 1))
+        if det < 0:
+            nums, det = [-x for x in nums], -det
+        values = [sum(a * x for a, x in zip(nums, p)) for p in pts]
+        if all(val <= det for val in values):
+            facets.add(frozenset(p for p, val in enumerate(values) if val == det))
     return tuple(sorted(facets, key=lambda f: tuple(sorted(f))))
 
 

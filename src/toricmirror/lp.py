@@ -29,8 +29,6 @@ Entry points:
   :class:`LPUnboundedError` when unbounded below).
 * :func:`integer_points` — enumerate all lattice points of a bounded
   polyhedron in deterministic lexicographic order.
-* :func:`solve_linear` — exact Gaussian solve of a square system (used for
-  dual bases and wall relations).
 """
 
 from __future__ import annotations
@@ -311,23 +309,3 @@ def integer_points(cons, nvars):
     descend(0, ())
     return out
 
-
-def solve_linear(matrix, rhs):
-    """Solve the square system ``matrix . x = rhs`` exactly.
-
-    Returns a tuple of Fractions, or None when the matrix is singular.
-    """
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))

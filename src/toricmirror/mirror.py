@@ -59,12 +59,6 @@ class DivisorSeries(Record):
     def component(self, ray: int) -> QSeries:
         return self.coeffs[ray]
 
-    def __add__(self, other):
-        return DivisorSeries(tuple(a.add(b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return DivisorSeries(tuple(a.sub(b) for a, b in zip(self.coeffs, other.coeffs)))
-
 
 class Potential:
     """A Laurent polynomial in the fiber coordinates z with series coefficients.
@@ -89,10 +83,6 @@ class Potential:
 
     def __repr__(self):
         return f"Potential({len(self.terms)} terms)"
-
-    def to_records(self):
-        return [{"z_exponent": list(e), "coefficient": s.to_records()}
-                for e, s in self.items()]
 
 
 def _shape(ctx: ToricContext, order) -> tuple:
@@ -379,21 +369,10 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> Potential:
 def batyrev_element(ctx: ToricContext, ray: int, order) -> DivisorSeries:
     """The Batyrev-style divisor element ``D_j - sum_i g_{i,j}(qc(q)) D_i``."""
     order = Fraction(order)
-    inv = _inverse(ctx, order)
-    internal_j = ctx.inv_perm[ray]
     coeffs = []
     for i in range(ctx.m):
-        internal_i = ctx.inv_perm[i]
         base = _one(ctx, order) if i == ray else _zero(ctx, order)
-        rows = inv.sources.get(internal_i)
-        if rows:
-            total = _zero(ctx, order)
-            for comps, _, gamma, pair in rows:
-                dj = pair[internal_j]
-                if dj:
-                    total = total.add(inv.image(comps).scalar_mul(dj * gamma))
-            base = base.sub(total)
-        coeffs.append(base)
+        coeffs.append(base.sub(compose_with_inverse(ctx, g_ij(ctx, i, ray, order), order)))
     return DivisorSeries(tuple(coeffs))
 
 

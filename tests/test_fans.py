@@ -1,7 +1,10 @@
+import inspect
 import json
 import pickle
+import random
 import time
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -20,7 +23,8 @@ from toricmirror import (
     validate,
     wall_classes,
 )
-from toricmirror.fans import _polytope_facets
+from toricmirror import checks, lp, mirror
+from toricmirror.fans import _cramer, _polytope_facets
 
 P1 = {"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
 # Hirzebruch F3: the (-3)-section makes this fan *not* semi-Fano
@@ -267,6 +271,140 @@ def test_polytope_facets_in_dimension_four():
     assert len(_polytope_facets(p1_4)) == 16
     assert {frozenset(c) for c in p1_4.fan.max_cones} == set(_polytope_facets(p1_4))
     assert minimal_face(p4, 2) == (2,) and minimal_face(p1_4, 5) == (5,)
+
+
+def lp_is_vertex(ctx, ray):
+    """Some functional separates the generator strictly from every other one."""
+    v = ctx.fan.rays[ray]
+    return lp.feasible([(tuple(a - b for a, b in zip(v, w)), 1)
+                        for p, w in enumerate(ctx.fan.rays) if p != ray], ctx.n)
+
+
+def fraction_solve(matrix, rhs):
+    """``x`` with ``matrix . x == rhs`` by Gauss-Jordan over Fraction, or None."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col:
+                aug[r] = [v - aug[r][col] * w for v, w in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+def fraction_minimal_face(ctx, ray):
+    """The generators on every supporting hyperplane ``a . x == 1`` through
+    the ray's generator and ``dim - 1`` others, with ``a`` in Fraction."""
+    pts = ctx.fan.rays
+    face = set(range(ctx.m))
+    for subset in combinations(range(ctx.m), ctx.n):
+        a = fraction_solve([pts[i] for i in subset], [1] * ctx.n)
+        if a is None:
+            continue
+        values = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        if max(values) <= 1 and values[ray] == 1:
+            face &= {p for p, val in enumerate(values) if val == 1}
+    return tuple(sorted(face))
+
+
+@pytest.fixture(scope="module")
+def face_fans(p2, p1xp1, f2, chain3):
+    """The four fixtures, the 24 Seidel fans of chain3 and f2, and one
+    double-Seidel f2 4-fold."""
+    ctxs = [p2, p1xp1, f2, chain3]
+    ctxs += [validate(seidel_fan(base, ray, sign)) for base in (chain3, f2)
+             for ray in range(base.m) for sign in ("plus", "minus")]
+    ctxs.append(validate(seidel_fan(validate(seidel_fan(f2, 1, "plus")), 0, "plus")))
+    return ctxs
+
+
+def test_is_vertex_matches_an_lp_separation(face_fans):
+    for ctx in face_fans:
+        assert ([is_vertex(ctx, r) for r in range(ctx.m)]
+                == [lp_is_vertex(ctx, r) for r in range(ctx.m)])
+    # the fans hold vertices and non-vertices in every dimension 2, 3 and 4
+    for n in (2, 3, 4):
+        found = {is_vertex(ctx, r) for ctx in face_fans if ctx.n == n
+                 for r in range(ctx.m)}
+        assert found == {True, False}, n
+
+
+def test_minimal_face_matches_fraction_hyperplanes(face_fans):
+    for ctx in face_fans:
+        assert ([minimal_face(ctx, r) for r in range(ctx.m)]
+                == [fraction_minimal_face(ctx, r) for r in range(ctx.m)])
+
+
+def leibniz_det(columns):
+    n, total = len(columns), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for j, i in enumerate(perm):
+            term *= columns[j][i]
+        total += term
+    return total
+
+
+def test_cramer_gives_int_numerators_and_the_determinant():
+    # (2, 1) x + (1, 3) y == (2, 3) at (3/5, 4/5)
+    assert _cramer([(2, 1), (1, 3)], (2, 3)) == ((3, 4), 5)
+    assert _cramer([(1, 2), (2, 4)], (1, 1))[1] == 0
+    assert _cramer([(1, 0, 1), (0, 1, 1), (1, 1, 2)], (1, 2, 3))[1] == 0
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        columns = [tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(n)]
+        target = tuple(rng.randrange(-5, 6) for _ in range(n))
+        nums, det = _cramer(columns, target)
+        assert all(type(x) is int for x in (*nums, det))
+        assert det == leibniz_det(columns)
+        assert ([sum(x * col[i] for x, col in zip(nums, columns)) for i in range(n)]
+                == [det * t for t in target])
+
+
+def lp_entry_points():
+    return [name for name, fn in vars(lp).items()
+            if inspect.isfunction(fn) and fn.__module__ == lp.__name__
+            and not name.startswith("_")]
+
+
+@pytest.mark.parametrize("make", [
+    lambda f2: f2.fan,
+    lambda f2: seidel_fan(f2, 1, "plus"),
+    lambda f2: seidel_fan(validate(seidel_fan(f2, 1, "plus")), 0, "plus"),
+], ids=["f2", "seidel-3fold", "double-seidel-4fold"])
+def test_fan_geometry_solves_no_lp_but_the_grading(monkeypatch, f2, make):
+    # record each call into lp from outside it: validating a fan solves the
+    # grading LP, and the face table of support-vanishing solves none
+    fan, order = make(f2), 4
+    called, depth = [], [0]
+
+    def spy(name, real):
+        def wrapper(*args):
+            if not depth[0]:
+                called.append(name)
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in lp_entry_points():
+        monkeypatch.setattr(lp, name, spy(name, getattr(lp, name)))
+    ctx = validate(fan)
+    assert set(called) == {"minimize"}
+    for ray in range(ctx.m):        # the classes are integer_points' work
+        mirror.g_function(ctx, ray, order)
+        mirror.delta(ctx, ray, order)
+    called.clear()
+    assert dict(checks.suite(ctx, order))["support-vanishing"]() is None
+    assert called == []
 
 
 # ---------------------------------------------------------- Seidel fans

@@ -12,13 +12,6 @@ from toricmirror.lp import LPUnboundedError
 # every constraint is coeffs . x >= rhs
 
 
-def test_solve_linear():
-    assert lp.solve_linear([[2, 0], [0, 4]], [1, 2]) == (Fraction(1, 2), Fraction(1, 2))
-    assert lp.solve_linear([[1, 1], [2, 2]], [1, 2]) is None
-    sol = lp.solve_linear([[3, 1], [1, -1]], [5, 1])
-    assert sol == (Fraction(3, 2), Fraction(1, 2))
-
-
 def test_feasible_interval():
     assert lp.feasible([((1,), 1), ((-1,), -2)], 1)
     assert not lp.feasible([((1,), 2), ((-1,), -1)], 1)
@@ -137,9 +130,6 @@ def test_fractional_optimum_is_an_exact_fraction():
     assert all(sum(c * x for c, x in zip(coeffs, point)) >= rhs for coeffs, rhs in cons)
     assert_exact(*lp.witness(cons, 2))
     assert_exact(*lp.witness([((3,), 1), ((-3,), -2)], 1))
-    sol = lp.solve_linear([[2, 1], [1, 3]], [2, 3])
-    assert sol == (Fraction(3, 5), Fraction(4, 5))
-    assert_exact(*sol)
     boxed = cons + [((-1, 0), -3), ((0, -1), -3)]
     points = lp.integer_points(boxed, 2)
     assert (1, 1) in points and (0, 2) in points and (0, 1) not in points
@@ -149,7 +139,7 @@ def test_fractional_optimum_is_an_exact_fraction():
 @pytest.mark.parametrize("name", ["p2", "f2", "chain3"])
 def test_fan_systems_give_exact_results(monkeypatch, load, name):
     # record every LP that validating a fan and enumerating its classes solves
-    calls = {"minimize": [], "integer_points": [], "solve_linear": []}
+    calls = {"minimize": [], "integer_points": []}
     for fn, seen in calls.items():
         def spy(*args, _real=getattr(lp, fn), _seen=seen):
             result = _real(*args)
@@ -165,9 +155,6 @@ def test_fan_systems_give_exact_results(monkeypatch, load, name):
         assert_exact(*lp.witness(cons, nvars))
     for _, points in calls["integer_points"]:
         assert all(type(x) is int for p in points for x in p)
-    for _, sol in calls["solve_linear"]:
-        if sol is not None:
-            assert_exact(*sol)
 
 
 @pytest.fixture(scope="module")

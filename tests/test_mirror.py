@@ -336,12 +336,19 @@ def test_batyrev_trivial_on_fano(p2):
             assert s.component(other) == want
 
 
-def test_divisor_series_arithmetic(f2):
-    b = batyrev_element(f2, 1, 4)
-    zero = b - b
-    assert all(zero.component(r).is_zero() for r in range(4))
-    double = b + b
-    assert double.component(1) == b.component(1).scalar_mul(2)
+def test_batyrev_element_is_the_per_class_sum(chain3):
+    # component i of B_j is [i == j] - sum_d (D_j . d) gamma_d qc^d(q) over
+    # the classes d of ray i, summed here one class at a time
+    inv = mirror._inverse(chain3, 6)
+    for j in range(chain3.m):
+        b = batyrev_element(chain3, j, 6)
+        for i in range(chain3.m):
+            want = (one(chain3, 6) if i == j
+                    else QSeries.zero(chain3.rank, chain3.ample_weight, 6))
+            for comps, pair, gamma in mirror._class_table(chain3, chain3.inv_perm[i], 6):
+                dj = pair[chain3.inv_perm[j]]
+                want = want.sub(inv.image(comps).scalar_mul(dj * gamma))
+            assert b.component(i) == want
 
 
 # ----------------------------------------------------- derivative and factors
