@@ -32,8 +32,6 @@ from .fans import (
     wall_classes,
 )
 from .mirror import (
-    DivisorSeries,
-    GSeries,
     Potential,
     batyrev_element,
     compose_with_inverse,
@@ -59,10 +57,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CurveClass",
     "DiscClass",
-    "DivisorSeries",
     "Fan",
     "FanError",
-    "GSeries",
     "Potential",
     "QSeries",
     "SeriesError",

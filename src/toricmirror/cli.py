@@ -203,7 +203,7 @@ def _semifano(args, ctx, order):
 
 
 def _g(args, ctx, order):
-    series = mirror.g_function(ctx, args.ray, order).series
+    series = mirror.g_function(ctx, args.ray, order)
     return [f"g_{args.ray} = {series.to_text(var='qc')}"], {"series": _series(series)}
 
 
@@ -254,7 +254,7 @@ def _potential(args, ctx, order):
 def _divisor(args, ctx, order):
     build = mirror.batyrev_element if args.command == "batyrev" else mirror.seidel_element
     lines, records = [], []
-    for i, series in enumerate(build(ctx, args.ray, order).coeffs):
+    for i, series in enumerate(build(ctx, args.ray, order)):
         if not series.is_zero():
             lines.append(f"D_{i}: {series.to_text()}")
             records.append({"ray": i, "series": _series(series)})

@@ -315,6 +315,12 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     sense that some wall is not shared by exactly two cones or the dual graph
     is disconnected), or admits no strictly positive grading on its wall
     curves (non-projective).
+
+    The ample weight comes from one grading LP: the lexicographically least
+    minimiser of the total wall degree subject to weight >= 1 on every wall
+    curve.  Each of its components is positive, because the weight is an
+    ample class (toric Kleiman) whose strictly convex support function
+    vanishes on the basis cone.
     """
     if isinstance(fan, dict):
         fan = parse_fan(fan)
@@ -412,14 +418,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
         for w, b in zip(facet, sol[1:]):
             pairings[w] = -b
         comps = tuple(pairings[basis_perm[n + k]] for k in range(rank))
-        curve = CurveClass(comps)
-        for i in range(m):
-            implied = sum(P[inv_perm[i]][k] * comps[k] for k in range(rank))
-            if implied != pairings[i]:
-                raise FanError(
-                    f"wall {list(facet)} curve class is inconsistent with the "
-                    f"divisor relations")
-        walls.append(Wall(rays=facet, cones=(ca, cb), curve=curve,
+        walls.append(Wall(rays=facet, cones=(ca, cb), curve=CurveClass(comps),
                           pairings=tuple(pairings)))
 
     # Grading weight: an exact rational vector with weight(wall curve) >= 1
@@ -433,15 +432,6 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     except ValueError as exc:
         raise FanError("fan is not projective: no grading is positive on all "
                        "wall curves") from exc
-    if any(w <= 0 for w in weight):
-        # Fall back to a boxed problem when the minimiser grazes the boundary.
-        boxed = cons + [(tuple(int(j == k) for j in range(rank)), 1)
-                        for k in range(rank)]
-        try:
-            _, weight = lp.minimize(objective, boxed, rank)
-        except ValueError as exc:
-            raise FanError("fan admits no strictly positive grading on its wall "
-                           "curves") from exc
 
     return ToricContext(fan=fan, n=n, m=m, basis_perm=basis_perm,
                         inv_perm=tuple(inv_perm), rays=rays_internal, nu=nu,

@@ -40,24 +40,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import lp
-from ._record import Record
 from .fans import CurveClass, DiscClass, ToricContext, memoised
 from .series import GradedRing, QSeries, SubstitutionMap, solve_units
-
-
-class GSeries(Record):
-    """The series ``g_l`` for one ray, in the complex (checked) variables."""
-
-    __slots__ = ("ray", "series")
-
-
-class DivisorSeries(Record):
-    """An H^2-valued series: one QSeries coefficient per ray divisor."""
-
-    __slots__ = ("coeffs",)
-
-    def component(self, ray: int) -> QSeries:
-        return self.coeffs[ray]
 
 
 class Potential:
@@ -127,13 +111,18 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
 
 @memoised
 def _class_table(ctx: ToricContext, internal: int, order):
-    """One row ``(d, pair, gamma)`` per class ``d`` of the g index set of an
-    internal ray ``l``, in :func:`enumerate_classes` order.
+    """One row ``(d, wt, gamma, pair)`` per class ``d`` of the g index set of
+    an internal ray ``l``, in :func:`enumerate_classes` order: the row shape
+    that :func:`~toricmirror.series.solve_units` reads.
 
-    ``pair[j]`` is ``D_j . d`` for every internal divisor, and ``gamma`` is
-    the hypergeometric coefficient of ``d`` in ``g_l``: with
-    ``a = -(D_l . d) >= 1`` it is ``(-1)^a (a-1)! / prod_{j != l} (D_j . d)!``.
+    ``d`` is the class's component tuple and ``wt`` its level in the ring of
+    the ample weight (its weight times the ring's integer ``scale``), so
+    degree budgets are ``int``.  ``gamma`` is the hypergeometric coefficient
+    of ``d`` in ``g_l``: with ``a = -(D_l . d) >= 1`` it is
+    ``(-1)^a (a-1)! / prod_{j != l} (D_j . d)!``.  ``pair[j]`` is ``D_j . d``
+    for every internal divisor.
     """
+    ring = GradedRing.of(ctx.rank, ctx.ample_weight)
     rows = []
     for cls in enumerate_classes(ctx, ctx.basis_perm[internal], order):
         pair = tuple(sum(p * c for p, c in zip(row, cls.comps)) for row in ctx.P)
@@ -144,17 +133,18 @@ def _class_table(ctx: ToricContext, internal: int, order):
                 denominator *= factorial(k)
         gamma = Fraction(factorial(a - 1) if a % 2 == 0 else -factorial(a - 1),
                          denominator)
-        rows.append((cls.comps, pair, gamma))
+        rows.append((cls.comps, ring.grade(cls.comps), gamma, pair))
     return rows
 
 
 @memoised
-def g_function(ctx: ToricContext, ray: int, order) -> GSeries:
-    """The hypergeometric correction series attached to one ray divisor."""
+def g_function(ctx: ToricContext, ray: int, order) -> QSeries:
+    """The hypergeometric correction series ``g_l`` attached to one ray
+    divisor, in the complex (checked) variables; memoised per context."""
     order = Fraction(order)
     rows = _class_table(ctx, ctx.inv_perm[ray], order)
-    terms = {comps: gamma for comps, _, gamma in rows}
-    return GSeries(ray=ray, series=QSeries(*_shape(ctx, order), terms=terms))
+    terms = {comps: gamma for comps, _, gamma, _ in rows}
+    return QSeries(*_shape(ctx, order), terms=terms)
 
 
 def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
@@ -167,8 +157,8 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
         if not factor:
             continue
         g = g_function(ctx, ctx.basis_perm[internal], order)
-        if not g.series.is_zero():
-            total = total.add(g.series.scalar_mul(factor))
+        if not g.is_zero():
+            total = total.add(g.scalar_mul(factor))
     return total
 
 
@@ -177,7 +167,7 @@ def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
     order = Fraction(order)
     internal_j = ctx.inv_perm[j]
     terms = {comps: pair[internal_j] * gamma
-             for comps, pair, gamma in _class_table(ctx, ctx.inv_perm[i], order)
+             for comps, _, gamma, pair in _class_table(ctx, ctx.inv_perm[i], order)
              if pair[internal_j]}
     return QSeries(*_shape(ctx, order), terms=terms)
 
@@ -201,27 +191,20 @@ class _Inverse:
     forms ``W`` and ``E`` level by level, each slice once and from lower
     slices only, so they are exact to :attr:`order`.
 
-    ``sources[l]`` lists one row ``(d, wt, gamma, D.d)`` per row of ray
-    ``l``'s class table, where ``wt`` is the level of ``d`` in :attr:`ring`
-    (its weight times the ring's integer ``scale``), so degree budgets are
-    ``int``.
+    ``sources[l]`` is ray ``l``'s :func:`_class_table`, as it is, for each
+    internal ray with a nonempty one.
     """
 
     def __init__(self, ctx: ToricContext, order: Fraction):
         self.ctx = ctx
         self.order = order
-        ring = self.ring = GradedRing.of(ctx.rank, ctx.ample_weight)
-        sources = {}
-        for internal in range(ctx.m):
-            rows = _class_table(ctx, internal, order)
-            if rows:
-                sources[internal] = [(comps, ring.grade(comps), gamma, pair)
-                                     for comps, pair, gamma in rows]
-        self.sources = sources
-        self.active = sorted(sources)
+        self.ring = GradedRing.of(ctx.rank, ctx.ample_weight)
+        self.sources = {internal: rows for internal in range(ctx.m)
+                        if (rows := _class_table(ctx, internal, order))}
+        self.active = sorted(self.sources)
         self._images = {}
         self._one = _one(ctx, order)
-        self.W, self.E = solve_units(ring, order, sources)
+        self.W, self.E = solve_units(self.ring, order, self.sources)
 
     # -- consumers --------------------------------------------------------
 
@@ -352,7 +335,7 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> Potential:
                 coeff = one
             else:
                 g = g_function(ctx, ctx.basis_perm[internal], order)
-                coeff = compose_with_inverse(ctx, g.series, order).exp()
+                coeff = compose_with_inverse(ctx, g, order).exp()
         else:
             k = internal - ctx.n
             exponent = tuple(1 if t == k else 0 for t in range(ctx.rank))
@@ -366,23 +349,24 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> Potential:
     return Potential(terms)
 
 
-def batyrev_element(ctx: ToricContext, ray: int, order) -> DivisorSeries:
-    """The Batyrev-style divisor element ``D_j - sum_i g_{i,j}(qc(q)) D_i``."""
+def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
+    """The Batyrev-style divisor element ``D_j - sum_i g_{i,j}(qc(q)) D_i``,
+    as its tuple of coefficient series on ``D_0 .. D_{m-1}``."""
     order = Fraction(order)
     coeffs = []
     for i in range(ctx.m):
         base = _one(ctx, order) if i == ray else _zero(ctx, order)
         coeffs.append(base.sub(compose_with_inverse(ctx, g_ij(ctx, i, ray, order), order)))
-    return DivisorSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def seidel_element(ctx: ToricContext, ray: int, order) -> DivisorSeries:
-    """The normalized Seidel element ``exp(-g_j(qc(q))) B_j``."""
+def seidel_element(ctx: ToricContext, ray: int, order) -> tuple:
+    """The normalized Seidel element ``exp(-g_j(qc(q))) B_j``, as its tuple
+    of coefficient series on ``D_0 .. D_{m-1}``."""
     inv = _inverse(ctx, order)
     scale = inv.unit(ctx.inv_perm[ray]).npow(-1)
-    b = batyrev_element(ctx, ray, order)
-    return DivisorSeries(tuple(scale.mul(c) if not c.is_zero() else c
-                               for c in b.coeffs))
+    return tuple(scale.mul(c) if not c.is_zero() else c
+                 for c in batyrev_element(ctx, ray, order))
 
 
 def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
@@ -398,8 +382,4 @@ def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
 
 def extended_mirror_factors(ctx: ToricContext, order):
     """The per-ray unit factors ``exp(-g_l(qc))`` of the extended mirror map."""
-    out = []
-    for ray in range(ctx.m):
-        g = g_function(ctx, ray, order)
-        out.append(g.series.neg().exp())
-    return out
+    return [g_function(ctx, ray, order).neg().exp() for ray in range(ctx.m)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .fans import CurveClass, ToricContext
-from .mirror import DivisorSeries, enumerate_classes, _shape
+from .mirror import enumerate_classes, _shape
 from .series import QSeries
 
 
@@ -123,8 +123,9 @@ def i_d_term(ctx: ToricContext, d: CurveClass) -> NilpotentLaurent:
     return result
 
 
-def i_one_over_z(ctx: ToricContext, order) -> DivisorSeries:
-    """The 1/z coefficient of the I-function as a divisor-valued series.
+def i_one_over_z(ctx: ToricContext, order) -> tuple:
+    """The 1/z coefficient of the I-function as a divisor-valued series: its
+    tuple of coefficient series on ``D_0 .. D_{m-1}``.
 
     Sums ``qc^d`` times the zeta^1 part of ``i_d_term`` over the index set of
     all g-series (one negative pairing each; other classes die by
@@ -139,5 +140,4 @@ def i_one_over_z(ctx: ToricContext, order) -> DivisorSeries:
                 c = poly.get(1)
                 if c:
                     per_ray[ray][cls.comps] = c
-    return DivisorSeries(tuple(QSeries(*_shape(ctx, order), terms=t)
-                               for t in per_ray))
+    return tuple(QSeries(*_shape(ctx, order), terms=t) for t in per_ray)

@@ -13,7 +13,6 @@ from toricmirror import (
     DiscClass,
     Fan,
     FanError,
-    GSeries,
     enumerate_classes,
     is_vertex,
     minimal_face,
@@ -24,6 +23,7 @@ from toricmirror import (
     wall_classes,
 )
 from toricmirror import checks, lp, mirror
+from toricmirror._record import Record
 from toricmirror.fans import _cramer, _polytope_facets
 
 P1 = {"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
@@ -218,7 +218,10 @@ def test_records_are_immutable_values():
     assert repr(DiscClass(1, a)) == "DiscClass(ray=1, curve=CurveClass(comps=(1, -2)))"
     assert pickle.loads(pickle.dumps(DiscClass(1, a))) == DiscClass(ray=1, curve=b)
     # records of different types never compare equal, even with equal fields
-    assert DiscClass(1, a) != GSeries(1, a) and a != (1, -2) and a != ((1, -2),)
+    class Pair(Record):
+        __slots__ = ("ray", "curve")
+
+    assert DiscClass(1, a) != Pair(1, a) and a != (1, -2) and a != ((1, -2),)
     for record, field in ((a, "comps"), (DiscClass(1, a), "ray")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -476,6 +479,54 @@ def test_every_seidel_fan_validates_quickly(request, name, sign):
         assert time.perf_counter() - start < 2, f"ray {ray}"
         weights.append(total.ample_weight)
     assert weights == SEIDEL_WEIGHTS[name][sign]
+
+
+@pytest.fixture(scope="module")
+def seidel_catalogue(p2, p1xp1, f2, chain3):
+    """294 fans: the four fixtures, their 38 Seidel fans, and the 252 Seidel
+    fans of the Seidel fans of p2, p1xp1 and f2."""
+    ctxs = []
+    for base in (p2, p1xp1, f2, chain3):
+        ctxs.append(base)
+        for ray in range(base.m):
+            for sign in ("plus", "minus"):
+                ctx = validate(seidel_fan(base, ray, sign))
+                ctxs.append(ctx)
+                if base is not chain3:
+                    ctxs += [validate(seidel_fan(ctx, r, s))
+                             for r in range(ctx.m) for s in ("plus", "minus")]
+    assert len(ctxs) == 294
+    return ctxs
+
+
+def test_validate_solves_one_grading_lp_with_a_positive_optimum(monkeypatch,
+                                                                 seidel_catalogue):
+    # the LP's optimum is an ample class that vanishes on the basis cone, so
+    # each of its components is positive and no second LP is needed
+    calls = []
+    real = lp.minimize
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "minimize", spy)
+    for ctx in seidel_catalogue:
+        calls.clear()
+        again = validate(ctx.fan)
+        assert len(calls) == 1
+        assert again.ample_weight == ctx.ample_weight
+        assert all(w > 0 for w in ctx.ample_weight)
+
+
+def test_wall_pairings_follow_from_the_class_components(seidel_catalogue):
+    # a relation among the rays is fixed by its coefficients on the rays
+    # outside the basis cone, which are the wall class's components
+    for ctx in seidel_catalogue:
+        for wall in ctx.walls:
+            assert list(wall.pairings) == [
+                sum(p * c for p, c in zip(ctx.P[ctx.inv_perm[i]], wall.curve.comps))
+                for i in range(ctx.m)]
 
 
 def test_rank7_seidel_fan_classes(chain3):
