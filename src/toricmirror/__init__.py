@@ -32,7 +32,6 @@ from .fans import (
     wall_classes,
 )
 from .mirror import (
-    Potential,
     batyrev_element,
     compose_with_inverse,
     delta,
@@ -59,7 +58,6 @@ __all__ = [
     "DiscClass",
     "Fan",
     "FanError",
-    "Potential",
     "QSeries",
     "SeriesError",
     "SubstitutionMap",

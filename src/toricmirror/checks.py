@@ -59,14 +59,13 @@ def suite(ctx, order):
 
     def product_identity():
         inv = mirror.inverse_mirror_map(ctx, order)
-        units = [one.add(mirror.delta(ctx, ctx.basis_perm[l], order))
-                 for l in range(ctx.m)]
+        units = [one.add(mirror.delta(ctx, ray, order)) for ray in range(ctx.m)]
         for k in range(ctx.rank):
             acc = one
-            for l in range(ctx.m):
-                p = ctx.P[l][k]
-                if p and units[l] != one:
-                    acc = acc.mul(units[l].npow(p))
+            for ray in range(ctx.m):
+                p = ctx.P[ray][k]
+                if p and units[ray] != one:
+                    acc = acc.mul(units[ray].npow(p))
             if acc != inv.units[k]:
                 return f"component {k} disagrees" + first_difference(acc, inv.units[k])
 
@@ -103,8 +102,8 @@ def suite(ctx, order):
             return f"I-function 1/z coefficient differs at ray {bad[0]}"
 
     def theorem_potentials():
-        disc = mirror.disc_potential(ctx, order).terms
-        tilde = mirror.hori_vafa(ctx, order, "tilde").terms
+        disc = mirror.disc_potential(ctx, order)
+        tilde = mirror.hori_vafa(ctx, order, "tilde")
         for z in sorted(disc.keys() | tilde.keys()):
             got, expected = disc.get(z, zero), tilde.get(z, zero)
             if got != expected:
@@ -127,13 +126,11 @@ def suite(ctx, order):
     def extended_factors():
         factors = mirror.extended_mirror_factors(ctx, order)
         mm = mirror.mirror_map(ctx, order)
-        for k in range(ctx.rank):
-            internal = ctx.n + k
-            acc = factors[ctx.basis_perm[internal]]
-            for p in range(ctx.n):
-                e = sum(nu_j * x for nu_j, x in zip(ctx.nu[p], ctx.rays[internal]))
+        for k, ray in enumerate(ctx.basis_perm[ctx.n:]):
+            acc = factors[ray]
+            for b, e in zip(ctx.basis_perm[:ctx.n], ctx.z[ray]):
                 if e:
-                    acc = acc.mul(factors[ctx.basis_perm[p]].npow(-e))
+                    acc = acc.mul(factors[b].npow(-e))
             if acc != mm.units[k]:
                 return (f"projection to component {k} disagrees"
                         + first_difference(acc, mm.units[k]))

@@ -14,7 +14,8 @@ name is looked up among the packaged fixtures (p2, p1xp1, f2, chain3), so
 
 Exit status: 0 on success, 1 on usage/validation errors (bad arguments,
 unreadable or invalid fan files, non-semi-Fano input to a command that needs
-it), 2 when a property check fails (oracle-check, check-all).
+it) and, with nothing written to stderr, when stdout is closed before the
+report is written, 2 when a property check fails (oracle-check, check-all).
 
 Output is deterministic: identical inputs produce byte-identical reports.
 
@@ -68,6 +69,16 @@ def _parse_order(text: str) -> Fraction:
     return value
 
 
+def _parse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError("count must be at least 1")
+    return value
+
+
 def _parse_cone(text: str):
     try:
         return [int(part) for part in text.split(",")]
@@ -107,7 +118,7 @@ _ARGUMENTS = [
     (None, ("--basis-cone",), dict(type=_parse_cone, default=None, metavar="I,J,...",
                                    help="ray indices of the cone used as coordinate basis")),
     (None, ("--show-permutation",), dict(action="store_true",
-                                         help="also report the internal ray reordering")),
+                                         help="also report the rays in basis-cone-first order")),
     ("order", ("--order",), dict(type=_parse_order, default=Fraction(8),
                                  help="truncation order in ample-weight units "
                                       "(integer or p/q, default 8)")),
@@ -122,7 +133,7 @@ _ARGUMENTS = [
     ("sign", ("--sign",), dict(choices=("plus", "minus"), default="plus",
                                help="direction of the fiberwise rotation")),
     ("min_classes", ("--min-classes",), dict(
-        type=int, default=None, metavar="K",
+        type=_parse_count, default=None, metavar="K",
         help="raise the order until at least K curve classes "
              "contribute for --ray, or --i for gij (bounded search)")),
 ]
@@ -244,7 +255,7 @@ def _potential(args, ctx, order):
     else:
         potential, payload = mirror.disc_potential(ctx, order), {}
     lines, records = [], []
-    for z_exp, series in potential.items():
+    for z_exp, series in sorted(potential.items()):
         lines.append(f"[{_zmono(z_exp)}] {series.to_text()}")
         records.append({"z_exponent": list(z_exp), "coefficient": _series(series)})
     payload["terms"] = records
@@ -360,6 +371,7 @@ def _run(args) -> int:
     else:
         for line in lines:
             print(line)
+    sys.stdout.flush()        # a closed stdout fails here, inside main
     if failure is not None:
         raise failure
     return 0
@@ -371,6 +383,13 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         return _run(build_parser(command).parse_args(argv))
+    except BrokenPipeError:
+        # the reader is gone: nothing to report, and the interpreter's final
+        # flush of what is still buffered goes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (UsageError, ValueError, OSError, LPUnboundedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

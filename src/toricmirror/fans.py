@@ -239,10 +239,13 @@ def _cramer(columns, target):
 class ToricContext:
     """Validated fan together with its curve-class linear algebra.
 
-    ``basis_perm[i]`` is the original index of the i-th internal ray; the
-    first ``n`` internal rays span the basis cone.  ``P[i][k]`` is the
-    intersection number of the i-th internal divisor with the k-th basis
-    curve class, ``c1`` the column sums (anticanonical degrees).
+    Every ray keeps its index in the fan document.  ``basis_perm`` lists the
+    rays of the basis cone first, then the others, each part sorted; the
+    k-th component of a curve class is its pairing with the divisor at
+    ``basis_perm[n + k]``.  ``P[ray][k]`` is the intersection number of the
+    divisor at ``ray`` with the k-th basis curve class, ``c1`` the column
+    sums (anticanonical degrees), and ``z[ray]`` the ray in the coordinates
+    dual to the basis cone: the exponent of its monomial in ``z``.
 
     Contexts compare by identity, and everything derived from one is built
     once: a function decorated with :func:`memoised` keeps its result in
@@ -251,15 +254,12 @@ class ToricContext:
     object.  No other code reads or writes ``_cache``.
     """
 
-    def __init__(self, fan, n, m, basis_perm, inv_perm, rays, nu, P, c1,
-                 ample_weight, walls):
+    def __init__(self, fan, n, m, basis_perm, z, P, c1, ample_weight, walls):
         self.fan = fan
         self.n = n
         self.m = m
         self.basis_perm = basis_perm
-        self.inv_perm = inv_perm
-        self.rays = rays
-        self.nu = nu
+        self.z = z
         self.P = P
         self.c1 = c1
         self.ample_weight = ample_weight
@@ -271,9 +271,8 @@ class ToricContext:
         return self.m - self.n
 
     def pairing(self, ray: int, curve: CurveClass) -> int:
-        """Intersection number of the divisor at original ray index ``ray``."""
-        row = self.P[self.inv_perm[ray]]
-        return sum(p * c for p, c in zip(row, curve.comps))
+        """Intersection number of the divisor at ``ray`` with ``curve``."""
+        return sum(p * c for p, c in zip(self.P[ray], curve.comps))
 
     def degree(self, curve: CurveClass) -> int:
         """Anticanonical degree ``c1 . curve``."""
@@ -371,31 +370,29 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     if basis not in {tuple(sorted(c)) for c in fan.max_cones}:
         raise FanError("basis cone is not a maximal cone of the fan")
 
-    basis_perm = basis + tuple(i for i in range(m) if i not in set(basis))
-    inv_perm = [0] * m
-    for internal, orig in enumerate(basis_perm):
-        inv_perm[orig] = internal
-    rays_internal = tuple(fan.rays[i] for i in basis_perm)
+    others = tuple(i for i in range(m) if i not in set(basis))
+    basis_perm = basis + others
 
-    # Dual basis of the basis cone: nu[p] . rays_internal[q] == delta(p, q).
+    # Dual basis of the basis cone: nu[p] . rays[basis[q]] == delta(p, q).
     # The cone is unimodular: its determinant is +-1, so dividing by it is
     # multiplying by it, and nu is integral.
-    columns = list(zip(*rays_internal[:n]))
+    columns = list(zip(*(fan.rays[i] for i in basis)))
     nu = []
     for p in range(n):
         nums, det = _cramer(columns, tuple(int(q == p) for q in range(n)))
         nu.append(tuple(det * x for x in nums))
-    nu = tuple(nu)
+    z = tuple(tuple(sum(a * x for a, x in zip(nu_p, ray)) for nu_p in nu)
+              for ray in fan.rays)
 
+    # The divisor relations: D_{basis[p]} = -sum_k z[others[k]][p] D_{others[k]}.
     rank = m - n
-    P = []
-    for p in range(n):
-        P.append(tuple(-sum(nu[p][j] * rays_internal[n + k][j] for j in range(n))
-                       for k in range(rank)))
-    for i in range(rank):
-        P.append(tuple(1 if k == i else 0 for k in range(rank)))
+    P = [None] * m
+    for p, ray in enumerate(basis):
+        P[ray] = tuple(-z[other][p] for other in others)
+    for k, ray in enumerate(others):
+        P[ray] = tuple(int(t == k) for t in range(rank))
     P = tuple(P)
-    c1 = tuple(sum(P[i][k] for i in range(m)) for k in range(rank))
+    c1 = tuple(sum(row[k] for row in P) for k in range(rank))
 
     walls = []
     for facet_key in sorted(facet_map, key=lambda f: tuple(sorted(f))):
@@ -417,7 +414,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
         pairings[u2] = 1
         for w, b in zip(facet, sol[1:]):
             pairings[w] = -b
-        comps = tuple(pairings[basis_perm[n + k]] for k in range(rank))
+        comps = tuple(pairings[ray] for ray in others)
         walls.append(Wall(rays=facet, cones=(ca, cb), curve=CurveClass(comps),
                           pairings=tuple(pairings)))
 
@@ -433,9 +430,8 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
         raise FanError("fan is not projective: no grading is positive on all "
                        "wall curves") from exc
 
-    return ToricContext(fan=fan, n=n, m=m, basis_perm=basis_perm,
-                        inv_perm=tuple(inv_perm), rays=rays_internal, nu=nu,
-                        P=P, c1=c1, ample_weight=tuple(weight), walls=tuple(walls))
+    return ToricContext(fan=fan, n=n, m=m, basis_perm=basis_perm, z=z, P=P, c1=c1,
+                        ample_weight=tuple(weight), walls=tuple(walls))
 
 
 def wall_classes(ctx: ToricContext):

@@ -44,31 +44,6 @@ from .fans import CurveClass, DiscClass, ToricContext, memoised
 from .series import GradedRing, QSeries, SubstitutionMap, solve_units
 
 
-class Potential:
-    """A Laurent polynomial in the fiber coordinates z with series coefficients.
-
-    ``terms`` maps a z-exponent vector (length = fan dimension) to the
-    QSeries coefficient multiplying ``z^exponent``.
-    """
-
-    def __init__(self, terms):
-        self.terms = {tuple(e): s for e, s in terms.items() if not s.is_zero()}
-
-    def coefficient(self, z_exponent) -> QSeries:
-        return self.terms[tuple(z_exponent)]
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, Potential):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"Potential({len(self.terms)} terms)"
-
-
 def _shape(ctx: ToricContext, order) -> tuple:
     return ctx.rank, ctx.ample_weight, Fraction(order)
 
@@ -98,11 +73,10 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     The classes come out by level, then lexicographically.
     """
     ring = GradedRing.of(ctx.rank, ctx.ample_weight)
-    target = ctx.inv_perm[ray]
     c1 = ctx.c1
     cons = [(c1, 0), (tuple(-c for c in c1), 0)]
     for i, row in enumerate(ctx.P):
-        cons.append((tuple(-p for p in row), 1) if i == target else (row, 0))
+        cons.append((tuple(-p for p in row), 1) if i == ray else (row, 0))
     cons.append((tuple(-w for w in ring.scaled), -ring.level(Fraction(order))))
     points = lp.integer_points(cons, ctx.rank)
     points.sort(key=lambda p: (ring.grade(p), p))
@@ -110,26 +84,26 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
 
 
 @memoised
-def _class_table(ctx: ToricContext, internal: int, order):
+def _class_table(ctx: ToricContext, ray: int, order):
     """One row ``(d, wt, gamma, pair)`` per class ``d`` of the g index set of
-    an internal ray ``l``, in :func:`enumerate_classes` order: the row shape
-    that :func:`~toricmirror.series.solve_units` reads.
+    ray ``l``, in :func:`enumerate_classes` order: the row shape that
+    :func:`~toricmirror.series.solve_units` reads.
 
     ``d`` is the class's component tuple and ``wt`` its level in the ring of
     the ample weight (its weight times the ring's integer ``scale``), so
     degree budgets are ``int``.  ``gamma`` is the hypergeometric coefficient
     of ``d`` in ``g_l``: with ``a = -(D_l . d) >= 1`` it is
     ``(-1)^a (a-1)! / prod_{j != l} (D_j . d)!``.  ``pair[j]`` is ``D_j . d``
-    for every internal divisor.
+    for every ray ``j``.
     """
     ring = GradedRing.of(ctx.rank, ctx.ample_weight)
     rows = []
-    for cls in enumerate_classes(ctx, ctx.basis_perm[internal], order):
+    for cls in enumerate_classes(ctx, ray, order):
         pair = tuple(sum(p * c for p, c in zip(row, cls.comps)) for row in ctx.P)
-        a = -pair[internal]
+        a = -pair[ray]
         denominator = 1
         for j, k in enumerate(pair):
-            if j != internal and k > 1:
+            if j != ray and k > 1:
                 denominator *= factorial(k)
         gamma = Fraction(factorial(a - 1) if a % 2 == 0 else -factorial(a - 1),
                          denominator)
@@ -142,8 +116,7 @@ def g_function(ctx: ToricContext, ray: int, order) -> QSeries:
     """The hypergeometric correction series ``g_l`` attached to one ray
     divisor, in the complex (checked) variables; memoised per context."""
     order = Fraction(order)
-    rows = _class_table(ctx, ctx.inv_perm[ray], order)
-    terms = {comps: gamma for comps, _, gamma, _ in rows}
+    terms = {comps: gamma for comps, _, gamma, _ in _class_table(ctx, ray, order)}
     return QSeries(*_shape(ctx, order), terms=terms)
 
 
@@ -152,11 +125,11 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
     if not 0 <= k < ctx.rank:
         raise ValueError(f"curve-basis index {k} out of range")
     total = _zero(ctx, order)
-    for internal in range(ctx.m):
-        factor = ctx.P[internal][k]
+    for ray in range(ctx.m):
+        factor = ctx.P[ray][k]
         if not factor:
             continue
-        g = g_function(ctx, ctx.basis_perm[internal], order)
+        g = g_function(ctx, ray, order)
         if not g.is_zero():
             total = total.add(g.scalar_mul(factor))
     return total
@@ -165,10 +138,8 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
     """The double-index series: g_i weighted per class by ``D_j . d``."""
     order = Fraction(order)
-    internal_j = ctx.inv_perm[j]
-    terms = {comps: pair[internal_j] * gamma
-             for comps, _, gamma, pair in _class_table(ctx, ctx.inv_perm[i], order)
-             if pair[internal_j]}
+    terms = {comps: pair[j] * gamma
+             for comps, _, gamma, pair in _class_table(ctx, i, order) if pair[j]}
     return QSeries(*_shape(ctx, order), terms=terms)
 
 
@@ -182,9 +153,9 @@ def mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
 class _Inverse:
     """The solved inverse map, shared by everything downstream of it.
 
-    ``W[l]`` is ``log(1 + delta_l)`` for each internal ray with a nonempty
+    ``W[l]`` is ``log(1 + delta_l)`` for each ray ``l`` with a nonempty
     class set, ``E[l] = exp(W[l])``, and :meth:`unit` is ``1 + delta_l`` for
-    every internal ray (one shared ``1`` without classes); a unit's powers
+    every ray (one shared ``1`` without classes); a unit's powers
     are its own memoised ``npow``.  :meth:`image` sends a formal checked
     monomial ``qc^d`` to its expression in the Kaehler variables,
     ``q^d * prod_j E_j^{D_j . d}``.  :func:`~toricmirror.series.solve_units`
@@ -192,15 +163,15 @@ class _Inverse:
     slices only, so they are exact to :attr:`order`.
 
     ``sources[l]`` is ray ``l``'s :func:`_class_table`, as it is, for each
-    internal ray with a nonempty one.
+    ray with a nonempty one.
     """
 
     def __init__(self, ctx: ToricContext, order: Fraction):
         self.ctx = ctx
         self.order = order
         self.ring = GradedRing.of(ctx.rank, ctx.ample_weight)
-        self.sources = {internal: rows for internal in range(ctx.m)
-                        if (rows := _class_table(ctx, internal, order))}
+        self.sources = {ray: rows for ray in range(ctx.m)
+                        if (rows := _class_table(ctx, ray, order))}
         self.active = sorted(self.sources)
         self._images = {}
         self._one = _one(ctx, order)
@@ -208,9 +179,9 @@ class _Inverse:
 
     # -- consumers --------------------------------------------------------
 
-    def unit(self, internal: int) -> QSeries:
-        """``1 + delta`` of an internal ray: ``E[internal]``, or ``1``."""
-        return self.E.get(internal, self._one)
+    def unit(self, ray: int) -> QSeries:
+        """``1 + delta`` of a ray: ``E[ray]``, or ``1``."""
+        return self.E.get(ray, self._one)
 
     def image(self, exponent) -> QSeries:
         """The checked monomial ``qc^exponent`` written in Kaehler variables."""
@@ -270,7 +241,7 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:
     """The open Gromov-Witten generating series ``exp(g_l(qc(q))) - 1``."""
-    return _inverse(ctx, order).unit(ctx.inv_perm[ray]).sub(_one(ctx, order))
+    return _inverse(ctx, order).unit(ray).sub(_one(ctx, order))
 
 
 def open_gw(ctx: ToricContext, beta: DiscClass, order=None) -> Fraction:
@@ -297,27 +268,30 @@ def open_gw_divisor(ctx: ToricContext, beta: DiscClass, ray: int, order=None) ->
     return base * incidence
 
 
-def _z_exponent(ctx: ToricContext, internal: int) -> tuple:
-    ray = ctx.rays[internal]
-    return tuple(sum(nu_j * x for nu_j, x in zip(ctx.nu[p], ray))
-                 for p in range(ctx.n))
+def _nonzero(terms) -> dict:
+    """The terms not truncated to zero: a unit shifted by a ``q_k`` whose
+    weight exceeds the order has nothing left."""
+    return {e: c for e, c in terms.items() if not c.is_zero()}
 
 
-def disc_potential(ctx: ToricContext, order) -> Potential:
-    """The open-GW-corrected Laurent potential ``sum_l (1+delta_l) Z_l``."""
+def disc_potential(ctx: ToricContext, order) -> dict:
+    """The open-GW-corrected Laurent potential ``sum_l (1+delta_l) Z_l``, as
+    ``{z_exponent: coefficient}`` over its nonzero coefficients.
+
+    ``Z_l`` is ``z^{z[l]}`` on a basis ray and ``q_k z^{z[l]}`` on the ray
+    ``l`` of the k-th class coordinate, whose row ``P[l]`` is the k-th unit
+    vector.
+    """
     inv = _inverse(ctx, order)
-    terms = {}
-    for internal in range(ctx.m):
-        coeff = inv.unit(internal)
-        if internal >= ctx.n:
-            exponent = tuple(1 if k == internal - ctx.n else 0 for k in range(ctx.rank))
-            coeff = coeff.shift(exponent)
-        terms[_z_exponent(ctx, internal)] = coeff
-    return Potential(terms)
+    terms = {ctx.z[ray]: inv.unit(ray) for ray in ctx.basis_perm[:ctx.n]}
+    for ray in ctx.basis_perm[ctx.n:]:
+        terms[ctx.z[ray]] = inv.unit(ray).shift(ctx.P[ray])
+    return _nonzero(terms)
 
 
-def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> Potential:
-    """The Hori-Vafa potential, with Kaehler variables substituted.
+def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
+    """The Hori-Vafa potential, with Kaehler variables substituted, as
+    ``{z_exponent: coefficient}`` over its nonzero coefficients.
 
     ``plain`` writes the superpotential with coefficients ``qc_k(q)``; the
     ``tilde`` form additionally applies the fiberwise coordinate change
@@ -325,28 +299,24 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> Potential:
     """
     if form not in ("plain", "tilde"):
         raise ValueError(f"form must be 'plain' or 'tilde', got {form!r}")
+    basis = ctx.basis_perm[:ctx.n]
+    if form == "plain":
+        terms = dict.fromkeys((ctx.z[ray] for ray in basis), _one(ctx, order))
+    else:
+        terms = {ctx.z[ray]: compose_with_inverse(ctx, g_function(ctx, ray, order),
+                                                  order).exp()
+                 for ray in basis}
     inv = _inverse(ctx, order)
     units = inverse_mirror_map(ctx, order).units
-    one = _one(ctx, order)
-    terms = {}
-    for internal in range(ctx.m):
-        if internal < ctx.n:
-            if form == "plain":
-                coeff = one
-            else:
-                g = g_function(ctx, ctx.basis_perm[internal], order)
-                coeff = compose_with_inverse(ctx, g, order).exp()
-        else:
-            k = internal - ctx.n
-            exponent = tuple(1 if t == k else 0 for t in range(ctx.rank))
-            coeff = units[k].shift(exponent)
-            if form == "tilde":
-                for p in range(ctx.n):
-                    e = sum(nu_j * x for nu_j, x in zip(ctx.nu[p], ctx.rays[internal]))
-                    if e:
-                        coeff = coeff.mul(inv.unit(p).npow(e))
-        terms[_z_exponent(ctx, internal)] = coeff
-    return Potential(terms)
+    for k, ray in enumerate(ctx.basis_perm[ctx.n:]):
+        coeff = units[k].shift(ctx.P[ray])
+        if form == "tilde":
+            # exp(g) of a basis ray without classes is 1: nothing to multiply
+            for b, e in zip(basis, ctx.z[ray]):
+                if e and b in inv.E:
+                    coeff = coeff.mul(inv.E[b].npow(e))
+        terms[ctx.z[ray]] = coeff
+    return _nonzero(terms)
 
 
 def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
@@ -364,14 +334,14 @@ def seidel_element(ctx: ToricContext, ray: int, order) -> tuple:
     """The normalized Seidel element ``exp(-g_j(qc(q))) B_j``, as its tuple
     of coefficient series on ``D_0 .. D_{m-1}``."""
     inv = _inverse(ctx, order)
-    scale = inv.unit(ctx.inv_perm[ray]).npow(-1)
+    scale = inv.unit(ray).npow(-1)
     return tuple(scale.mul(c) if not c.is_zero() else c
                  for c in batyrev_element(ctx, ray, order))
 
 
 def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
     """The weighted logarithmic derivative ``sum_k (D_i . Psi_k) q_k d/dq_k``."""
-    row = ctx.P[ctx.inv_perm[ray]]
+    row = ctx.P[ray]
     terms = {}
     for e, c in f.terms.items():
         lam = sum(p * x for p, x in zip(row, e))

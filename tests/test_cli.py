@@ -219,6 +219,18 @@ def test_subprocess_entry_point():
     assert proc.stdout == "g_1 = 0\n"
 
 
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # the reader closes the pipe long before the interpreter has started
+    with subprocess.Popen(
+            [sys.executable, "-m", "toricmirror", "potential", "--fan", "chain3",
+             "--order", "10"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert err == b""
+    assert code == 1
+
+
 def test_min_classes_out_of_reach_is_an_error(capsys):
     # p2 is Fano: no class ever contributes, so the bounded search gives up
     code, out, err = run(capsys, "g", "--fan", "p2", "--ray", "1", "--order", "1",

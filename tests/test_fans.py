@@ -525,8 +525,23 @@ def test_wall_pairings_follow_from_the_class_components(seidel_catalogue):
     for ctx in seidel_catalogue:
         for wall in ctx.walls:
             assert list(wall.pairings) == [
-                sum(p * c for p, c in zip(ctx.P[ctx.inv_perm[i]], wall.curve.comps))
+                sum(p * c for p, c in zip(ctx.P[i], wall.curve.comps))
                 for i in range(ctx.m)]
+
+
+def test_pairing_rows_are_the_divisor_relations(seidel_catalogue):
+    # each class coordinate k gives the relation sum_ray (D_ray . Psi_k) v_ray
+    # = 0, which a row of P read for the wrong ray breaks
+    for ctx in seidel_catalogue:
+        for k in range(ctx.rank):
+            assert all(sum(ctx.P[ray][k] * v[j] for ray, v in enumerate(ctx.fan.rays)) == 0
+                       for j in range(ctx.n))
+
+
+def test_basis_rays_are_the_unit_z_exponents(seidel_catalogue):
+    for ctx in seidel_catalogue:
+        for p, ray in enumerate(ctx.basis_perm[:ctx.n]):
+            assert ctx.z[ray] == tuple(int(q == p) for q in range(ctx.n))
 
 
 def test_rank7_seidel_fan_classes(chain3):

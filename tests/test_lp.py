@@ -171,7 +171,7 @@ def test_enumerate_classes_matches_a_box_scan(request, name, order):
     ctx = request.getfixturevalue(name)
     rank, weight, order = ctx.rank, ctx.ample_weight, Fraction(order)
     c1 = tuple(Fraction(c) for c in ctx.c1)
-    pairing = [tuple(Fraction(p) for p in ctx.P[ctx.inv_perm[i]]) for i in range(ctx.m)]
+    pairing = [tuple(Fraction(p) for p in ctx.P[i]) for i in range(ctx.m)]
     dot = lambda a, d: sum(x * y for x, y in zip(a, d))
     for ray in range(ctx.m):
         cons = [(c1, 0), (tuple(-c for c in c1), 0), (tuple(-w for w in weight), -order)]

@@ -277,6 +277,20 @@ CORPUS = {
         "16299556d36bb554cb5b30546eb468d5cf797d76661882b7dd2cab97d86dcf86",
     "check-all --fan chain3 --basis-cone 4,5 --format text --show-permutation --order 4":
         "51dbe990a3d78aad54648015920650533a98641dbe9009c05b4fe718e7f898f3",
+    # every ray-indexed report under a basis cone that moves the rays; these
+    # were recorded while the engine still kept a basis-cone-first ray order
+    "potential --fan chain3 --basis-cone 4,5 --order 4 --format json":
+        "935ca6761564b66b0a4e394c9eb33e4ae1efeea9178b022d21e93502726a6ee6",
+    "hori-vafa --fan chain3 --basis-cone 4,5 --order 4 --format json --form tilde":
+        "14056ec915802ceb5e40c7499c9fda1157f2a3db7c414da2945fee75fcca9b2c",
+    "batyrev --fan chain3 --basis-cone 4,5 --order 4 --format json --ray 2":
+        "61e929815f891ab86e53f8d550908fcc60436bbdb471cd38f349d06819cf0d97",
+    "seidel-element --fan chain3 --basis-cone 4,5 --order 4 --format json --ray 2":
+        "d9394bd12eb721a356b18123bc4aaa8166ed7ca4f3911bf9c5ec6e63a4798d9e",
+    "gij --fan chain3 --basis-cone 4,5 --order 4 --format json --i 2 --j 3":
+        "978d6d3ff1d063396ede9ed20b310532d34f1603a5343881bd59ea26e271b046",
+    "gw --fan chain3 --basis-cone 4,5 --order 4 --format json --ray 2":
+        "610641675698a902940ac298414f427aa5e1e81d090f698bf84fe62bedb97e01",
     "delta --fan chain3 --ray 2 --order 3/2 --format json":
         "1569bafff1d8b253726bb529ba59feb6efd58f799756193aa6d962f9a0159a36",
     "g --fan f2 --ray 1 --order 7/2 --format text":
@@ -302,6 +316,26 @@ def test_corpus_hash(capsys, line):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == CORPUS[line]
 
 
+# f2's Seidel 3-fold of ray 1 "plus": its first cone is [2, 3, 0], so the
+# basis cone is rays 0, 2, 3 and the curve classes sit on rays 1, 4, 5.
+SEIDEL_POTENTIALS = {
+    "potential": "c80a45cd6272c6148f5b6c4a83de5acdcde62f68a69a6edcb779cdc208730ea3",
+    "hori-vafa --form tilde":
+        "869756fd53a4bb8a877a006cb470f60683e4ec1828ae86e978b1e8926b5b3401",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEIDEL_POTENTIALS))
+def test_seidel_threefold_potential_hash(capsys, tmp_path, command):
+    assert main(["seidel-fan", "--fan", "f2", "--ray", "1"]) == 0
+    fan = tmp_path / "seidel.json"
+    fan.write_text(capsys.readouterr().out)
+    code = main([*command.split(), "--fan", str(fan), "--order", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SEIDEL_POTENTIALS[command]
+
+
 # The program's own messages on stderr for bad input; exit status 1.
 ERRORS = {
     "delta --fan chain3 --ray 99 --order 4": "ray index 99 out of range 0..7",
@@ -319,6 +353,11 @@ ERRORS = {
         "basis cone is not a maximal cone of the fan",
     "validate --fan p2 --basis-cone 0,1,1":
         "basis cone is not a maximal cone of the fan",
+    "delta --fan f2 --ray 1 --min-classes -3":
+        "argument --min-classes: count must be at least 1",
+    "delta --fan f2 --ray 1 --min-classes 0":
+        "argument --min-classes: count must be at least 1",
+    "g --fan f2 --ray 1 --min-classes 2.5": "argument --min-classes: invalid count '2.5'",
 }
 
 
