@@ -29,7 +29,6 @@ from .fans import (
     seidel_fan,
     semi_fano_check,
     validate,
-    wall_classes,
 )
 from .mirror import (
     batyrev_element,
@@ -85,6 +84,5 @@ __all__ = [
     "seidel_fan",
     "semi_fano_check",
     "validate",
-    "wall_classes",
     "__version__",
 ]

@@ -31,9 +31,7 @@ import os
 import sys
 from fractions import Fraction
 
-# ``oracle`` stays bound here so that ``cli.oracle`` reaches the module that
-# the invariant suite calls through.
-from . import checks, fans, mirror, oracle  # noqa: F401
+from . import checks, fans, mirror
 from .fans import FanError
 from .lp import LPUnboundedError
 

@@ -59,12 +59,6 @@ class CurveClass(Record):
             comps = tuple(map(_integer, comps))
         object.__setattr__(self, "comps", comps)
 
-    def __add__(self, other):
-        return CurveClass(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def scale(self, k: int) -> "CurveClass":
-        return CurveClass(tuple(k * c for c in self.comps))
-
     def is_zero(self) -> bool:
         return not any(self.comps)
 
@@ -281,11 +275,6 @@ class ToricContext:
     def weight(self, comps) -> Fraction:
         return sum((w * c for w, c in zip(self.ample_weight, comps)), Fraction(0))
 
-    def label(self, ray: int) -> str:
-        if self.fan.labels is not None:
-            return self.fan.labels[ray]
-        return f"D{ray}"
-
 
 def memoised(builder):
     """Run ``builder(ctx, *args)`` once per context and arguments."""
@@ -432,11 +421,6 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
 
     return ToricContext(fan=fan, n=n, m=m, basis_perm=basis_perm, z=z, P=P, c1=c1,
                         ample_weight=tuple(weight), walls=tuple(walls))
-
-
-def wall_classes(ctx: ToricContext):
-    """Curve classes of all walls, one entry per wall (duplicates retained)."""
-    return [w.curve for w in ctx.walls]
 
 
 def semi_fano_check(ctx: ToricContext):

@@ -203,9 +203,13 @@ class _Inverse:
         return term
 
     def log_units(self):
-        return tuple(sum((self.W[l].scalar_mul(self.ctx.P[l][k]) for l in self.active),
-                         _zero(self.ctx, self.order))
-                     for k in range(self.ctx.rank))
+        """``log qc_k/q_k = sum_l (D_l . Psi_k) W_l`` for each curve-basis index
+        ``k``, as one :meth:`~toricmirror.series.QSeries.shifted_sum` each."""
+        ctx, zero = self.ctx, (0,) * self.ctx.rank
+        return tuple(QSeries.shifted_sum([(self.W[l], zero, ctx.P[l][k])
+                                          for l in self.active if ctx.P[l][k]],
+                                         *_shape(ctx, self.order))
+                     for k in range(ctx.rank))
 
 
 @memoised
@@ -220,23 +224,21 @@ def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     return SubstitutionMap(units=tuple(s.exp() for s in inv.log_units()))
 
 
-def compose_with_inverse(ctx: ToricContext, f: QSeries, order=None) -> QSeries:
-    """Substitute the inverse mirror map into a series in checked variables.
+def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
+    """Substitute the inverse mirror map into a series in checked variables,
+    exact to ``f.order``.
 
     Much faster than a generic substitution: each monomial's image under the
     inverse map is a cached product of ``(1+delta)`` powers, and the scaled
     images are summed into one dict.
     """
-    if order is None:
-        order = f.order
-    out_order = min(Fraction(order), f.order)
     # monomials of negative degree need the inverse map at deeper relative
-    # order to stay exact at the requested absolute order
+    # order to stay exact at f's order
     drop = f.min_degree() or 0
-    inv = _inverse(ctx, Fraction(order) - min(0, drop))
+    inv = _inverse(ctx, f.order - min(0, drop))
     zero = (0,) * ctx.rank
     return QSeries.shifted_sum([(inv.image(e), zero, c) for e, c in sorted(f.terms.items())],
-                               *_shape(ctx, out_order))
+                               *_shape(ctx, f.order))
 
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:
@@ -303,8 +305,7 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
     if form == "plain":
         terms = dict.fromkeys((ctx.z[ray] for ray in basis), _one(ctx, order))
     else:
-        terms = {ctx.z[ray]: compose_with_inverse(ctx, g_function(ctx, ray, order),
-                                                  order).exp()
+        terms = {ctx.z[ray]: compose_with_inverse(ctx, g_function(ctx, ray, order)).exp()
                  for ray in basis}
     inv = _inverse(ctx, order)
     units = inverse_mirror_map(ctx, order).units
@@ -326,7 +327,7 @@ def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
     coeffs = []
     for i in range(ctx.m):
         base = _one(ctx, order) if i == ray else _zero(ctx, order)
-        coeffs.append(base.sub(compose_with_inverse(ctx, g_ij(ctx, i, ray, order), order)))
+        coeffs.append(base.sub(compose_with_inverse(ctx, g_ij(ctx, i, ray, order))))
     return tuple(coeffs)
 
 
@@ -347,7 +348,7 @@ def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
         lam = sum(p * x for p, x in zip(row, e))
         if lam:
             terms[e] = lam * c
-    return f.like(terms)
+    return QSeries(f.nvars, f.weights, f.order, terms)
 
 
 def extended_mirror_factors(ctx: ToricContext, order):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .fans import CurveClass, ToricContext
-from .mirror import enumerate_classes, _shape
+from .mirror import enumerate_classes
 from .series import QSeries
 
 
@@ -140,4 +140,4 @@ def i_one_over_z(ctx: ToricContext, order) -> tuple:
                 c = poly.get(1)
                 if c:
                     per_ray[ray][cls.comps] = c
-    return tuple(QSeries(*_shape(ctx, order), terms=t) for t in per_ray)
+    return tuple(QSeries(ctx.rank, ctx.ample_weight, order, terms=t) for t in per_ray)

@@ -428,10 +428,6 @@ class QSeries:
     def monomial(cls, exponent, coeff, nvars, weights, order):
         return cls(nvars, weights, order, {tuple(exponent): _coeff(coeff)})
 
-    def like(self, terms=None, order=None):
-        """A series with the same shape (nvars/weights) as this one."""
-        return QSeries(self.nvars, self.weights, self.order if order is None else order, terms)
-
     def coefficient(self, exponent):
         return self.terms.get(tuple(exponent), 0)
 
@@ -518,9 +514,11 @@ class QSeries:
                            _clean({k: value * c for k, c in self._packed.items()}),
                            self._bound)
 
-    def shift(self, exponent, scalar=1):
-        """Multiply by ``scalar * q^exponent``, keeping this series' order."""
-        return QSeries.shifted_sum([(self, exponent, scalar)],
+    def shift(self, exponent):
+        """Multiply by ``q^exponent``, keeping this series' order: the one-part
+        :meth:`shifted_sum`, so terms shifted past the order are cut.  A
+        scaled shift is ``shift(exponent).scalar_mul(c)``."""
+        return QSeries.shifted_sum([(self, exponent, 1)],
                                    self.nvars, self.weights, self.order)
 
     @classmethod
@@ -781,22 +779,6 @@ class QSeries:
 
     # ------------------------------------------------------------- protocols
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return self.mul(other)
-        return self.scalar_mul(other)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -887,9 +869,6 @@ class SubstitutionMap(Record):
     @property
     def nvars(self) -> int:
         return self.units[0].nvars
-
-    def apply(self, f: QSeries) -> QSeries:
-        return f.substitute(self)
 
     def is_identity(self) -> bool:
         return all(u.sub(u._const(1)).is_zero() for u in self.units)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from toricmirror import cli, g_function, lp, parse_fan, validate
+from toricmirror import cli, g_function, lp, oracle, parse_fan, validate
 from toricmirror.cli import main
 
 CHAIN3 = ["--fan", "chain3"]
@@ -183,7 +183,7 @@ def test_check_all_reports_failures(capsys, monkeypatch):
         coeffs[0] = QSeries.one(ctx.rank, ctx.ample_weight, order)
         return tuple(coeffs)
 
-    monkeypatch.setattr(cli.oracle, "i_one_over_z", broken)
+    monkeypatch.setattr(oracle, "i_one_over_z", broken)
     code, out, err = run(capsys, "oracle-check", *F2, "--order", "4")
     assert code == 2 and "MISMATCH" in out and "check failed" in err
     code, out, err = run(capsys, "check-all", *F2, "--order", "4")

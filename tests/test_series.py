@@ -49,7 +49,7 @@ def test_fractional_weights_bound_the_support():
 def test_add_cancels_exactly():
     f = S({(1, 0): Fraction(2, 3), (0, 2): -1})
     assert f.add(f.neg()).is_zero()
-    assert (f - f).terms == {}
+    assert f.sub(f).terms == {}
 
 
 def test_mul_truncates_to_order():
@@ -192,7 +192,7 @@ def test_log_rejects_constant_not_one():
 
 def test_shift_multiplies_by_a_monomial():
     f = S({(1, 0): 1, (0, 1): 3})
-    g = f.shift((-1, 1), Fraction(1, 2))
+    g = f.shift((-1, 1)).scalar_mul(Fraction(1, 2))
     assert g.terms == {(0, 1): Fraction(1, 2), (-1, 2): Fraction(3, 2)}
 
 
@@ -218,7 +218,7 @@ def test_substitute_identity_is_noop():
     ident = SubstitutionMap.identity(2, W, 6)
     for _ in range(6):
         f = rand_series(rng)
-        assert ident.apply(f) == f
+        assert f.substitute(ident) == f
 
 
 def rand_unit_map(rng, nvars=2, weights=W, order=6):
@@ -234,7 +234,7 @@ def test_compose_agrees_with_sequential_apply():
     for _ in range(6):
         outer, inner = rand_unit_map(rng), rand_unit_map(rng)
         f = rand_series(rng)
-        assert outer.compose(inner).apply(f) == inner.apply(outer.apply(f))
+        assert f.substitute(outer.compose(inner)) == f.substitute(outer).substitute(inner)
 
 
 def test_revert_gives_two_sided_inverse():
@@ -349,7 +349,7 @@ def test_operations_keep_integral_coefficients_int():
     assert product.terms == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
     results = [product, t.exp(), u.log(), u.recip(), u.npow(3), u.npow(-2),
                f.substitute(smap), u.substitute(smap), f.scalar_mul(Fraction(4)),
-               f.scalar_mul(half), f.shift((0, 1), Fraction(6, 3))]
+               f.scalar_mul(half), f.shift((0, 1)).scalar_mul(Fraction(6, 3))]
     for r in results:
         assert r.terms
         assert_int_first(r)
@@ -439,7 +439,7 @@ def test_packed_arithmetic_matches_tuple_reference(weights):
             low = order - 1
             assert fa.truncate(low).terms == ref_cut(weights, a, low)
             s = tuple(rng.randrange(-2, 3) for _ in weights)
-            assert fa.shift(s, Fraction(3, 2)).terms == ref_cut(
+            assert fa.shift(s).scalar_mul(Fraction(3, 2)).terms == ref_cut(
                 weights, {tuple(x + y for x, y in zip(e, s)): Fraction(3, 2) * c
                           for e, c in a.items()}, order)
             ref_exp = ref_power_sum(weights, a, lambda i: Fraction(1, factorial(i)), order)
