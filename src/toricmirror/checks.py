@@ -38,7 +38,7 @@ def first_difference(got, expected):
 def suite(ctx, order):
     """``[(name, check)]`` for every property, in the order ``check-all`` runs them."""
     one = QSeries.one(ctx.rank, ctx.ample_weight, order)
-    zero = QSeries.zero(ctx.rank, ctx.ample_weight, order)
+    zero = QSeries(ctx.rank, ctx.ample_weight, order)
 
     def roundtrip():
         mm = mirror.mirror_map(ctx, order)

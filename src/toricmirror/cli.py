@@ -339,8 +339,7 @@ def _run(args) -> int:
     ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
     indices = {key: getattr(args, dest) for dest, key in _INDICES if dest in args}
     for index in indices.values():
-        if not 0 <= index < ctx.m:
-            raise FanError(f"ray index {index} out of range 0..{ctx.m - 1}")
+        fans.check_ray(ctx, index)
     order = getattr(args, "order", None)
     if order is not None:
         ok, wall = fans.semi_fano_check(ctx)

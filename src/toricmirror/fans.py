@@ -276,6 +276,12 @@ class ToricContext:
         return sum((w * c for w, c in zip(self.ample_weight, comps)), Fraction(0))
 
 
+def check_ray(ctx: ToricContext, ray: int) -> None:
+    """Raise :class:`FanError` unless ``ray`` indexes a ray of ``ctx``."""
+    if not 0 <= ray < ctx.m:
+        raise FanError(f"ray index {ray} out of range 0..{ctx.m - 1}")
+
+
 def memoised(builder):
     """Run ``builder(ctx, *args)`` once per context and arguments."""
 
@@ -477,8 +483,7 @@ def minimal_face(ctx: ToricContext, ray: int):
     The minimal face is the intersection of all facets through the point; a
     generator interior to the polytope (on no facet) yields the whole set.
     """
-    if not 0 <= ray < ctx.m:
-        raise FanError(f"ray index {ray} out of range")
+    check_ray(ctx, ray)
     containing = [f for f in _polytope_facets(ctx) if ray in f]
     if not containing:
         return tuple(range(ctx.m))
@@ -497,8 +502,7 @@ def seidel_fan(ctx: ToricContext, ray: int, sign: str = "plus") -> Fan:
     each cap.  The "plus" fan compactifies the rotation around the divisor at
     ``ray``; "minus" uses the inverse rotation.
     """
-    if not 0 <= ray < ctx.m:
-        raise FanError(f"ray index {ray} out of range")
+    check_ray(ctx, ray)
     if sign not in ("plus", "minus"):
         raise FanError(f"sign must be 'plus' or 'minus', got {sign!r}")
     vj = ctx.fan.rays[ray]

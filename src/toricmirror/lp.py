@@ -1,8 +1,9 @@
 """Exact linear programming over the rationals via Fourier-Motzkin elimination.
 
 The fan/curve machinery only ever deals with a handful of variables: the rank
-of H_2, which is 7 for the 3-folds that ``seidel_fan`` builds from chain3.
-Plain Fourier-Motzkin blows up doubly exponentially in that count, so every
+of H_2, which is 7 for the 3-folds that ``seidel_fan`` builds from chain3 and
+8 for the 4-folds that ``seidel_fan`` applied twice builds from it.  Plain
+Fourier-Motzkin blows up doubly exponentially in that count, so every
 elimination chain prunes with Chernikov's rule (S. N. Chernikov, 1965;
 J.-L. Imbert, 1990): each row carries its history, an ``int`` bitmask of the
 input rows it was combined from, and once ``k`` variables are eliminated a

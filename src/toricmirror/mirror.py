@@ -40,16 +40,12 @@ from fractions import Fraction
 from math import factorial
 
 from . import lp
-from .fans import CurveClass, DiscClass, ToricContext, memoised
+from .fans import CurveClass, DiscClass, ToricContext, check_ray, memoised
 from .series import GradedRing, QSeries, SubstitutionMap, solve_units
 
 
 def _shape(ctx: ToricContext, order) -> tuple:
     return ctx.rank, ctx.ample_weight, Fraction(order)
-
-
-def _zero(ctx, order) -> QSeries:
-    return QSeries.zero(*_shape(ctx, order))
 
 
 def _one(ctx, order) -> QSeries:
@@ -72,6 +68,7 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     so it is at most ``L * order`` exactly when it is at most that level.
     The classes come out by level, then lexicographically.
     """
+    check_ray(ctx, ray)
     ring = GradedRing.of(ctx.rank, ctx.ample_weight)
     c1 = ctx.c1
     cons = [(c1, 0), (tuple(-c for c in c1), 0)]
@@ -124,19 +121,14 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
     """The curve-basis combination ``sum_l (D_l . Psi_k) g_l``."""
     if not 0 <= k < ctx.rank:
         raise ValueError(f"curve-basis index {k} out of range")
-    total = _zero(ctx, order)
-    for ray in range(ctx.m):
-        factor = ctx.P[ray][k]
-        if not factor:
-            continue
-        g = g_function(ctx, ray, order)
-        if not g.is_zero():
-            total = total.add(g.scalar_mul(factor))
-    return total
+    return QSeries.linear_sum([(g_function(ctx, ray, order), ctx.P[ray][k])
+                               for ray in range(ctx.m) if ctx.P[ray][k]],
+                              *_shape(ctx, order))
 
 
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
     """The double-index series: g_i weighted per class by ``D_j . d``."""
+    check_ray(ctx, j)
     order = Fraction(order)
     terms = {comps: pair[j] * gamma
              for comps, _, gamma, pair in _class_table(ctx, i, order) if pair[j]}
@@ -181,34 +173,39 @@ class _Inverse:
 
     def unit(self, ray: int) -> QSeries:
         """``1 + delta`` of a ray: ``E[ray]``, or ``1``."""
+        check_ray(self.ctx, ray)
         return self.E.get(ray, self._one)
 
     def image(self, exponent) -> QSeries:
-        """The checked monomial ``qc^exponent`` written in Kaehler variables."""
+        """The checked monomial ``qc^exponent`` written in Kaehler variables,
+        memoised per exponent.
+
+        It starts from ``q^exponent`` and multiplies in each power
+        ``E_j^{D_j . exponent}``, so the degree budget of every product is
+        what the monomial leaves of :attr:`order`, and no term above the
+        order is formed.  An exponent of negative degree ``-k`` leaves the
+        image exact only to ``order - k``.
+        """
         exponent = tuple(exponent)
         val = self._images.get(exponent)
         if val is not None:
             return val
-        term = None
+        term = QSeries(*_shape(self.ctx, self.order), {exponent: 1})
         for j in self.active:
             pj = sum(p * c for p, c in zip(self.ctx.P[j], exponent))
             if pj:
-                p = self.E[j].npow(pj)
-                term = p if term is None else term.mul(p)
-        if term is None:
-            term = QSeries.monomial(exponent, 1, *_shape(self.ctx, self.order))
-        else:
-            term = term.shift(exponent)
+                term = term.mul(self.E[j].npow(pj))
         self._images[exponent] = term
         return term
 
     def log_units(self):
         """``log qc_k/q_k = sum_l (D_l . Psi_k) W_l`` for each curve-basis index
-        ``k``, as one :meth:`~toricmirror.series.QSeries.shifted_sum` each."""
-        ctx, zero = self.ctx, (0,) * self.ctx.rank
-        return tuple(QSeries.shifted_sum([(self.W[l], zero, ctx.P[l][k])
-                                          for l in self.active if ctx.P[l][k]],
-                                         *_shape(ctx, self.order))
+        ``k``, as one :meth:`~toricmirror.series.QSeries.linear_sum` of the
+        ``W_l`` each."""
+        ctx = self.ctx
+        return tuple(QSeries.linear_sum([(self.W[l], ctx.P[l][k])
+                                         for l in self.active if ctx.P[l][k]],
+                                        *_shape(ctx, self.order))
                      for k in range(ctx.rank))
 
 
@@ -229,16 +226,14 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
     exact to ``f.order``.
 
     Much faster than a generic substitution: each monomial's image under the
-    inverse map is a cached product of ``(1+delta)`` powers, and the scaled
-    images are summed into one dict.
+    inverse map is a memoised product :meth:`_Inverse.image`, and the scaled
+    images are summed by one :meth:`~toricmirror.series.QSeries.linear_sum`.
+    A monomial of negative degree ``-k`` reads the inverse map ``k`` deeper.
     """
-    # monomials of negative degree need the inverse map at deeper relative
-    # order to stay exact at f's order
     drop = f.min_degree() or 0
     inv = _inverse(ctx, f.order - min(0, drop))
-    zero = (0,) * ctx.rank
-    return QSeries.shifted_sum([(inv.image(e), zero, c) for e, c in sorted(f.terms.items())],
-                               *_shape(ctx, f.order))
+    return QSeries.linear_sum([(inv.image(e), c) for e, c in f.terms.items()],
+                              *_shape(ctx, f.order))
 
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:
@@ -248,6 +243,7 @@ def delta(ctx: ToricContext, ray: int, order) -> QSeries:
 
 def open_gw(ctx: ToricContext, beta: DiscClass, order=None) -> Fraction:
     """The one-pointed open invariant of a Maslov-index-2 disc class."""
+    check_ray(ctx, beta.ray)
     alpha = beta.curve
     maslov = 2 + 2 * ctx.degree(alpha)
     if maslov != 2:
@@ -265,6 +261,7 @@ def open_gw(ctx: ToricContext, beta: DiscClass, order=None) -> Fraction:
 
 def open_gw_divisor(ctx: ToricContext, beta: DiscClass, ray: int, order=None) -> Fraction:
     """Divisor-insertion open invariant: the plain one times ``D_i . beta``."""
+    check_ray(ctx, ray)
     base = open_gw(ctx, beta, order)
     incidence = (1 if ray == beta.ray else 0) + ctx.pairing(ray, beta.curve)
     return base * incidence
@@ -326,8 +323,8 @@ def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
     order = Fraction(order)
     coeffs = []
     for i in range(ctx.m):
-        base = _one(ctx, order) if i == ray else _zero(ctx, order)
-        coeffs.append(base.sub(compose_with_inverse(ctx, g_ij(ctx, i, ray, order))))
+        composed = compose_with_inverse(ctx, g_ij(ctx, i, ray, order))
+        coeffs.append(_one(ctx, order).sub(composed) if i == ray else composed.neg())
     return tuple(coeffs)
 
 
@@ -342,6 +339,7 @@ def seidel_element(ctx: ToricContext, ray: int, order) -> tuple:
 
 def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
     """The weighted logarithmic derivative ``sum_k (D_i . Psi_k) q_k d/dq_k``."""
+    check_ray(ctx, ray)
     row = ctx.P[ray]
     terms = {}
     for e, c in f.terms.items():

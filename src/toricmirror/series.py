@@ -21,13 +21,16 @@ integers by the lcm ``L`` of their denominators, so ``L * deg(e)`` is an
 packed-exponent technique of Monagan & Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007)::
 
-    key(e) = (L * deg(e) << nvars * W) + sum_k (e_k + B) << k * W
+    key(e) = (L * deg(e) << nvars * W) + sum_k (e_k + B) << (nvars - 1 - k) * W
 
-with one fixed field width ``W = 16`` and bias ``B = 2^15``.  Keys sort by
-degree first, so truncation to order ``N`` is ``key < cutoff(N)``, the
-product of two monomials has key ``k1 + k2 - C`` (``C`` is the key of the
-constant monomial), and the degree budget of a product is one ``bisect`` over
-a sorted key list.
+with one fixed field width ``W = 16`` and bias ``B = 2^15``.  A field holds
+``e_k + B`` and never borrows from its neighbour, and variable 0 has the top
+field, so comparing keys compares (degree, exponent tuple): key order is
+term order.  Truncation to order ``N`` is ``key < cutoff(N)``, the product of
+two monomials has key ``k1 + k2 - C`` (``C`` is the key of the constant
+monomial), and the degree budget of a product is one ``bisect`` over a sorted
+key list.  A shift by ``q^e`` is a product with that monomial, so its terms
+past the order are never formed.
 
 ``exp``, ``log`` and ``recip`` split their operand into level slices (the
 terms of one level ``L * deg``) and form the result one slice at a time from
@@ -45,15 +48,16 @@ itself, so a unit's powers are formed once however many terms, components
 Overflow.  A field holds ``e_k + B``, so every exponent entry must satisfy
 ``|e_k| < B``, and a field never wraps silently: an exponent that could leave
 its field raises :class:`SeriesError`.  Each series carries an upper bound
-on ``|e_k|`` over its terms.  ``mul`` and ``shifted_sum`` check the sum of
-their operands' bounds at O(1) cost, recompute it exactly only when it nears
-``B``, and then check the pairs they may form.  A term of ``exp(f)``,
-``log(1 + f)`` or ``1/(c + f)`` at level ``<= top`` is a sum of at most
-``top // least`` terms of ``f``, ``least`` being the least level in ``f``;
-these kernels raise unless that count times ``f``'s bound, recomputed exactly
-when it nears ``B``, stays below ``B`` (:func:`_sum_bound`).  Readers see the
+on ``|e_k|`` over its terms.  ``mul`` checks the sum of its operands' bounds
+at O(1) cost, recomputes it exactly only when it nears ``B``, and then checks
+the pairs it may form.  :meth:`QSeries.linear_sum` forms no new exponent, so
+its bound is the largest of its parts'.  A term of ``exp(f)``, ``log(1 + f)``
+or ``1/(c + f)`` at level ``<= top`` is a sum of at most ``top // least``
+terms of ``f``, ``least`` being the least level in ``f``; these kernels raise
+unless that count times ``f``'s bound, recomputed exactly when it nears
+``B``, stays below ``B`` (:func:`_sum_bound`).  Readers see the
 terms through :attr:`QSeries.terms`, a dict keyed by exponent tuples in
-(degree, exponent) order, built once on first use.
+(degree, exponent) order, decoded once from the sorted keys on first use.
 
 :class:`SubstitutionMap` represents a coordinate change of "unit" shape
 ``q_k -> q_k * u_k(q)`` with ``u_k(0) = 1``.  Maps of this shape form a group
@@ -292,7 +296,8 @@ class GradedRing:
         self.weights = weights
         self.scale = lcm(*(w.denominator for w in weights))
         self.scaled = tuple(int(w * self.scale) for w in weights)
-        self._fields = tuple(k * WIDTH for k in range(nvars))
+        # variable 0 in the top field: key order is (degree, exponent) order
+        self._fields = tuple((nvars - 1 - k) * WIDTH for k in range(nvars))
         self.shift = nvars * WIDTH
         self.bias = sum(BIAS << f for f in self._fields)
         # key(e) = bias + sum_k e_k * unit_k
@@ -340,7 +345,8 @@ class QSeries:
     packed keys of :attr:`ring` (see the module docstring) to coefficients;
     :attr:`terms` is the same map keyed by exponent tuples.  The instance is
     immutable by convention: all operations return fresh series, and only
-    the public constructor validates its input.
+    the public constructor, the one way to build a series from terms,
+    validates its input.
     """
 
     __slots__ = ("ring", "order", "_top", "_packed", "_bound", "_sorted", "_view",
@@ -401,10 +407,8 @@ class QSeries:
     def terms(self):
         """``{exponent tuple: coefficient}``, in (degree, exponent) order."""
         if self._view is None:
-            ring = self.ring
-            shift, exponent = ring.shift, ring.exponent
-            rows = sorted((k >> shift, exponent(k), c) for k, c in self._packed.items())
-            self._view = {e: c for _, e, c in rows}
+            exponent = self.ring.exponent
+            self._view = {exponent(k): c for k, c in self._by_key()[1]}
         return self._view
 
     def degree(self, exponent):
@@ -413,20 +417,8 @@ class QSeries:
         return ring.degree(ring.grade(exponent))
 
     @classmethod
-    def zero(cls, nvars, weights, order):
-        return cls(nvars, weights, order)
-
-    @classmethod
-    def constant(cls, value, nvars, weights, order):
-        return cls(nvars, weights, order, {(0,) * nvars: _coeff(value)})
-
-    @classmethod
     def one(cls, nvars, weights, order):
-        return cls.constant(1, nvars, weights, order)
-
-    @classmethod
-    def monomial(cls, exponent, coeff, nvars, weights, order):
-        return cls(nvars, weights, order, {tuple(exponent): _coeff(coeff)})
+        return cls(nvars, weights, order, {(0,) * nvars: 1})
 
     def coefficient(self, exponent):
         return self.terms.get(tuple(exponent), 0)
@@ -461,7 +453,7 @@ class QSeries:
         return out
 
     def _by_key(self):
-        """``(keys, items)``: the terms sorted by key, i.e. by degree first."""
+        """``(keys, items)``: the terms sorted by key, i.e. in term order."""
         if self._sorted is None:
             items = sorted(self._packed.items())
             self._sorted = ([k for k, _ in items], items)
@@ -515,40 +507,36 @@ class QSeries:
                            self._bound)
 
     def shift(self, exponent):
-        """Multiply by ``q^exponent``, keeping this series' order: the one-part
-        :meth:`shifted_sum`, so terms shifted past the order are cut.  A
-        scaled shift is ``shift(exponent).scalar_mul(c)``."""
-        return QSeries.shifted_sum([(self, exponent, 1)],
-                                   self.nvars, self.weights, self.order)
+        """Multiply by ``q^exponent``, keeping this series' order: a product
+        with the monomial, so terms shifted past the order are never formed.
+        A scaled shift is ``shift(exponent).scalar_mul(c)``."""
+        ring = self.ring
+        monomial = QSeries._of(ring, self.order, self._top, {ring.key(exponent): 1},
+                               max(map(abs, exponent), default=0))
+        return self.mul(monomial)
 
     @classmethod
-    def shifted_sum(cls, parts, nvars, weights, order):
-        """``sum(scalar * q^exponent * s)`` over ``(s, exponent, scalar)`` in
-        ``parts``, cut at ``order``.
+    def linear_sum(cls, parts, nvars, weights, order):
+        """``sum(scalar * s)`` over ``(s, scalar)`` in ``parts``, exact to the
+        least of ``order`` and the parts' orders.
 
-        Each part keeps every term of ``s``: ``q^exponent * s`` is cut only
-        at ``order``, never at ``s.order``, so a part formed exactly to
-        ``order - deg(q^exponent)`` lands exact to ``order``.  The shift is
-        one integer add per term.  Raises :class:`SeriesError` when a shifted
-        exponent leaves its packed field.
+        Raises :class:`SeriesError` when a part belongs to another ring.
         """
         ring = GradedRing.of(nvars, weights)
         order = _as_fraction(order)
+        bound = 0
+        for s, _ in parts:
+            if s.ring is not ring:
+                raise SeriesError("summand has another shape")
+            order = min(order, s.order)
+            bound = max(bound, s._bound)
         top = ring.level(order)
-        stop, bias = ring.cutoff(top), ring.bias
+        stop = ring.cutoff(top)
         out = {}
         get = out.get
-        bound = 0
-        for s, exponent, scalar in parts:
-            if s.ring is not ring:
-                raise SeriesError("shifted part has another shape")
-            key = ring.key(exponent)
-            monomial = QSeries._of(ring, order, top, {key: 1}, max(map(abs, exponent), default=0))
-            bound = max(bound, s._product_bound(monomial, top))
-            offset = key - bias
+        for s, scalar in parts:
             scalar = _coeff(scalar)
             for k, c in s._packed.items():
-                k += offset
                 if k < stop:
                     c *= scalar
                     t = get(k)
@@ -767,15 +755,14 @@ class QSeries:
         ring = self.ring
         top = ring.level(order)
         stop = ring.cutoff(top)
-        zero = (0,) * self.nvars
         parts = []
         for key, c in self._packed.items():
             acc = QSeries._of(ring, order, top, {key: c} if key < stop else {}, self._bound)
             for k, ek in enumerate(ring.exponent(key)):
                 if ek:
                     acc = acc.mul(smap.units[k].npow(ek))
-            parts.append((acc, zero, 1))
-        return QSeries.shifted_sum(parts, self.nvars, self.weights, order).truncate(exact_to)
+            parts.append((acc, 1))
+        return QSeries.linear_sum(parts, self.nvars, self.weights, order).truncate(exact_to)
 
     # ------------------------------------------------------------- protocols
 
@@ -871,7 +858,7 @@ class SubstitutionMap(Record):
         return self.units[0].nvars
 
     def is_identity(self) -> bool:
-        return all(u.sub(u._const(1)).is_zero() for u in self.units)
+        return all(u == u._const(1) for u in self.units)
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """The map "apply ``inner``, then ``self``"."""

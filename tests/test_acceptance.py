@@ -84,8 +84,8 @@ def test_criterion_02_chain3_closed_form_inverse(chain3):
         for ray in (1, 2, 3):
             units[ray] = one.add(golden_delta(chain3, ray, order))
         for ray, cls in SIDE_CLASSES.items():
-            units[ray] = one.add(QSeries.monomial(
-                cls, 1, chain3.rank, chain3.ample_weight, order))
+            units[ray] = one.add(QSeries(
+                chain3.rank, chain3.ample_weight, order, {cls: 1}))
         inv = inverse_mirror_map(chain3, order)
         for k in range(chain3.rank):
             expected = one
@@ -102,8 +102,8 @@ def test_criterion_03_f2_fiber_tower(f2):
         expected = {(k, 0): Fraction(factorial(2 * k - 1), factorial(k) ** 2)
                     for k in range(1, 9)}
         assert g.terms == expected
-        assert delta(f2, 1, 8) == QSeries.monomial((1, 0), 1, 2,
-                                                   f2.ample_weight, 8)
+        assert delta(f2, 1, 8) == QSeries(2, f2.ample_weight, 8,
+                                          {(1, 0): 1})
         assert open_gw(f2, DiscClass(1, CurveClass((1, 0))), 8) == 1
         for k in range(2, 9):
             assert open_gw(f2, DiscClass(1, CurveClass((k, 0))), 8) == 0

@@ -65,7 +65,7 @@ def test_extended_factors_names_the_first_differing_monomial(f2, monkeypatch):
     def shifted(ctx, order):
         factors = list(real(ctx, order))
         factors[1] = factors[1].add(
-            QSeries.monomial((2, 0), 1, ctx.rank, ctx.ample_weight, order))
+            QSeries(ctx.rank, ctx.ample_weight, order, {(2, 0): 1}))
         return factors
 
     monkeypatch.setattr(mirror, "extended_mirror_factors", shifted)
@@ -74,7 +74,7 @@ def test_extended_factors_names_the_first_differing_monomial(f2, monkeypatch):
 
 
 def _monomial(ctx, exponent, coeff, order):
-    return QSeries.monomial(exponent, coeff, ctx.rank, ctx.ample_weight, order)
+    return QSeries(ctx.rank, ctx.ample_weight, order, {exponent: coeff})
 
 
 def test_roundtrip_names_the_first_differing_monomial(f2, monkeypatch):

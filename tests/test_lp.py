@@ -31,6 +31,8 @@ def test_witness_satisfies_random_systems():
         assert point is not None
         for coeffs, rhs in cons:
             assert sum(c * x for c, x in zip(coeffs, point)) >= rhs
+    # no rows: every point is feasible, and the witness is the origin
+    assert lp.witness([], 3) == (0, 0, 0)
 
 
 def test_minimize_simple_vertex():
@@ -111,6 +113,8 @@ def test_integer_points_match_brute_force():
                 if all(sum(c * x for c, x in zip(coeffs, p)) >= rhs
                        for coeffs, rhs in cons)}
         assert got == want
+    # no variables: the space is one point, the empty tuple
+    assert lp.integer_points([], 0) == list(itertools.product(range(-4, 5), repeat=0)) == [()]
 
 
 # ------------------------------------------------- exact results, never float

@@ -28,11 +28,12 @@ from toricmirror import (
     validate,
 )
 from toricmirror import mirror, series
+from toricmirror.fans import FanError, minimal_face
 from toricmirror.series import BIAS, QSeries, SeriesError
 
 
 def mono(ctx, exponent, coeff=1, order=8):
-    return QSeries.monomial(exponent, coeff, ctx.rank, ctx.ample_weight, order)
+    return QSeries(ctx.rank, ctx.ample_weight, order, {exponent: coeff})
 
 
 def one(ctx, order=8):
@@ -82,7 +83,7 @@ def test_g_chain3_low_order(chain3):
 
 def test_g_psi_is_the_pairing_combination(chain3):
     for k in range(chain3.rank):
-        expected = QSeries.zero(chain3.rank, chain3.ample_weight, 6)
+        expected = QSeries(chain3.rank, chain3.ample_weight, 6)
         for l in range(chain3.m):
             p = chain3.P[l][k]
             if p:
@@ -91,6 +92,29 @@ def test_g_psi_is_the_pairing_combination(chain3):
         assert g_psi(chain3, k, 6) == expected
     with pytest.raises(ValueError):
         g_psi(chain3, chain3.rank, 6)
+
+
+@pytest.mark.parametrize("ray", [99, -1])
+def test_out_of_range_ray_indices_raise(f2, ray):
+    message = rf"ray index {ray} out of range 0\.\.3"
+    calls = [
+        lambda: enumerate_classes(f2, ray, 8),
+        lambda: g_function(f2, ray, 8),
+        lambda: g_ij(f2, 1, ray, 8),
+        lambda: g_ij(f2, ray, 1, 8),
+        lambda: delta(f2, ray, 8),
+        lambda: open_gw(f2, DiscClass(ray, CurveClass((1, 0))), 8),
+        lambda: open_gw(f2, DiscClass(ray, CurveClass((0, 0))), 8),
+        lambda: open_gw_divisor(f2, DiscClass(1, CurveClass((1, 0))), ray, 8),
+        lambda: batyrev_element(f2, ray, 4),
+        lambda: seidel_element(f2, ray, 4),
+        lambda: divisor_derivative(f2, ray, g_function(f2, 1, 4)),
+        lambda: minimal_face(f2, ray),
+        lambda: seidel_fan(f2, ray),
+    ]
+    for call in calls:
+        with pytest.raises(FanError, match=message):
+            call()
 
 
 def test_g_ij_f2(f2):
@@ -334,7 +358,7 @@ def test_batyrev_f2(f2):
     # other rays pick up a correction along D_1 through g_{1,j}
     b0 = batyrev_element(f2, 0, 4)
     assert b0[0] == one(f2, 4)
-    correction = QSeries.zero(2, f2.ample_weight, 4)
+    correction = QSeries(2, f2.ample_weight, 4)
     for k in range(1, 5):
         correction = correction.add(mono(f2, (k, 0), -1, 4))
     assert b0[1] == correction
@@ -358,7 +382,7 @@ def test_batyrev_trivial_on_fano(p2):
         b = batyrev_element(p2, ray, 6)
         s = seidel_element(p2, ray, 6)
         for other in range(3):
-            want = one(p2, 6) if other == ray else QSeries.zero(1, p2.ample_weight, 6)
+            want = one(p2, 6) if other == ray else QSeries(1, p2.ample_weight, 6)
             assert b[other] == want
             assert s[other] == want
 
@@ -371,7 +395,7 @@ def test_batyrev_element_is_the_per_class_sum(chain3):
         b = batyrev_element(chain3, j, 6)
         for i in range(chain3.m):
             want = (one(chain3, 6) if i == j
-                    else QSeries.zero(chain3.rank, chain3.ample_weight, 6))
+                    else QSeries(chain3.rank, chain3.ample_weight, 6))
             for comps, _, gamma, pair in mirror._class_table(chain3, i, 6):
                 dj = pair[j]
                 want = want.sub(inv.image(comps).scalar_mul(dj * gamma))
@@ -449,7 +473,7 @@ def test_each_slice_is_final_once_formed(request, name, order):
         inv = mirror._inverse(ctx, low)
         for l in deep.active:
             w, e = (inv.W[l], inv.E[l]) if l in inv.sources else (
-                QSeries.zero(ctx.rank, ctx.ample_weight, low), one(ctx, low))
+                QSeries(ctx.rank, ctx.ample_weight, low), one(ctx, low))
             assert w == deep.W[l].truncate(low) and e == deep.E[l].truncate(low)
 
 
@@ -462,7 +486,7 @@ def plain_picard(inv):
         return {}, {}
     ctx, order = inv.ctx, inv.order
     shape = (ctx.rank, ctx.ample_weight)
-    W = {l: QSeries.zero(*shape, order) for l in inv.active}
+    W = {l: QSeries(*shape, order) for l in inv.active}
     E = {l: QSeries.one(*shape, order) for l in inv.active}
     step = min(wt for rows in inv.sources.values() for _, wt, _, _ in rows)
     rung = Fraction(0)
@@ -471,9 +495,9 @@ def plain_picard(inv):
         powers = {}
         new = {}
         for l, rows in inv.sources.items():
-            total = QSeries.zero(*shape, rung)
+            total = QSeries(*shape, rung)
             for comps, wt, gamma, pair in rows:
-                term = QSeries.monomial(comps, gamma, *shape, rung)
+                term = QSeries(*shape, rung, {comps: gamma})
                 for j in inv.active:
                     if pair[j]:
                         if (j, pair[j]) not in powers:

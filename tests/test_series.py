@@ -65,6 +65,8 @@ def test_shape_mismatch_raises():
         f.add(g)
     with pytest.raises(SeriesError):
         f.mul(QSeries(3, (1, 1, 1), 8, {}))
+    with pytest.raises(SeriesError, match="another shape"):
+        QSeries.linear_sum([(f, 1), (g, 1)], 2, W, 8)
 
 
 def test_geometric_reciprocal():
@@ -194,6 +196,9 @@ def test_shift_multiplies_by_a_monomial():
     f = S({(1, 0): 1, (0, 1): 3})
     g = f.shift((-1, 1)).scalar_mul(Fraction(1, 2))
     assert g.terms == {(0, 1): Fraction(1, 2), (-1, 2): Fraction(3, 2)}
+    # a monomial above the order still brings terms of negative degree into it
+    low = S({(-2, 0): 1, (1, 0): 1}, order=2)
+    assert low.shift((4, 0)).terms == {(2, 0): 1}
 
 
 def test_negative_exponents_weigh_in():
@@ -322,8 +327,8 @@ def test_integral_fraction_input_is_stored_as_int():
     a, b = S({e: 3}), S({e: Fraction(3)})
     assert a == b
     assert type(b.coefficient(e)) is int
-    assert type(QSeries.constant(Fraction(4, 2), 2, W, 8).constant_term()) is int
-    assert type(QSeries.monomial(e, Fraction(-6, 3), 2, W, 8).coefficient(e)) is int
+    assert type(QSeries(2, W, 8, {(0, 0): Fraction(4, 2)}).constant_term()) is int
+    assert type(QSeries(2, W, 8, {e: Fraction(-6, 3)}).coefficient(e)) is int
     assert type(S({}).coefficient(e)) is int
 
 
@@ -349,7 +354,8 @@ def test_operations_keep_integral_coefficients_int():
     assert product.terms == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
     results = [product, t.exp(), u.log(), u.recip(), u.npow(3), u.npow(-2),
                f.substitute(smap), u.substitute(smap), f.scalar_mul(Fraction(4)),
-               f.scalar_mul(half), f.shift((0, 1)).scalar_mul(Fraction(6, 3))]
+               f.scalar_mul(half), f.shift((0, 1)).scalar_mul(Fraction(6, 3)),
+               QSeries.linear_sum([(f, 2), (t, half)], 2, W, 8)]
     for r in results:
         assert r.terms
         assert_int_first(r)
@@ -431,13 +437,28 @@ def test_packed_arithmetic_matches_tuple_reference(weights):
         for _ in range(6):
             a, b = rand_laurent(rng, weights), rand_laurent(rng, weights, positive=False)
             fa, fb = QSeries(n, weights, order, a), QSeries(n, weights, order, b)
+            high = QSeries(n, weights, order + 1, a)
             a, b = ref_cut(weights, a, order), ref_cut(weights, b, order)
+            minus_b = {e: -c for e, c in b.items()}
             assert fa.terms == a and fb.terms == b
             assert fa.mul(fb).terms == ref_mul(weights, a, b, order)
             assert fa.add(fb).terms == ref_add(weights, a, b, order)
-            assert fa.sub(fb).terms == ref_add(weights, a, {e: -c for e, c in b.items()}, order)
+            assert fa.sub(fb).terms == ref_add(weights, a, minus_b, order)
             low = order - 1
             assert fa.truncate(low).terms == ref_cut(weights, a, low)
+            # a sum of two orders is exact to, and cut at, the lower one
+            for got in (fa.add(fb.truncate(low)), fa.truncate(low).add(fb)):
+                assert got.order == low and got.terms == ref_add(weights, a, b, low)
+            got = high.sub(fb)
+            assert got.order == order and got.terms == ref_add(weights, a, minus_b, order)
+            # linear_sum: a part of higher order is cut, one of lower order
+            # lowers the result's order
+            half_b = {e: Fraction(-1, 2) * c for e, c in b.items()}
+            got = QSeries.linear_sum([(high, 3), (fb, Fraction(-1, 2))], n, weights, order)
+            assert got.order == order and got.terms == ref_add(
+                weights, {e: 3 * c for e, c in a.items()}, half_b, order)
+            got = QSeries.linear_sum([(fa, 1), (fb.truncate(low), 1)], n, weights, order)
+            assert got.order == low and got.terms == ref_add(weights, a, b, low)
             s = tuple(rng.randrange(-2, 3) for _ in weights)
             assert fa.shift(s).scalar_mul(Fraction(3, 2)).terms == ref_cut(
                 weights, {tuple(x + y for x, y in zip(e, s)): Fraction(3, 2) * c
@@ -539,10 +560,10 @@ def test_products_near_the_field_limit_do_not_raise():
 
 
 def test_terms_view_is_tuple_keyed_in_degree_then_exponent_order():
-    # equal weights: the packed keys put (1, 0) before (0, 1), the canonical
-    # (degree, exponent tuple) order puts (0, 1) first
+    # equal weights: the packed keys put (0, 1) before (1, 0), as the
+    # canonical (degree, exponent tuple) order does
     f = S({(1, 0): 3, (0, 1): Fraction(1, 2), (-1, 1): 5, (2, 0): 1})
-    assert f.ring.key((1, 0)) < f.ring.key((0, 1))
+    assert f.ring.key((0, 1)) < f.ring.key((1, 0))
     assert list(f.terms) == [(-1, 1), (0, 1), (1, 0), (2, 0)]
     assert all(type(e) is tuple for e in f.mul(f).terms)
     assert [r["exponent"] for r in f.to_records()] == [[-1, 1], [0, 1], [1, 0], [2, 0]]
