@@ -199,12 +199,19 @@ def _back_substitute(stages, plans):
     return tuple(point)
 
 
+def _holds_without_variables(cons) -> bool:
+    """Whether a system in no variables holds: each row reads ``0 >= rhs``."""
+    return all(rhs <= 0 for _, rhs in cons)
+
+
 def feasible(cons, nvars) -> bool:
     return witness(cons, nvars) is not None
 
 
 def witness(cons, nvars):
     """A rational feasible point (see :func:`_back_substitute`), or None."""
+    if not nvars:
+        return () if _holds_without_variables(cons) else None
     if not cons:
         return tuple(Fraction(0) for _ in range(nvars))
     stages = _chain(cons, nvars)
@@ -282,8 +289,8 @@ def integer_points(cons, nvars):
     point against the normalised input rows is a guard that should never
     reject.
     """
-    if nvars == 0:
-        return [()]
+    if not nvars:
+        return [()] if _holds_without_variables(cons) else []
     last = nvars - 1
     stages = _chain(cons, nvars)
     normed = stages[last]

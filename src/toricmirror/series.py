@@ -23,14 +23,16 @@ dynamic arrays, heaps, and packed exponent vectors", CASC 2007)::
 
     key(e) = (L * deg(e) << nvars * W) + sum_k (e_k + B) << (nvars - 1 - k) * W
 
-with one fixed field width ``W = 16`` and bias ``B = 2^15``.  A field holds
-``e_k + B`` and never borrows from its neighbour, and variable 0 has the top
-field, so comparing keys compares (degree, exponent tuple): key order is
-term order.  Truncation to order ``N`` is ``key < cutoff(N)``, the product of
-two monomials has key ``k1 + k2 - C`` (``C`` is the key of the constant
-monomial), and the degree budget of a product is one ``bisect`` over a sorted
-key list.  A shift by ``q^e`` is a product with that monomial, so its terms
-past the order are never formed.
+with one fixed field width ``W = 17`` and bias ``B = 2^15``.  Bits 0-15 of
+a field hold ``e_k + B``, from 1 to ``2^16 - 1``, so a field of a stored key
+never borrows from its neighbour, and bit 16 is a guard bit that every
+stored key keeps clear.  Variable 0 has the top field, so comparing keys
+compares (degree, exponent tuple): key order is term order.  Truncation to
+order ``N`` is ``key < cutoff(N)``, the product of two monomials has key
+``k1 + k2 - C`` (``C`` is the key of the constant monomial), and the degree
+budget of a product is one ``bisect`` over a sorted key list.  A shift by
+``q^e`` is a product with that monomial, so its terms past the order are
+never formed.
 
 ``exp``, ``log`` and ``recip`` split their operand into level slices (the
 terms of one level ``L * deg``) and form the result one slice at a time from
@@ -46,16 +48,20 @@ itself, so a unit's powers are formed once however many terms, components
 (:meth:`SubstitutionMap.compose`) or ``mirror`` consumers read them.
 
 Overflow.  A field holds ``e_k + B``, so every exponent entry must satisfy
-``|e_k| < B``, and a field never wraps silently: an exponent that could leave
-its field raises :class:`SeriesError`.  Each series carries an upper bound
-on ``|e_k|`` over its terms.  ``mul`` checks the sum of its operands' bounds
-at O(1) cost, recomputes it exactly only when it nears ``B``, and then checks
-the pairs it may form.  :meth:`QSeries.linear_sum` forms no new exponent, so
-its bound is the largest of its parts'.  A term of ``exp(f)``, ``log(1 + f)``
-or ``1/(c + f)`` at level ``<= top`` is a sum of at most ``top // least``
-terms of ``f``, ``least`` being the least level in ``f``; these kernels raise
-unless that count times ``f``'s bound, recomputed exactly when it nears
-``B``, stays below ``B`` (:func:`_sum_bound`).  Readers see the
+``|e_k| < B``, and a field never wraps silently: a kept term whose exponent
+leaves its field raises :class:`SeriesError`.  The ring owns the one exact
+test (:meth:`GradedRing.check`), and no series carries a bound.  A key
+``k = k1 + k2 - C`` formed from two stored keys has each field in ``-B + 2
+.. 3B - 2``, and ``ones`` has a 1 in each field.  If every field lies in
+``1 .. 2B - 1``, neither ``k`` nor ``k - ones`` borrows, and no guard bit is
+set.  Otherwise take the lowest field outside that range: the valid fields
+below it leave it as it is, so it sets its guard bit in ``k`` (it is
+negative and borrowed from the field above, or it reached ``2B``), or it is
+exactly 0 and sets its guard bit in ``k - ones``.  So ``k`` is valid
+exactly when ``k | (k - ones)`` has no guard bit set.  Every kernel output
+passes through :func:`_clean`, which tests the keys it keeps.  A borrow
+lowers the level by at most one, so an overflowing pair of level ``top +
+1`` may also be kept and raise.  Readers see the
 terms through :attr:`QSeries.terms`, a dict keyed by exponent tuples in
 (degree, exponent) order, decoded once from the sorted keys on first use.
 
@@ -73,9 +79,9 @@ from operator import index, mul as _mul
 
 from ._record import Record
 
-WIDTH = 16                      # bits per packed exponent field
-BIAS = 1 << (WIDTH - 1)         # a field holds e + BIAS, so |e| < BIAS
-_FIELD = (1 << WIDTH) - 1
+WIDTH = 17                      # bits per packed exponent field, guard bit included
+BIAS = 1 << 15                  # a field holds e + BIAS, so |e| < BIAS
+_FIELD = (1 << 16) - 1          # the value bits of a field, below its guard bit
 
 
 class SeriesError(ValueError):
@@ -99,28 +105,18 @@ def _coeff(value):
     raise SeriesError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
 
 
-def _clean(terms):
-    """Drop cancelled terms and turn integral ``Fraction`` sums into ``int``."""
-    return {k: c if type(c) is int or c.denominator != 1 else c.numerator
-            for k, c in terms.items() if c}
+def _clean(terms, ring):
+    """Drop cancelled terms, turn integral ``Fraction`` sums into ``int`` and
+    check the kept keys against ``ring``'s fields (:meth:`GradedRing.check`)."""
+    out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+           for k, c in terms.items() if c}
+    ring.check(out)
+    return out
 
 
 def _overflow():
     return SeriesError(f"exponent leaves the packed field: every entry must lie "
                        f"strictly between -{BIAS} and {BIAS}")
-
-
-def _sum_bound(top, least, entry):
-    """A bound on ``|e_k|`` over every monomial of level ``<= top`` that is a
-    sum of monomials of level ``>= least`` with entries bounded by ``entry``.
-
-    Such a sum has at most ``top // least`` summands.  Raises
-    :class:`SeriesError` when the bound reaches the packed field's limit.
-    """
-    bound = top // least * entry
-    if bound >= BIAS:
-        raise _overflow()
-    return bound
 
 
 def _div(c, n):
@@ -173,20 +169,17 @@ def solve_units(ring, order, sources):
     once, from final lower slices, for ``n = 1..top`` (cf. van der Hoeven,
     "Relax, but don't be too lazy", J. Symb. Comput. 2002): ``W_l[n] = sum_d
     gamma_{l,d} q^d X_d[n - wt_d]``, with ``X_d`` the product of the powers
-    ``E_j^{pair_j}``, then ``n E_l[n] = sum_i i W_l[i] E_l[n - i]``.  A term
-    of level ``m`` sums at most ``m // least`` row vectors, so one
-    :func:`_sum_bound`, checked before the first key is formed, keeps every
-    exponent inside its packed field.
+    ``E_j^{pair_j}``, then ``n E_l[n] = sum_i i W_l[i] E_l[n - i]``.  Every
+    slice passes through :func:`_clean`, so an exponent that leaves its
+    packed field raises as soon as its level forms.
     """
     if not sources:
         return {}, {}
     top = ring.level(order)
     active = sorted(sources)
     rows = [row for table in sources.values() for row in table]
-    least = min(wt for _, wt, _, _ in rows)
-    if least <= 0:
+    if min(wt for _, wt, _, _ in rows) <= 0:
         raise SeriesError("solve rows must have positive level")
-    bound = _sum_bound(top, least, max(abs(x) for d, _, _, _ in rows for x in d))
     bias = ring.bias
     one = [{bias: 1}] + [{}] * top
     # W is kept as D * W, with D the lcm of the gammas' denominators, so
@@ -242,24 +235,24 @@ def solve_units(ring, order, sources):
                         c *= gamma
                         s = get(k)
                         out[k] = c if s is None else s + c
-            theta[l].append(_clean({k: n * c for k, c in out.items()}))
+            theta[l].append(_clean({k: n * c for k, c in out.items()}, ring))
         for l in active:
             total = _convolve(theta[l], E[l], n, range(1, n + 1), bias)
-            E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}))
+            E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}, ring))
         for out, reach, a, b, above in nodes:
             if n > reach:
                 continue
             if above is None:
-                out.append(_clean(_convolve(a, b, n, range(n + 1), bias)))
+                out.append(_clean(_convolve(a, b, n, range(n + 1), bias), ring))
             else:
                 # E_j^k[n] = E_j^{k+1}[n] - sum_{i>=1} E_j[i] E_j^k[n-i]
                 out.append(_clean(_convolve(a, b, n, range(1, n + 1), bias,
-                                            dict(above[n]), -1)))
-    zero = QSeries._of(ring, order, top, {}, 0)
+                                            dict(above[n]), -1), ring))
+    zero = QSeries._of(ring, order, top, {})
     W = {l: zero._from_slices([{k: _div(c, n * scale) for k, c in s.items()}
-                               for n, s in enumerate(theta[l])], bound)
+                               for n, s in enumerate(theta[l])])
          for l in active}
-    return W, {l: zero._from_slices(E[l], bound) for l in active}
+    return W, {l: zero._from_slices(E[l]) for l in active}
 
 
 _RINGS = {}
@@ -275,7 +268,7 @@ class GradedRing:
     """
 
     __slots__ = ("nvars", "weights", "scale", "scaled", "shift", "bias",
-                 "_units", "_fields")
+                 "_units", "_fields", "_ones", "_guard")
 
     @staticmethod
     def of(nvars, weights) -> "GradedRing":
@@ -299,7 +292,9 @@ class GradedRing:
         # variable 0 in the top field: key order is (degree, exponent) order
         self._fields = tuple((nvars - 1 - k) * WIDTH for k in range(nvars))
         self.shift = nvars * WIDTH
-        self.bias = sum(BIAS << f for f in self._fields)
+        self._ones = sum(1 << f for f in self._fields)
+        self._guard = self._ones << 16
+        self.bias = BIAS * self._ones
         # key(e) = bias + sum_k e_k * unit_k
         self._units = tuple((s << self.shift) + (1 << f)
                             for s, f in zip(self.scaled, self._fields))
@@ -315,6 +310,16 @@ class GradedRing:
         if not all(-BIAS < x < BIAS for x in e):
             raise _overflow()
         return sum(map(_mul, e, self._units), self.bias)
+
+    def check(self, keys):
+        """Raise :class:`SeriesError` unless every key, a sum of stored keys
+        ``k1 + k2 - bias``, holds each exponent entry inside its field: a
+        field that left ``1 .. 2 * BIAS - 1`` sets its guard bit in ``k`` or
+        in ``k - ones`` (see the module docstring)."""
+        ones, guard = self._ones, self._guard
+        for k in keys:
+            if (k | (k - ones)) & guard:
+                raise _overflow()
 
     def exponent(self, key) -> tuple:
         """The exponent vector of a packed key."""
@@ -349,8 +354,7 @@ class QSeries:
     validates its input.
     """
 
-    __slots__ = ("ring", "order", "_top", "_packed", "_bound", "_sorted", "_view",
-                 "_powers")
+    __slots__ = ("ring", "order", "_top", "_packed", "_sorted", "_view", "_powers")
 
     def __init__(self, nvars, weights, order, terms=None):
         ring = GradedRing.of(nvars, weights)
@@ -358,7 +362,6 @@ class QSeries:
         top = ring.level(order)
         stop = ring.cutoff(top)
         packed = {}
-        bound = 0
         if terms:
             for e, c in terms.items():
                 c = _coeff(c)
@@ -367,31 +370,29 @@ class QSeries:
                 k = ring.key(e)
                 if k < stop:
                     packed[k] = c
-                    bound = max(bound, max(map(abs, e), default=0))
-        self._set(ring, order, top, packed, bound)
+        self._set(ring, order, top, packed)
 
-    def _set(self, ring, order, top, packed, bound):
+    def _set(self, ring, order, top, packed):
         self.ring = ring
         self.order = order
         self._top = top            # ring.level(order)
         self._packed = packed
-        self._bound = bound        # >= |e_k| over every term
         self._sorted = None
         self._view = None
         self._powers = None        # {k: self^k} formed by npow, k != 1
 
     @staticmethod
-    def _of(ring, order, top, packed, bound):
+    def _of(ring, order, top, packed):
         """A series from trusted parts: nothing is re-checked."""
         out = QSeries.__new__(QSeries)
-        out._set(ring, order, top, packed, bound)
+        out._set(ring, order, top, packed)
         return out
 
     def _const(self, value):
         """``value`` as a series of this ring, to this series' order."""
         ring, top = self.ring, self._top
         packed = {ring.bias: value} if value and ring.bias < ring.cutoff(top) else {}
-        return QSeries._of(ring, self.order, top, packed, 0)
+        return QSeries._of(ring, self.order, top, packed)
 
     # ---------------------------------------------------------------- basics
 
@@ -447,8 +448,8 @@ class QSeries:
             stop = ring.cutoff(top)
             if max(packed) >= stop:
                 cut = {k: c for k, c in packed.items() if k < stop}
-                return QSeries._of(ring, order, top, cut, self._bound)
-        out = QSeries._of(ring, order, top, packed, self._bound)
+                return QSeries._of(ring, order, top, cut)
+        out = QSeries._of(ring, order, top, packed)
         out._sorted, out._view = self._sorted, self._view
         return out
 
@@ -464,12 +465,6 @@ class QSeries:
             if self.nvars != other.nvars:
                 raise SeriesError("variable count mismatch")
             raise SeriesError("grading weight mismatch")
-
-    def _exact_bound(self):
-        """Recompute ``max |e_k|`` over the terms and keep it as the bound."""
-        exponent = self.ring.exponent
-        self._bound = max((abs(x) for k in self._packed for x in exponent(k)), default=0)
-        return self._bound
 
     # ------------------------------------------------------------ arithmetic
 
@@ -491,11 +486,11 @@ class QSeries:
         if self._top != other._top:
             stop = self.ring.cutoff(top)
             out = {k: c for k, c in out.items() if k < stop}
-        return QSeries._of(self.ring, order, top, out, max(self._bound, other._bound))
+        return QSeries._of(self.ring, order, top, out)
 
     def neg(self):
         return QSeries._of(self.ring, self.order, self._top,
-                           {k: -c for k, c in self._packed.items()}, self._bound)
+                           {k: -c for k, c in self._packed.items()})
 
     def sub(self, other):
         return self.add(other.neg())
@@ -503,16 +498,14 @@ class QSeries:
     def scalar_mul(self, value):
         value = _coeff(value)
         return QSeries._of(self.ring, self.order, self._top,
-                           _clean({k: value * c for k, c in self._packed.items()}),
-                           self._bound)
+                           _clean({k: value * c for k, c in self._packed.items()}, self.ring))
 
     def shift(self, exponent):
         """Multiply by ``q^exponent``, keeping this series' order: a product
         with the monomial, so terms shifted past the order are never formed.
         A scaled shift is ``shift(exponent).scalar_mul(c)``."""
         ring = self.ring
-        monomial = QSeries._of(ring, self.order, self._top, {ring.key(exponent): 1},
-                               max(map(abs, exponent), default=0))
+        monomial = QSeries._of(ring, self.order, self._top, {ring.key(exponent): 1})
         return self.mul(monomial)
 
     @classmethod
@@ -524,12 +517,10 @@ class QSeries:
         """
         ring = GradedRing.of(nvars, weights)
         order = _as_fraction(order)
-        bound = 0
         for s, _ in parts:
             if s.ring is not ring:
                 raise SeriesError("summand has another shape")
             order = min(order, s.order)
-            bound = max(bound, s._bound)
         top = ring.level(order)
         stop = ring.cutoff(top)
         out = {}
@@ -541,39 +532,12 @@ class QSeries:
                     c *= scalar
                     t = get(k)
                     out[k] = c if t is None else t + c
-        return QSeries._of(ring, order, top, _clean(out), bound)
-
-    def _product_bound(self, other, top):
-        """A bound on ``|e_k|`` over ``self * other`` cut at level ``top``.
-
-        O(1) while the operands' bounds sum below ``BIAS``.  Near the limit
-        the bounds are recomputed exactly, and if they still reach it every
-        pair that a key test against ``top`` may form is checked: those of
-        level up to ``top + 1``, since a field that borrows lowers the key.
-        Raises :class:`SeriesError` when such a pair leaves its field.
-        """
-        bound = self._bound + other._bound
-        if bound < BIAS:
-            return bound
-        bound = self._exact_bound() + other._exact_bound()
-        if bound < BIAS:
-            return bound
-        ring = self.ring
-        shift, exponent = ring.shift, ring.exponent
-        partners = [(k >> shift, exponent(k)) for k in other._packed]
-        for k in self._packed:
-            level, e1 = k >> shift, exponent(k)
-            for level2, e2 in partners:
-                if level + level2 <= top + 1 and not all(
-                        -BIAS < x + y < BIAS for x, y in zip(e1, e2)):
-                    raise _overflow()
-        return BIAS - 1
+        return QSeries._of(ring, order, top, _clean(out, ring))
 
     def mul(self, other):
         self._check_shape(other)
         order = min(self.order, other.order)
         top = min(self._top, other._top)
-        bound = self._product_bound(other, top)
         # Iterate the smaller support on the outside and cut the inner loop
         # by remaining degree budget; this keeps dense*dense products at the
         # cost of the genuinely contributing pairs only.  A product key is
@@ -592,7 +556,7 @@ class QSeries:
                 c = c1 * c2
                 s = get(k)
                 out[k] = c if s is None else s + c
-        return QSeries._of(self.ring, order, top, _clean(out), bound)
+        return QSeries._of(self.ring, order, top, _clean(out, self.ring))
 
     def npow(self, k: int):
         """The integer power ``self^k``, memoised on this series.
@@ -639,31 +603,23 @@ class QSeries:
         bias, shift = self.ring.bias, self.ring.shift
         return min((k >> shift for k in self._packed if k != bias), default=None)
 
-    def _slices(self, least):
-        """``(slices, levels, bound)`` for a kernel whose terms are sums of
-        this series' non-constant terms, all of level ``>= least``.
-
-        ``slices[n]`` holds the terms of level ``n`` for ``n = 0..top`` as
-        ``{key: coeff}``, ``levels`` lists the positive levels that hold
-        terms, and ``bound`` is the :func:`_sum_bound` of the result, with
-        this series' own bound recomputed exactly if the cheap one would
-        reach the field's limit.
+    def _slices(self):
+        """``(slices, levels)``: ``slices[n]`` holds the terms of level ``n``
+        for ``n = 0..top`` as ``{key: coeff}``, and ``levels`` lists the
+        positive levels that hold terms.
         """
-        if self._top // least * self._bound >= BIAS:
-            self._exact_bound()
-        bound = _sum_bound(self._top, least, self._bound)
         slices = [{} for _ in range(self._top + 1)]
         shift = self.ring.shift
         for k, c in self._packed.items():
             slices[k >> shift][k] = c
-        return slices, [n for n, s in enumerate(slices) if n and s], bound
+        return slices, [n for n, s in enumerate(slices) if n and s]
 
-    def _from_slices(self, slices, bound):
+    def _from_slices(self, slices):
         """The series of this ring and order with the given level slices."""
         packed = {}
         for s in slices:
             packed.update(s)
-        return QSeries._of(self.ring, self.order, self._top, packed, bound)
+        return QSeries._of(self.ring, self.order, self._top, packed)
 
     def recip(self):
         """Multiplicative inverse of a series with nonzero constant term.
@@ -679,12 +635,12 @@ class QSeries:
             return self._const(inv0)
         if least <= 0:
             raise SeriesError("cannot invert: non-constant term of non-positive degree")
-        u, levels, bound = self._slices(least)
-        bias = self.ring.bias
-        r = [{bias: inv0}]
+        u, levels = self._slices()
+        ring = self.ring
+        r = [{ring.bias: inv0}]
         for n in range(1, self._top + 1):
-            r.append(_clean(_convolve(u, r, n, levels, bias, scalar=-inv0)))
-        return self._from_slices(r, bound)
+            r.append(_clean(_convolve(u, r, n, levels, ring.bias, scalar=-inv0), ring))
+        return self._from_slices(r)
 
     def exp(self):
         """Exponential of a series whose terms all have positive degree.
@@ -700,14 +656,14 @@ class QSeries:
             return self._const(1)
         if least <= 0:
             raise SeriesError("exp requires terms of positive weighted degree")
-        f, levels, bound = self._slices(least)
+        f, levels = self._slices()
         theta = [{k: n * c for k, c in s.items()} for n, s in enumerate(f)]
-        bias = self.ring.bias
-        e = [{bias: 1}]
+        ring = self.ring
+        e = [{ring.bias: 1}]
         for n in range(1, self._top + 1):
             e.append(_clean({k: _div(c, n) for k, c in
-                             _convolve(theta, e, n, levels, bias).items()}))
-        return self._from_slices(e, bound)
+                             _convolve(theta, e, n, levels, ring.bias).items()}, ring))
+        return self._from_slices(e)
 
     def log(self):
         """Logarithm of a unit series (constant term exactly 1).
@@ -722,14 +678,14 @@ class QSeries:
             return self._const(0)
         if least <= 0:
             raise SeriesError("log requires tail terms of positive weighted degree")
-        u, levels, bound = self._slices(least)
-        bias = self.ring.bias
+        u, levels = self._slices()
+        ring = self.ring
         theta = [{}]            # level n holds n * L[n]; level 0 is empty
         for n in range(1, self._top + 1):
             t = {k: n * c for k, c in u[n].items()}
-            theta.append(_clean(_convolve(u, theta, n, levels, bias, t, -1)))
+            theta.append(_clean(_convolve(u, theta, n, levels, ring.bias, t, -1), ring))
         return self._from_slices([{k: _div(c, n) for k, c in s.items()}
-                                  for n, s in enumerate(theta)], bound)
+                                  for n, s in enumerate(theta)])
 
     def substitute(self, smap: "SubstitutionMap"):
         """Simultaneous substitution ``q_k -> q_k * u_k(q)``.
@@ -757,7 +713,7 @@ class QSeries:
         stop = ring.cutoff(top)
         parts = []
         for key, c in self._packed.items():
-            acc = QSeries._of(ring, order, top, {key: c} if key < stop else {}, self._bound)
+            acc = QSeries._of(ring, order, top, {key: c} if key < stop else {})
             for k, ek in enumerate(ring.exponent(key)):
                 if ek:
                     acc = acc.mul(smap.units[k].npow(ek))

@@ -33,6 +33,11 @@ def test_witness_satisfies_random_systems():
             assert sum(c * x for c, x in zip(coeffs, point)) >= rhs
     # no rows: every point is feasible, and the witness is the origin
     assert lp.witness([], 3) == (0, 0, 0)
+    # no variables: the one point satisfies 0 >= -1 but not 0 >= 1
+    for cons in ([], [((), -1)], [((), 0), ((), Fraction(-1, 2))]):
+        assert lp.witness(cons, 0) == () and lp.feasible(cons, 0)
+    for cons in ([((), 1)], [((), -1), ((), Fraction(1, 3))]):
+        assert lp.witness(cons, 0) is None and not lp.feasible(cons, 0)
 
 
 def test_minimize_simple_vertex():
@@ -115,6 +120,9 @@ def test_integer_points_match_brute_force():
         assert got == want
     # no variables: the space is one point, the empty tuple
     assert lp.integer_points([], 0) == list(itertools.product(range(-4, 5), repeat=0)) == [()]
+    assert lp.integer_points([((), -1)], 0) == [()]
+    assert lp.integer_points([((), 1)], 0) == []
+    assert lp.integer_points([((), 0), ((), Fraction(1, 2))], 0) == []
 
 
 # ------------------------------------------------- exact results, never float

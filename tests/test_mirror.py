@@ -29,7 +29,7 @@ from toricmirror import (
 )
 from toricmirror import mirror, series
 from toricmirror.fans import FanError, minimal_face
-from toricmirror.series import BIAS, QSeries, SeriesError
+from toricmirror.series import QSeries
 
 
 def mono(ctx, exponent, coeff=1, order=8):
@@ -235,6 +235,13 @@ def test_delta_f2_is_one_monomial(f2):
         assert delta(f2, ray, 8).is_zero()
 
 
+def test_delta_f2_runs_past_order_181(f2):
+    # no exponent formed exceeds the order, far inside the field, so an
+    # estimate such as top // least * entry (182 * 182 >= 2^15) must not
+    # turn this order away
+    assert delta(f2, 1, 182) == mono(f2, (1, 0))
+
+
 def test_delta_chain3(chain3):
     d1 = delta(chain3, 1, 10)
     t1 = (1, 0, 0, 0, 0, 0)
@@ -423,44 +430,6 @@ def test_extended_factors_project_to_mirror_map(f2):
     lhs2 = factors[3].mul(factors[1])
     assert lhs1 == mm.units[0]
     assert lhs2 == mm.units[1]
-
-
-def test_solve_checks_its_exponent_bound_before_forming_a_key(monkeypatch, load):
-    # a term at level m sums at most m // least class vectors, so one bound,
-    # checked before the first slice product, covers every exponent formed
-    events = []
-    real_bound, real_kernel = series._sum_bound, series._convolve
-
-    def bound(top, least, entry):
-        events.append((top, least, entry))
-        return real_bound(top, least, entry)
-
-    def kernel(*args):
-        events.append("kernel")
-        return real_kernel(*args)
-
-    monkeypatch.setattr(series, "_sum_bound", bound)
-    monkeypatch.setattr(series, "_convolve", kernel)
-    inv = mirror._Inverse(load("chain3"), Fraction(10))
-    rows = [row for table in inv.sources.values() for row in table]
-    least = min(wt for _, wt, _, _ in rows)
-    entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
-    assert events[0] == (10, least, entry)
-    assert events.count("kernel") == len(events) - 1
-    assert {s._bound for s in (*inv.W.values(), *inv.E.values())} == {10 // least * entry}
-
-
-def test_solve_bound_raises_where_an_exponent_could_leave_the_field(chain3):
-    # the chain3 solve would first hit it at an order in the tens of
-    # thousands, so the check is called with the numbers such an order gives
-    inv = mirror._inverse(chain3, 4)
-    rows = [row for table in inv.sources.values() for row in table]
-    least = min(wt for _, wt, _, _ in rows)
-    entry = max(abs(x) for comps, _, _, _ in rows for x in comps)
-    count = -(-BIAS // entry)           # the fewest summands that may reach BIAS
-    assert series._sum_bound(count * least - 1, least, entry) == (count - 1) * entry
-    with pytest.raises(SeriesError, match="packed field"):
-        series._sum_bound(count * least, least, entry)
 
 
 @pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", 10)])

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from toricmirror.series import QSeries, SeriesError, SubstitutionMap
+from toricmirror.series import GradedRing, QSeries, SeriesError, SubstitutionMap, solve_units
 
 W = (1, 1)
 
@@ -513,14 +513,18 @@ def test_exponents_outside_the_packed_field_raise():
 
 
 def test_exp_log_recip_raise_where_a_sum_of_terms_could_leave_the_field():
-    # a term of exp(f), log(1 + f) or 1/(1 + f) at level <= top is a sum of
-    # at most top // least terms of f; with f = q1^(2^13), an order that
-    # admits f^4 = q1^(2^15) could leave the field
+    # with f = q1^(2^13), an order that admits f^4 = q1^(2^15) keeps a term
+    # of exp(f), log(1 + f), 1/(1 + f) and f(q1 (1 + f)) outside the field
     big = 1 << 13
     order = 4 * big
+
+    def substitute(f, unit):
+        return f.substitute(SubstitutionMap((unit, S({(0, 0): 1}, order))))
+
     f = S({(big, 0): 1}, order)
     unit = S({(0, 0): 1, (big, 0): 1}, order)
-    for kernel in (f.exp, unit.log, unit.recip):
+    for kernel in (f.exp, unit.log, unit.recip, lambda: unit.npow(-1),
+                   lambda: substitute(f, unit)):
         with pytest.raises(SeriesError, match="packed field"):
             kernel()
     # one degree lower admits only the cube, and every kernel is exact
@@ -530,18 +534,47 @@ def test_exp_log_recip_raise_where_a_sum_of_terms_could_leave_the_field():
     assert f.exp().terms == dict(zip(powers, (1, 1, Fraction(1, 2), Fraction(1, 6))))
     assert unit.log().terms == dict(zip(powers[1:], (1, Fraction(-1, 2), Fraction(1, 3))))
     assert unit.recip().terms == dict(zip(powers, (1, -1, 1, -1)))
+    assert unit.npow(-1).terms == dict(zip(powers, (1, -1, 1, -1)))
+    # q1^big (1 + q1^big)^big, cut below q1^(4 big)
+    assert substitute(f, unit).terms == dict(zip(powers[1:], (1, big, big * (big - 1) // 2)))
 
 
-def test_kernels_recompute_a_stale_bound_near_the_limit():
-    # bounds only grow, so one near the limit is recomputed before raising
-    f = S({(1, 0): 1, (0, 2): 3})
-    f._bound = (1 << 15) - 1
-    assert f.exp() == S({(1, 0): 1, (0, 2): 3}).exp()
-    assert f._bound == 2
-    unit = S({(0, 0): 1, (-1, 2): 1})
-    unit._bound = (1 << 15) - 1
-    assert unit.recip().mul(unit) == S({(0, 0): 1})
-    assert unit._bound == 2
+@pytest.mark.parametrize("weights", [(1,), (1, 1), (Fraction(1, 2), 3),
+                                     (1, Fraction(2, 3), Fraction(5, 2))])
+def test_ring_check_is_exact_at_the_field_boundaries(weights):
+    # a key k1 + k2 - bias of two stored keys passes exactly when every
+    # entry of e1 + e2 lies strictly between -2^15 and 2^15, in the top
+    # field (under the level), a middle one and the bottom one, whatever its
+    # neighbours hold; -2^15 leaves a zero field, which only k - ones shows
+    ring = GradedRing.of(len(weights), weights)
+    limit = 1 << 15
+    for k in range(ring.nvars):
+        for rest in (-(limit - 1), 0, limit - 1):
+            for total in (limit - 1, -(limit - 1), limit, -limit, 2 * limit - 2, 2 - 2 * limit):
+                e = [rest] * ring.nvars
+                e[k] = total
+                e1 = [x - x // 2 for x in e]
+                e2 = [x // 2 for x in e]
+                key = ring.key(e1) + ring.key(e2) - ring.bias
+                if abs(total) < limit:
+                    ring.check([key])
+                    assert ring.exponent(key) == tuple(e)
+                else:
+                    with pytest.raises(SeriesError, match="packed field"):
+                        ring.check([ring.bias, key, ring.key(e1)])
+    ring.check([])
+
+
+def test_solve_raises_where_a_kept_exponent_leaves_the_field():
+    # W = q^d exp(W) with d = (2^14, 1 - 2^14) of level 1: level 2 holds
+    # q^(2d), whose first entry is 2^15
+    ring = GradedRing.of(2, (1, 1))
+    d = (1 << 14, 1 - (1 << 14))
+    sources = {0: [(d, 1, 1, (1,))]}
+    W, E = solve_units(ring, Fraction(1), sources)
+    assert W[0].terms == {d: 1} and E[0].terms == {(0, 0): 1, d: 1}
+    with pytest.raises(SeriesError, match="packed field"):
+        solve_units(ring, Fraction(2), sources)
 
 
 def test_products_near_the_field_limit_do_not_raise():
