@@ -24,8 +24,9 @@ The central objects:
     final lower slices, so the solution is exact by construction and there
     is no iteration to stop or to certify.  The exponentials ``1 + delta_l =
     exp(W_l)`` then give the open Gromov-Witten generating functions
-    directly.  An exponent that could leave its packed field raises
-    :class:`~toricmirror.series.SeriesError` before the first key is formed.
+    directly.  :func:`_solve` keeps ``W`` and ``E``, and :func:`_image` each
+    monomial's image, as plain values in the context's one memo
+    (:func:`~toricmirror.fans.memoised`), where every consumer reads them.
 
 ``disc_potential`` / ``hori_vafa``
     The Laurent potentials; the "tilde" Hori-Vafa form is assembled through
@@ -48,7 +49,9 @@ def _shape(ctx: ToricContext, order) -> tuple:
     return ctx.rank, ctx.ample_weight, Fraction(order)
 
 
-def _one(ctx, order) -> QSeries:
+@memoised
+def _one(ctx: ToricContext, order) -> QSeries:
+    """The ``1`` that every ray without classes shares as its unit."""
     return QSeries.one(*_shape(ctx, order))
 
 
@@ -142,109 +145,73 @@ def mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
                                        for k in range(ctx.rank)))
 
 
-class _Inverse:
-    """The solved inverse map, shared by everything downstream of it.
-
-    ``W[l]`` is ``log(1 + delta_l)`` for each ray ``l`` with a nonempty
-    class set, ``E[l] = exp(W[l])``, and :meth:`unit` is ``1 + delta_l`` for
-    every ray (one shared ``1`` without classes); a unit's powers
-    are its own memoised ``npow``.  :meth:`image` sends a formal checked
-    monomial ``qc^d`` to its expression in the Kaehler variables,
-    ``q^d * prod_j E_j^{D_j . d}``.  :func:`~toricmirror.series.solve_units`
-    forms ``W`` and ``E`` level by level, each slice once and from lower
-    slices only, so they are exact to :attr:`order`.
-
-    ``sources[l]`` is ray ``l``'s :func:`_class_table`, as it is, for each
-    ray with a nonempty one.
-    """
-
-    def __init__(self, ctx: ToricContext, order: Fraction):
-        self.ctx = ctx
-        self.order = order
-        self.ring = GradedRing.of(ctx.rank, ctx.ample_weight)
-        self.sources = {ray: rows for ray in range(ctx.m)
-                        if (rows := _class_table(ctx, ray, order))}
-        self.active = sorted(self.sources)
-        self._images = {}
-        self._one = _one(ctx, order)
-        self.W, self.E = solve_units(self.ring, order, self.sources)
-
-    # -- consumers --------------------------------------------------------
-
-    def unit(self, ray: int) -> QSeries:
-        """``1 + delta`` of a ray: ``E[ray]``, or ``1``."""
-        check_ray(self.ctx, ray)
-        return self.E.get(ray, self._one)
-
-    def image(self, exponent) -> QSeries:
-        """The checked monomial ``qc^exponent`` written in Kaehler variables,
-        memoised per exponent.
-
-        It starts from ``q^exponent`` and multiplies in each power
-        ``E_j^{D_j . exponent}``, so the degree budget of every product is
-        what the monomial leaves of :attr:`order`, and no term above the
-        order is formed.  An exponent of negative degree ``-k`` leaves the
-        image exact only to ``order - k``.
-        """
-        exponent = tuple(exponent)
-        val = self._images.get(exponent)
-        if val is not None:
-            return val
-        term = QSeries(*_shape(self.ctx, self.order), {exponent: 1})
-        for j in self.active:
-            pj = sum(p * c for p, c in zip(self.ctx.P[j], exponent))
-            if pj:
-                term = term.mul(self.E[j].npow(pj))
-        self._images[exponent] = term
-        return term
-
-    def log_units(self):
-        """``log qc_k/q_k = sum_l (D_l . Psi_k) W_l`` for each curve-basis index
-        ``k``, as one :meth:`~toricmirror.series.QSeries.linear_sum` of the
-        ``W_l`` each."""
-        ctx = self.ctx
-        return tuple(QSeries.linear_sum([(self.W[l], ctx.P[l][k])
-                                         for l in self.active if ctx.P[l][k]],
-                                        *_shape(ctx, self.order))
-                     for k in range(ctx.rank))
+@memoised
+def _solve(ctx: ToricContext, order):
+    """The solved inverse map: the dicts ``W[l] = log(1 + delta_l)`` and
+    ``E[l] = exp(W[l])``, exact to ``order``, over the rays ``l`` whose
+    :func:`_class_table` is nonempty.  Every other ray has ``W = 0`` and the
+    unit :func:`_one`."""
+    order = Fraction(order)
+    sources = {ray: rows for ray in range(ctx.m)
+               if (rows := _class_table(ctx, ray, order))}
+    return solve_units(GradedRing.of(ctx.rank, ctx.ample_weight), order, sources)
 
 
 @memoised
-def _inverse(ctx: ToricContext, order) -> _Inverse:
-    return _Inverse(ctx, Fraction(order))
+def _image(ctx: ToricContext, order, exponent) -> QSeries:
+    """The checked monomial ``qc^exponent`` in Kaehler variables, ``q^exponent
+    * prod_j E_j^{D_j . exponent}``: starting from ``q^exponent``, no product
+    forms a term above ``order``.  An exponent of negative degree ``-k``
+    leaves the image exact only to ``order - k``."""
+    _, E = _solve(ctx, order)
+    term = QSeries(*_shape(ctx, order), {exponent: 1})
+    for j, unit in E.items():
+        pj = sum(p * c for p, c in zip(ctx.P[j], exponent))
+        if pj:
+            term = term.mul(unit.npow(pj))
+    return term
 
 
 @memoised
 def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
-    """The compositional inverse ``qc_k = q_k * exp(g^{Psi_k}(qc(q)))``."""
-    inv = _inverse(ctx, order)
-    return SubstitutionMap(units=tuple(s.exp() for s in inv.log_units()))
+    """The compositional inverse ``qc_k = q_k * exp(g^{Psi_k}(qc(q)))``, from
+    ``log qc_k/q_k = sum_l (D_l . Psi_k) W_l``."""
+    W, _ = _solve(ctx, order)
+    return SubstitutionMap(units=tuple(
+        QSeries.linear_sum([(W[l], ctx.P[l][k]) for l in W if ctx.P[l][k]],
+                           *_shape(ctx, order)).exp()
+        for k in range(ctx.rank)))
 
 
 def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
     """Substitute the inverse mirror map into a series in checked variables,
     exact to ``f.order``.
 
-    Much faster than a generic substitution: each monomial's image under the
-    inverse map is a memoised product :meth:`_Inverse.image`, and the scaled
-    images are summed by one :meth:`~toricmirror.series.QSeries.linear_sum`.
-    A monomial of negative degree ``-k`` reads the inverse map ``k`` deeper.
+    Much faster than a generic substitution: the scaled images :func:`_image`
+    are summed by one :meth:`~toricmirror.series.QSeries.linear_sum`.  A
+    monomial of negative degree ``-k`` reads the inverse map ``k`` deeper.
+    A series of another ring raises :class:`~toricmirror.series.SeriesError`.
     """
-    drop = f.min_degree() or 0
-    inv = _inverse(ctx, f.order - min(0, drop))
-    return QSeries.linear_sum([(inv.image(e), c) for e, c in f.terms.items()],
+    _one(ctx, f.order)._check_shape(f)
+    order = f.order - min(0, f.min_degree() or 0)
+    return QSeries.linear_sum([(_image(ctx, order, e), c) for e, c in f.terms.items()],
                               *_shape(ctx, f.order))
 
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:
     """The open Gromov-Witten generating series ``exp(g_l(qc(q))) - 1``."""
-    return _inverse(ctx, order).unit(ray).sub(_one(ctx, order))
+    check_ray(ctx, ray)
+    one = _one(ctx, order)
+    return _solve(ctx, order)[1].get(ray, one).sub(one)
 
 
 def open_gw(ctx: ToricContext, beta: DiscClass, order=None) -> Fraction:
     """The one-pointed open invariant of a Maslov-index-2 disc class."""
     check_ray(ctx, beta.ray)
     alpha = beta.curve
+    if len(alpha.comps) != ctx.rank:
+        raise ValueError(f"sphere class has {len(alpha.comps)} components, "
+                         f"need the rank {ctx.rank}")
     maslov = 2 + 2 * ctx.degree(alpha)
     if maslov != 2:
         raise ValueError(f"disc class has Maslov index {maslov}, need 2 "
@@ -281,10 +248,11 @@ def disc_potential(ctx: ToricContext, order) -> dict:
     ``l`` of the k-th class coordinate, whose row ``P[l]`` is the k-th unit
     vector.
     """
-    inv = _inverse(ctx, order)
-    terms = {ctx.z[ray]: inv.unit(ray) for ray in ctx.basis_perm[:ctx.n]}
+    _, E = _solve(ctx, order)
+    one = _one(ctx, order)
+    terms = {ctx.z[ray]: E.get(ray, one) for ray in ctx.basis_perm[:ctx.n]}
     for ray in ctx.basis_perm[ctx.n:]:
-        terms[ctx.z[ray]] = inv.unit(ray).shift(ctx.P[ray])
+        terms[ctx.z[ray]] = E.get(ray, one).shift(ctx.P[ray])
     return _nonzero(terms)
 
 
@@ -304,15 +272,15 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
     else:
         terms = {ctx.z[ray]: compose_with_inverse(ctx, g_function(ctx, ray, order)).exp()
                  for ray in basis}
-    inv = _inverse(ctx, order)
+    _, E = _solve(ctx, order)
     units = inverse_mirror_map(ctx, order).units
     for k, ray in enumerate(ctx.basis_perm[ctx.n:]):
         coeff = units[k].shift(ctx.P[ray])
         if form == "tilde":
             # exp(g) of a basis ray without classes is 1: nothing to multiply
             for b, e in zip(basis, ctx.z[ray]):
-                if e and b in inv.E:
-                    coeff = coeff.mul(inv.E[b].npow(e))
+                if e and b in E:
+                    coeff = coeff.mul(E[b].npow(e))
         terms[ctx.z[ray]] = coeff
     return _nonzero(terms)
 
@@ -331,8 +299,8 @@ def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
 def seidel_element(ctx: ToricContext, ray: int, order) -> tuple:
     """The normalized Seidel element ``exp(-g_j(qc(q))) B_j``, as its tuple
     of coefficient series on ``D_0 .. D_{m-1}``."""
-    inv = _inverse(ctx, order)
-    scale = inv.unit(ray).npow(-1)
+    check_ray(ctx, ray)
+    scale = _solve(ctx, order)[1].get(ray, _one(ctx, order)).npow(-1)
     return tuple(scale.mul(c) if not c.is_zero() else c
                  for c in batyrev_element(ctx, ray, order))
 

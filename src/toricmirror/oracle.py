@@ -70,9 +70,6 @@ class NilpotentLaurent:
     def is_zero(self) -> bool:
         return not self.scalar and not self.linear
 
-    def divisor_coefficient(self, ray: int, zeta_exponent: int) -> Fraction:
-        return self.linear.get(ray, {}).get(zeta_exponent, Fraction(0))
-
     def __eq__(self, other):
         if not isinstance(other, NilpotentLaurent):
             return NotImplemented

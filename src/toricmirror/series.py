@@ -495,15 +495,9 @@ class QSeries:
     def sub(self, other):
         return self.add(other.neg())
 
-    def scalar_mul(self, value):
-        value = _coeff(value)
-        return QSeries._of(self.ring, self.order, self._top,
-                           _clean({k: value * c for k, c in self._packed.items()}, self.ring))
-
     def shift(self, exponent):
         """Multiply by ``q^exponent``, keeping this series' order: a product
-        with the monomial, so terms shifted past the order are never formed.
-        A scaled shift is ``shift(exponent).scalar_mul(c)``."""
+        with the monomial, so terms shifted past the order are never formed."""
         ring = self.ring
         monomial = QSeries._of(ring, self.order, self._top, {ring.key(exponent): 1})
         return self.mul(monomial)
@@ -745,19 +739,6 @@ class QSeries:
             for e, c in self.terms.items()
         ]
 
-    @classmethod
-    def from_records(cls, records, nvars, weights, order):
-        terms = {}
-        for rec in records:
-            e = tuple(rec["exponent"])
-            num, den = rec["num"], rec["den"]
-            if not isinstance(num, int) or not isinstance(den, int) or den <= 0:
-                raise SeriesError("series records require integer num and positive integer den")
-            if e in terms:
-                raise SeriesError("duplicate exponent in series records")
-            terms[e] = Fraction(num, den)
-        return cls(nvars, weights, order, terms)
-
     def to_text(self, var: str = "q") -> str:
         """Human-readable rendering, e.g. ``1 + 3/2·q1^2 q2 - q3``."""
         if not self._packed:
@@ -803,11 +784,6 @@ class SubstitutionMap(Record):
             if level is not None and level <= 0:
                 raise SeriesError("substitution factors must be 1 plus "
                                   "terms of positive degree")
-
-    @classmethod
-    def identity(cls, nvars, weights, order):
-        one = QSeries.one(nvars, weights, order)
-        return cls(units=tuple(one for _ in range(nvars)))
 
     @property
     def nvars(self) -> int:

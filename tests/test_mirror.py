@@ -50,7 +50,8 @@ def test_derived_series_are_built_once_per_context(load):
     assert mirror_map(ctx, 8) is mirror_map(ctx, Fraction(8))
     assert g_function(ctx, 1, 6) is g_function(ctx, 1, Fraction(12, 2))
     assert enumerate_classes(ctx, 1, 6) is enumerate_classes(ctx, 1, Fraction(6))
-    assert mirror._inverse(ctx, 8) is mirror._inverse(ctx, Fraction(8))
+    assert mirror._solve(ctx, 8) is mirror._solve(ctx, Fraction(8))
+    assert mirror._image(ctx, 8, (1, 0)) is mirror._image(ctx, Fraction(8), (1, 0))
     assert inverse_mirror_map(load("f2"), 8) is not inverse_mirror_map(ctx, 8)
 
 
@@ -87,8 +88,8 @@ def test_g_psi_is_the_pairing_combination(chain3):
         for l in range(chain3.m):
             p = chain3.P[l][k]
             if p:
-                expected = expected.add(
-                    g_function(chain3, l, 6).scalar_mul(p))
+                expected = expected.add(QSeries.linear_sum(
+                    [(g_function(chain3, l, 6), p)], chain3.rank, chain3.ample_weight, 6))
         assert g_psi(chain3, k, 6) == expected
     with pytest.raises(ValueError):
         g_psi(chain3, chain3.rank, 6)
@@ -227,6 +228,16 @@ def test_compose_with_inverse_boosts_negative_degrees(chain3):
     assert not fast.truncate(0) == fast  # the image really has positive-degree terms
 
 
+@pytest.mark.parametrize("nvars, weights", [(2, (1, 5)), (3, (1, 1, 1))])
+def test_compose_with_inverse_rejects_another_grading(f2, nvars, weights):
+    # f2 is graded by (1, 1); a substitution rejects the same series
+    f = QSeries(nvars, weights, 4, {(1,) + (0,) * (nvars - 1): 1})
+    with pytest.raises(series.SeriesError):
+        f.substitute(inverse_mirror_map(f2, 4))
+    with pytest.raises(series.SeriesError):
+        compose_with_inverse(f2, f)
+
+
 # ----------------------------------------------------------- open invariants
 
 def test_delta_f2_is_one_monomial(f2):
@@ -302,6 +313,13 @@ def test_open_gw_error_cases(f2):
         open_gw(f2, DiscClass(1, CurveClass((9, 0))), 8)    # beyond order
     # negative fiber multiples have Maslov 2 but cannot support discs
     assert open_gw(f2, DiscClass(1, CurveClass((-1, 0))), 8) == 0
+    # a class of another rank is an error, not a class with parts dropped
+    for comps in [(1, 0, 0), (1,)]:
+        beta = DiscClass(1, CurveClass(comps))
+        with pytest.raises(ValueError, match="need the rank 2"):
+            open_gw(f2, beta, 8)
+        with pytest.raises(ValueError, match="need the rank 2"):
+            open_gw_divisor(f2, beta, 0, 8)
 
 
 def test_open_gw_divisor(f2):
@@ -397,7 +415,6 @@ def test_batyrev_trivial_on_fano(p2):
 def test_batyrev_element_is_the_per_class_sum(chain3):
     # component i of B_j is [i == j] - sum_d (D_j . d) gamma_d qc^d(q) over
     # the classes d of ray i, summed here one class at a time
-    inv = mirror._inverse(chain3, 6)
     for j in range(chain3.m):
         b = batyrev_element(chain3, j, 6)
         for i in range(chain3.m):
@@ -405,7 +422,9 @@ def test_batyrev_element_is_the_per_class_sum(chain3):
                     else QSeries(chain3.rank, chain3.ample_weight, 6))
             for comps, _, gamma, pair in mirror._class_table(chain3, i, 6):
                 dj = pair[j]
-                want = want.sub(inv.image(comps).scalar_mul(dj * gamma))
+                want = want.sub(QSeries.linear_sum([(mirror._image(chain3, 6, comps),
+                                                     dj * gamma)],
+                                                   chain3.rank, chain3.ample_weight, 6))
             assert b[i] == want
 
 
@@ -437,37 +456,48 @@ def test_each_slice_is_final_once_formed(request, name, order):
     # the solve never revises a slice, so the solve to any lower order is the
     # truncation of the deeper one
     ctx = request.getfixturevalue(name)
-    deep = mirror._inverse(ctx, order)
+    deep_w, deep_e = mirror._solve(ctx, order)
     for low in [Fraction(k, 2) for k in range(1, 2 * order)]:
-        inv = mirror._inverse(ctx, low)
-        for l in deep.active:
-            w, e = (inv.W[l], inv.E[l]) if l in inv.sources else (
+        W, E = mirror._solve(ctx, low)
+        for l in deep_w:
+            w, e = (W[l], E[l]) if l in W else (
                 QSeries(ctx.rank, ctx.ample_weight, low), one(ctx, low))
-            assert w == deep.W[l].truncate(low) and e == deep.E[l].truncate(low)
+            assert w == deep_w[l].truncate(low) and e == deep_e[l].truncate(low)
 
 
 # ------------------------------------------------- the inverse fixed point
 
-def plain_picard(inv):
+def class_tables(ctx, order):
+    """Each ray's nonempty class table: the rows that ``mirror._solve`` reads."""
+    return {ray: rows for ray in range(ctx.m)
+            if (rows := mirror._class_table(ctx, ray, order))}
+
+
+def least_level(ctx, order):
+    return min(wt for rows in class_tables(ctx, order).values() for _, wt, _, _ in rows)
+
+
+def plain_picard(ctx, order):
     """The reference solver: Picard passes that form every product to the
     full rung, then repeat full-order passes until one reproduces W."""
-    if not inv.sources:
+    sources = class_tables(ctx, order)
+    if not sources:
         return {}, {}
-    ctx, order = inv.ctx, inv.order
+    active = sorted(sources)
     shape = (ctx.rank, ctx.ample_weight)
-    W = {l: QSeries(*shape, order) for l in inv.active}
-    E = {l: QSeries.one(*shape, order) for l in inv.active}
-    step = min(wt for rows in inv.sources.values() for _, wt, _, _ in rows)
+    W = {l: QSeries(*shape, order) for l in active}
+    E = {l: QSeries.one(*shape, order) for l in active}
+    step = least_level(ctx, order)
     rung = Fraction(0)
     for _ in range(int(order / step) + 4):
         rung = min(order, rung + step)
         powers = {}
         new = {}
-        for l, rows in inv.sources.items():
+        for l, rows in sources.items():
             total = QSeries(*shape, rung)
             for comps, wt, gamma, pair in rows:
                 term = QSeries(*shape, rung, {comps: gamma})
-                for j in inv.active:
+                for j in active:
                     if pair[j]:
                         if (j, pair[j]) not in powers:
                             powers[j, pair[j]] = E[j].truncate(rung).npow(pair[j])
@@ -478,7 +508,7 @@ def plain_picard(inv):
             new[l] = QSeries(*shape, order, total.terms)
         if rung == order and new == W:
             return W, E
-        for l in inv.active:
+        for l in active:
             E[l] = E[l].mul(new[l].sub(W[l]).exp())
             W[l] = new[l]
     raise AssertionError("the reference fixed point did not stabilize")
@@ -490,8 +520,8 @@ PICARD_CASES = [(name, order) for name in ("p2", "f2", "chain3")
 
 @pytest.mark.parametrize("name, order", PICARD_CASES, ids=str)
 def test_fixed_point_matches_plain_picard(request, name, order):
-    inv = mirror._inverse(request.getfixturevalue(name), order)
-    assert plain_picard(inv) == (inv.W, inv.E)
+    ctx = request.getfixturevalue(name)
+    assert plain_picard(ctx, order) == mirror._solve(ctx, order)
 
 
 @pytest.fixture(scope="module")
@@ -511,9 +541,9 @@ SEIDEL_CASES = [("f2", ray, sign, 6) for ray, sign in
 @pytest.mark.parametrize("name, ray, sign, order", SEIDEL_CASES)
 def test_seidel_fixed_point_matches_plain_picard(request, name, ray, sign, order):
     ctx = validate(seidel_fan(request.getfixturevalue(name), ray, sign))
-    inv = mirror._inverse(ctx, order)
-    assert inv.sources
-    assert plain_picard(inv) == (inv.W, inv.E)
+    W, E = mirror._solve(ctx, order)
+    assert W
+    assert plain_picard(ctx, order) == (W, E)
 
 
 @pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", Fraction(7, 2)),
@@ -523,11 +553,11 @@ def test_w_reads_exponentials_only_below_level_n_minus_least(monkeypatch, reques
     # W_l[n] reads E only through X_d[n - wt_d], so a change to E at level m
     # moves W first at level m + least, and the bound is tight
     ctx = request.getfixturevalue(name)
-    base = mirror._inverse(ctx, order)
-    ring = base.ring
+    base, _ = mirror._solve(ctx, order)
+    ring = series.GradedRing.of(ctx.rank, ctx.ample_weight)
     assert ring.scaled[0] == 1
     top = ring.level(Fraction(order))
-    least = min(wt for rows in base.sources.values() for _, wt, _, _ in rows)
+    least = least_level(ctx, order)
     real_kernel = series._convolve
     for m in range(1, top + 1):
         bumped = []
@@ -542,10 +572,10 @@ def test_w_reads_exponentials_only_below_level_n_minus_least(monkeypatch, reques
             return out
 
         monkeypatch.setattr(series, "_convolve", kernel)
-        moved = mirror._Inverse(ctx, Fraction(order))
+        moved, _ = mirror._solve.__wrapped__(ctx, Fraction(order))
         assert bumped
-        lowest = min((moved.W[l].sub(base.W[l]).min_degree() for l in base.active
-                      if moved.W[l] != base.W[l]), default=None)
+        lowest = min((moved[l].sub(base[l]).min_degree() for l in base
+                      if moved[l] != base[l]), default=None)
         assert lowest == (m + least if m + least <= top else None)
 
 
@@ -560,13 +590,14 @@ def test_chain3_order_10_forms_each_slice_once(monkeypatch, load):
         return real_kernel(a, b, n, *rest)
 
     monkeypatch.setattr(series, "_convolve", kernel)
-    inv = mirror._Inverse(load("chain3"), Fraction(10))
-    least = min(wt for rows in inv.sources.values() for _, wt, _, _ in rows)
+    ctx = load("chain3")
+    W, _ = mirror._solve.__wrapped__(ctx, Fraction(10))
+    least = least_level(ctx, 10)
     assert len({c[:3] for c in calls}) == len(calls)
     assert [c[2] for c in calls] == sorted(c[2] for c in calls)
     steps = [c for c in calls if c[5]]
-    assert len({c[:2] for c in steps}) == len(inv.active)
-    assert sorted(c[2] for c in steps) == [n for n in range(1, 11) for _ in inv.active]
+    assert len({c[:2] for c in steps}) == len(W)
+    assert sorted(c[2] for c in steps) == [n for n in range(1, 11) for _ in W]
     # theta W holds levels 0..n and E levels 0..n-1 when E[n] is formed
     assert all(len_a == n + 1 and len_b == n for _, _, n, len_a, len_b, _ in steps)
     assert max(c[2] for c in calls if not c[5]) == 10 - least

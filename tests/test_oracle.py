@@ -39,11 +39,11 @@ def test_i_d_term_f2_fiber(f2):
     # fiber class: pairings (1, -2, 1, 0); two positive factors, one negative
     term = i_d_term(f2, CurveClass((1, 0)))
     assert term.scalar == {}
-    assert term.divisor_coefficient(1, 1) == -1
+    assert term.linear.get(1, {}).get(1, 0) == -1
     # k-fold fibers contribute the g-series coefficients with a minus sign
     for k in (2, 3):
         term = i_d_term(f2, CurveClass((k, 0)))
-        got = term.divisor_coefficient(1, 1)
+        got = term.linear.get(1, {}).get(1, 0)
         assert got == -g_function(f2, 1, 8).coefficient((k, 0))
 
 
@@ -70,5 +70,5 @@ def test_oracle_sees_beyond_the_window(f2):
     # the expansion is exact in zeta, not windowed: scalar parts of positive
     # factors carry zeta^k for the full k
     term = i_d_term(f2, CurveClass((3, 0)))
-    assert term.divisor_coefficient(1, 1) != 0
+    assert term.linear.get(1, {}).get(1, 0) != 0
     assert term.linear[1].keys() == {1}
