@@ -14,11 +14,13 @@ real denominator exists.  The main entry points:
   the quantum-cohomology side,
 - :mod:`toricmirror.oracle` recomputes the g-series from the I-function for
   cross-checking.
+
+A curve class is a plain tuple of ``int`` of length ``ctx.rank``, and
+``open_gw(ctx, ray, alpha)`` takes the disc class ``beta_ray + alpha`` as
+its ray and curve class.
 """
 
 from .fans import (
-    CurveClass,
-    DiscClass,
     Fan,
     FanError,
     ToricContext,
@@ -53,8 +55,6 @@ from .series import QSeries, SeriesError, SubstitutionMap
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveClass",
-    "DiscClass",
     "Fan",
     "FanError",
     "QSeries",

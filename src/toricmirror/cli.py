@@ -195,9 +195,9 @@ def _walls(args, ctx, order):
     for wall in ctx.walls:
         chern = ctx.degree(wall.curve)
         lines.append(f"wall {list(wall.rays)}: cones {list(wall.cones)}, "
-                     f"class {list(wall.curve.comps)}, c1 = {chern}")
+                     f"class {list(wall.curve)}, c1 = {chern}")
         records.append({"rays": list(wall.rays), "cones": list(wall.cones),
-                        "class": list(wall.curve.comps), "chern": chern})
+                        "class": list(wall.curve), "chern": chern})
     return lines, {"walls": records}
 
 
@@ -206,7 +206,7 @@ def _semifano(args, ctx, order):
     if ok:
         return ["semi-Fano: yes"], {"semi_fano": ok, "witness": None}
     chern = ctx.degree(wall.curve)
-    witness = {"rays": list(wall.rays), "class": list(wall.curve.comps), "chern": chern}
+    witness = {"rays": list(wall.rays), "class": list(wall.curve), "chern": chern}
     return ([f"semi-Fano: no (wall {list(wall.rays)} has c1 = {chern})"],
             {"semi_fano": ok, "witness": witness})
 

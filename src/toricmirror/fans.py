@@ -19,7 +19,8 @@ matrix, the anticanonical degrees, wall curve classes and an exact rational
 grading weight that is >= 1 on every wall curve.
 
 Curve classes are written in the basis dual to the rays outside the basis
-cone, so a class is just an integer vector of length ``m - dim``.
+cone, so a class is a plain tuple of ``int`` of length ``m - dim`` (the
+context's ``rank``); :func:`check_class` is the one place that checks one.
 """
 
 from __future__ import annotations
@@ -38,46 +39,14 @@ class FanError(ValueError):
     """Raised when a fan document is malformed or fails validation."""
 
 
-def _integer(value) -> int:
-    """An ``int`` or integral ``Fraction`` as an ``int``; anything else raises."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"curve class components must be integers, got {value!r}") from None
-
-
-class CurveClass(Record):
-    """An integer homology class expressed in the curve basis of a context."""
-
-    __slots__ = ("comps",)
-
-    def _check(self):
-        comps = tuple(self.comps)
-        if not all(type(c) is int for c in comps):
-            comps = tuple(map(_integer, comps))
-        object.__setattr__(self, "comps", comps)
-
-    def is_zero(self) -> bool:
-        return not any(self.comps)
-
-
-class DiscClass(Record):
-    """A basic disc class attached to ``ray`` plus a sphere correction."""
-
-    __slots__ = ("ray", "curve")
-
-
 class Wall(Record):
     """An interior codimension-one cone with its primitive curve class.
 
     ``rays`` are the original indices spanning the wall, ``cones`` the two
-    maximal cones meeting along it, ``pairings`` the intersection numbers of
-    the wall curve with every toric divisor (original ray order).
+    maximal cones meeting along it, ``curve`` the wall curve's class.
     """
 
-    __slots__ = ("rays", "cones", "curve", "pairings")
+    __slots__ = ("rays", "cones", "curve")
 
 
 class Fan(Record):
@@ -264,22 +233,36 @@ class ToricContext:
     def rank(self) -> int:
         return self.m - self.n
 
-    def pairing(self, ray: int, curve: CurveClass) -> int:
+    def pairing(self, ray: int, curve) -> int:
         """Intersection number of the divisor at ``ray`` with ``curve``."""
-        return sum(p * c for p, c in zip(self.P[ray], curve.comps))
+        return sum(p * c for p, c in zip(self.P[ray], check_class(self, curve)))
 
-    def degree(self, curve: CurveClass) -> int:
+    def degree(self, curve) -> int:
         """Anticanonical degree ``c1 . curve``."""
-        return sum(a * c for a, c in zip(self.c1, curve.comps))
+        return sum(a * c for a, c in zip(self.c1, check_class(self, curve)))
 
-    def weight(self, comps) -> Fraction:
-        return sum((w * c for w, c in zip(self.ample_weight, comps)), Fraction(0))
+    def weight(self, curve) -> Fraction:
+        """Grading weight of ``curve`` under the ample weight."""
+        return sum((w * c for w, c in zip(self.ample_weight, check_class(self, curve))),
+                   Fraction(0))
 
 
 def check_ray(ctx: ToricContext, ray: int) -> None:
     """Raise :class:`FanError` unless ``ray`` indexes a ray of ``ctx``."""
     if not 0 <= ray < ctx.m:
         raise FanError(f"ray index {ray} out of range 0..{ctx.m - 1}")
+
+
+def check_class(ctx: ToricContext, curve) -> tuple:
+    """``curve`` as a tuple of ``int``; raise :class:`FanError` unless it
+    has ``ctx.rank`` integer components."""
+    try:
+        curve = tuple(map(index, curve))
+    except TypeError:
+        raise FanError(f"curve class {curve!r} has a component that is not an integer") from None
+    if len(curve) != ctx.rank:
+        raise FanError(f"curve class has {len(curve)} components, need the rank {ctx.rank}")
+    return curve
 
 
 def memoised(builder):
@@ -409,15 +392,13 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
         pairings[u2] = 1
         for w, b in zip(facet, sol[1:]):
             pairings[w] = -b
-        comps = tuple(pairings[ray] for ray in others)
-        walls.append(Wall(rays=facet, cones=(ca, cb), curve=CurveClass(comps),
-                          pairings=tuple(pairings)))
+        walls.append(Wall(rays=facet, cones=(ca, cb),
+                          curve=tuple(pairings[ray] for ray in others)))
 
     # Grading weight: an exact rational vector with weight(wall curve) >= 1
     # for every wall; its existence is projectivity.  Minimising the total
     # wall degree makes the choice deterministic.
-    unique = sorted({w.curve.comps for w in walls})
-    cons = [(comps, 1) for comps in unique]
+    cons = [(curve, 1) for curve in sorted({w.curve for w in walls})]
     objective = [sum(c[k] for c, _ in cons) for k in range(rank)]
     try:
         _, weight = lp.minimize(objective, cons, rank)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import lp
-from .fans import CurveClass, DiscClass, ToricContext, check_ray, memoised
+from .fans import ToricContext, check_class, check_ray, memoised
 from .series import GradedRing, QSeries, SubstitutionMap, solve_units
 
 
@@ -69,7 +69,8 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     lcm of the weights' denominators) with the floored level
     ``floor(L * order)``.  ``(L * w) . d`` is an ``int`` for integer ``d``,
     so it is at most ``L * order`` exactly when it is at most that level.
-    The classes come out by level, then lexicographically.
+    The classes come out by level, then lexicographically, as tuples of
+    ``int``.
     """
     check_ray(ctx, ray)
     ring = GradedRing.of(ctx.rank, ctx.ample_weight)
@@ -80,7 +81,7 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     cons.append((tuple(-w for w in ring.scaled), -ring.level(Fraction(order))))
     points = lp.integer_points(cons, ctx.rank)
     points.sort(key=lambda p: (ring.grade(p), p))
-    return [CurveClass(p) for p in points]
+    return points
 
 
 @memoised
@@ -89,17 +90,17 @@ def _class_table(ctx: ToricContext, ray: int, order):
     ray ``l``, in :func:`enumerate_classes` order: the row shape that
     :func:`~toricmirror.series.solve_units` reads.
 
-    ``d`` is the class's component tuple and ``wt`` its level in the ring of
-    the ample weight (its weight times the ring's integer ``scale``), so
-    degree budgets are ``int``.  ``gamma`` is the hypergeometric coefficient
+    ``d`` is the class and ``wt`` its level in the ring of the ample weight
+    (its weight times the ring's integer ``scale``), so degree budgets are
+    ``int``.  ``gamma`` is the hypergeometric coefficient
     of ``d`` in ``g_l``: with ``a = -(D_l . d) >= 1`` it is
     ``(-1)^a (a-1)! / prod_{j != l} (D_j . d)!``.  ``pair[j]`` is ``D_j . d``
     for every ray ``j``.
     """
     ring = GradedRing.of(ctx.rank, ctx.ample_weight)
     rows = []
-    for cls in enumerate_classes(ctx, ray, order):
-        pair = tuple(sum(p * c for p, c in zip(row, cls.comps)) for row in ctx.P)
+    for d in enumerate_classes(ctx, ray, order):
+        pair = tuple(sum(p * c for p, c in zip(row, d)) for row in ctx.P)
         a = -pair[ray]
         denominator = 1
         for j, k in enumerate(pair):
@@ -107,7 +108,7 @@ def _class_table(ctx: ToricContext, ray: int, order):
                 denominator *= factorial(k)
         gamma = Fraction(factorial(a - 1) if a % 2 == 0 else -factorial(a - 1),
                          denominator)
-        rows.append((cls.comps, ring.grade(cls.comps), gamma, pair))
+        rows.append((d, ring.grade(d), gamma, pair))
     return rows
 
 
@@ -205,33 +206,32 @@ def delta(ctx: ToricContext, ray: int, order) -> QSeries:
     return _solve(ctx, order)[1].get(ray, one).sub(one)
 
 
-def open_gw(ctx: ToricContext, beta: DiscClass, order=None) -> Fraction:
-    """The one-pointed open invariant of a Maslov-index-2 disc class."""
-    check_ray(ctx, beta.ray)
-    alpha = beta.curve
-    if len(alpha.comps) != ctx.rank:
-        raise ValueError(f"sphere class has {len(alpha.comps)} components, "
-                         f"need the rank {ctx.rank}")
+def open_gw(ctx: ToricContext, ray: int, alpha, order=None) -> Fraction:
+    """The one-pointed open invariant of the Maslov-index-2 disc class
+    ``beta_ray + alpha``, with ``alpha`` a curve class."""
+    check_ray(ctx, ray)
+    alpha = check_class(ctx, alpha)
     maslov = 2 + 2 * ctx.degree(alpha)
     if maslov != 2:
         raise ValueError(f"disc class has Maslov index {maslov}, need 2 "
                          "(sphere part must have zero Chern number)")
-    if alpha.is_zero():
+    if not any(alpha):
         return Fraction(1)
-    wt = ctx.weight(alpha.comps)
+    wt = ctx.weight(alpha)
     if order is not None and wt > Fraction(order):
         raise ValueError("sphere class lies beyond the computed order")
     if wt <= 0:
         return Fraction(0)
-    return delta(ctx, beta.ray, wt if order is None else order).coefficient(alpha.comps)
+    return delta(ctx, ray, wt if order is None else order).coefficient(alpha)
 
 
-def open_gw_divisor(ctx: ToricContext, beta: DiscClass, ray: int, order=None) -> Fraction:
-    """Divisor-insertion open invariant: the plain one times ``D_i . beta``."""
-    check_ray(ctx, ray)
-    base = open_gw(ctx, beta, order)
-    incidence = (1 if ray == beta.ray else 0) + ctx.pairing(ray, beta.curve)
-    return base * incidence
+def open_gw_divisor(ctx: ToricContext, ray: int, alpha, divisor: int,
+                    order=None) -> Fraction:
+    """Divisor-insertion open invariant: the plain one times
+    ``D_divisor . (beta_ray + alpha)``."""
+    check_ray(ctx, divisor)
+    base = open_gw(ctx, ray, alpha, order)
+    return base * ((divisor == ray) + ctx.pairing(divisor, alpha))
 
 
 def _nonzero(terms) -> dict:
@@ -306,8 +306,12 @@ def seidel_element(ctx: ToricContext, ray: int, order) -> tuple:
 
 
 def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
-    """The weighted logarithmic derivative ``sum_k (D_i . Psi_k) q_k d/dq_k``."""
+    """The weighted logarithmic derivative ``sum_k (D_i . Psi_k) q_k d/dq_k``.
+
+    A series of another ring raises :class:`~toricmirror.series.SeriesError`.
+    """
     check_ray(ctx, ray)
+    _one(ctx, f.order)._check_shape(f)
     row = ctx.P[ray]
     terms = {}
     for e, c in f.terms.items():

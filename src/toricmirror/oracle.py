@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .fans import CurveClass, ToricContext
+from .fans import ToricContext
 from .mirror import enumerate_classes
 from .series import QSeries
 
@@ -102,8 +102,9 @@ def _factor(ray: int, k: int) -> NilpotentLaurent:
     return NilpotentLaurent(linear={ray: {1 - a: coeff}})
 
 
-def i_d_term(ctx: ToricContext, d: CurveClass) -> NilpotentLaurent:
-    """The I-function contribution of one curve class, truncated at divisors.
+def i_d_term(ctx: ToricContext, d) -> NilpotentLaurent:
+    """The I-function contribution of one curve class ``d`` (a tuple of
+    ``int``), truncated at divisors.
 
     Requires zero anticanonical degree; classes where two or more divisors
     pair negatively come out as exact zero (two nilpotent factors).
@@ -131,10 +132,10 @@ def i_one_over_z(ctx: ToricContext, order) -> tuple:
     order = Fraction(order)
     per_ray = [{} for _ in range(ctx.m)]
     for l in range(ctx.m):
-        for cls in enumerate_classes(ctx, l, order):
-            term = i_d_term(ctx, cls)
+        for d in enumerate_classes(ctx, l, order):
+            term = i_d_term(ctx, d)
             for ray, poly in term.linear.items():
                 c = poly.get(1)
                 if c:
-                    per_ray[ray][cls.comps] = c
+                    per_ray[ray][d] = c
     return tuple(QSeries(ctx.rank, ctx.ample_weight, order, terms=t) for t in per_ray)

@@ -10,8 +10,6 @@ from fractions import Fraction
 from math import factorial
 
 from toricmirror import (
-    CurveClass,
-    DiscClass,
     delta,
     disc_potential,
     divisor_derivative,
@@ -104,9 +102,9 @@ def test_criterion_03_f2_fiber_tower(f2):
         assert g.terms == expected
         assert delta(f2, 1, 8) == QSeries(2, f2.ample_weight, 8,
                                           {(1, 0): 1})
-        assert open_gw(f2, DiscClass(1, CurveClass((1, 0))), 8) == 1
+        assert open_gw(f2, 1, (1, 0), 8) == 1
         for k in range(2, 9):
-            assert open_gw(f2, DiscClass(1, CurveClass((k, 0))), 8) == 0
+            assert open_gw(f2, 1, (k, 0), 8) == 0
 
 
 def test_criterion_04_fano_triviality(p2, p1xp1):
@@ -187,9 +185,8 @@ def test_criterion_09_support_and_vanishing(chain3):
         outside = [r for r in range(8) if r not in faces[1]]
         assert outside == [5, 6, 7]
         for exponent in delta(chain3, 1, 10).terms:
-            cls = CurveClass(exponent)
             for ray in outside:
-                assert chain3.pairing(ray, cls) == 0
+                assert chain3.pairing(ray, exponent) == 0
 
 
 def test_criterion_10_potentials_agree(p2, p1xp1, f2, chain3):

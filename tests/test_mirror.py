@@ -6,8 +6,6 @@ from math import factorial
 import pytest
 
 from toricmirror import (
-    CurveClass,
-    DiscClass,
     batyrev_element,
     compose_with_inverse,
     delta,
@@ -104,9 +102,9 @@ def test_out_of_range_ray_indices_raise(f2, ray):
         lambda: g_ij(f2, 1, ray, 8),
         lambda: g_ij(f2, ray, 1, 8),
         lambda: delta(f2, ray, 8),
-        lambda: open_gw(f2, DiscClass(ray, CurveClass((1, 0))), 8),
-        lambda: open_gw(f2, DiscClass(ray, CurveClass((0, 0))), 8),
-        lambda: open_gw_divisor(f2, DiscClass(1, CurveClass((1, 0))), ray, 8),
+        lambda: open_gw(f2, ray, (1, 0), 8),
+        lambda: open_gw(f2, ray, (0, 0), 8),
+        lambda: open_gw_divisor(f2, 1, (1, 0), ray, 8),
         lambda: batyrev_element(f2, ray, 4),
         lambda: seidel_element(f2, ray, 4),
         lambda: divisor_derivative(f2, ray, g_function(f2, 1, 4)),
@@ -130,7 +128,7 @@ def test_g_ij_f2(f2):
 
 def test_enumerate_classes(chain3, f2):
     assert len(enumerate_classes(chain3, 1, 10)) == 32
-    assert [c.comps for c in enumerate_classes(f2, 1, 5)] == \
+    assert enumerate_classes(f2, 1, 5) == \
         [(k, 0) for k in range(1, 6)]
     assert enumerate_classes(f2, 0, 8) == []
 
@@ -230,12 +228,15 @@ def test_compose_with_inverse_boosts_negative_degrees(chain3):
 
 @pytest.mark.parametrize("nvars, weights", [(2, (1, 5)), (3, (1, 1, 1))])
 def test_compose_with_inverse_rejects_another_grading(f2, nvars, weights):
-    # f2 is graded by (1, 1); a substitution rejects the same series
+    # f2 is graded by (1, 1); a substitution and the divisor derivative reject
+    # the same series, which the derivative once zipped against f2's rows
     f = QSeries(nvars, weights, 4, {(1,) + (0,) * (nvars - 1): 1})
     with pytest.raises(series.SeriesError):
         f.substitute(inverse_mirror_map(f2, 4))
     with pytest.raises(series.SeriesError):
         compose_with_inverse(f2, f)
+    with pytest.raises(series.SeriesError):
+        divisor_derivative(f2, 1, f)
 
 
 # ----------------------------------------------------------- open invariants
@@ -298,37 +299,46 @@ def test_gl2z_changes_of_coordinates_change_nothing(request, name):
 
 
 def test_open_gw_values(f2):
-    beta = DiscClass(1, CurveClass((0, 0)))
-    assert open_gw(f2, beta) == 1
-    assert open_gw(f2, DiscClass(1, CurveClass((1, 0))), 8) == 1
+    assert open_gw(f2, 1, (0, 0)) == 1
+    assert open_gw(f2, 1, (1, 0), 8) == 1
+    assert open_gw(f2, 1, [1, 0], 8) == 1      # any sequence of ints
     for k in range(2, 9):
-        assert open_gw(f2, DiscClass(1, CurveClass((k, 0))), 8) == 0
-    assert open_gw(f2, DiscClass(0, CurveClass((1, 0))), 8) == 0
+        assert open_gw(f2, 1, (k, 0), 8) == 0
+    assert open_gw(f2, 0, (1, 0), 8) == 0
 
 
 def test_open_gw_error_cases(f2):
     with pytest.raises(ValueError):
-        open_gw(f2, DiscClass(1, CurveClass((0, 1))))       # Maslov 6
+        open_gw(f2, 1, (0, 1))       # Maslov 6
     with pytest.raises(ValueError):
-        open_gw(f2, DiscClass(1, CurveClass((9, 0))), 8)    # beyond order
+        open_gw(f2, 1, (9, 0), 8)    # beyond order
     # negative fiber multiples have Maslov 2 but cannot support discs
-    assert open_gw(f2, DiscClass(1, CurveClass((-1, 0))), 8) == 0
-    # a class of another rank is an error, not a class with parts dropped
-    for comps in [(1, 0, 0), (1,)]:
-        beta = DiscClass(1, CurveClass(comps))
-        with pytest.raises(ValueError, match="need the rank 2"):
-            open_gw(f2, beta, 8)
-        with pytest.raises(ValueError, match="need the rank 2"):
-            open_gw_divisor(f2, beta, 0, 8)
+    assert open_gw(f2, 1, (-1, 0), 8) == 0
+    # a class of another rank is an error, not a class with parts dropped,
+    # and a component that is not an int is an error, never truncated; the
+    # context's own pairing, degree and weight check the class the same way
+    cases = [((1, 0, 0), "need the rank 2"), ((1,), "need the rank 2")]
+    cases += [((c, 0), "not an integer")
+              for c in (Fraction(3, 2), Fraction(2, 2), 2.7, -0.5, 2.0, "1")]
+    for alpha, message in cases:
+        calls = [
+            lambda: open_gw(f2, 1, alpha, 8),
+            lambda: open_gw_divisor(f2, 1, alpha, 0, 8),
+            lambda: f2.pairing(0, alpha),
+            lambda: f2.degree(alpha),
+            lambda: f2.weight(alpha),
+        ]
+        for call in calls:
+            with pytest.raises(FanError, match=message):
+                call()
 
 
 def test_open_gw_divisor(f2):
-    beta = DiscClass(1, CurveClass((1, 0)))
     # D_i . (beta_1 + fiber) = delta_{i,1} + D_i . fiber
-    assert open_gw_divisor(f2, beta, 0, 8) == 1
-    assert open_gw_divisor(f2, beta, 1, 8) == -1
-    assert open_gw_divisor(f2, beta, 2, 8) == 1
-    assert open_gw_divisor(f2, beta, 3, 8) == 0
+    assert open_gw_divisor(f2, 1, (1, 0), 0, 8) == 1
+    assert open_gw_divisor(f2, 1, (1, 0), 1, 8) == -1
+    assert open_gw_divisor(f2, 1, (1, 0), 2, 8) == 1
+    assert open_gw_divisor(f2, 1, (1, 0), 3, 8) == 0
 
 
 # ------------------------------------------------------------ the potentials
@@ -434,7 +444,7 @@ def test_divisor_derivative_is_log_derivative(chain3):
     f = mono(chain3, (1, 0, 0, 0, 0, 0), 3, 6).add(
         mono(chain3, (-2, 1, 0, 0, 0, 0), Fraction(1, 2), 6))
     d = divisor_derivative(chain3, 4, f)
-    r4 = lambda e: chain3.pairing(4, CurveClass(e))
+    r4 = lambda e: chain3.pairing(4, e)
     for e, c in f.terms.items():
         assert d.coefficient(e) == c * r4(e)
     # derivative of a constant vanishes
