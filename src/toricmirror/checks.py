@@ -81,6 +81,19 @@ def suite(ctx, order):
             if product != one:
                 return (f"ray {ray}: (1+delta)exp(-g(qc(q))) != 1"
                         + first_difference(product, one))
+        # The same identity in checked coordinates.  The forward map
+        # q_k = qc_k exp(-g^{Psi_k}(qc)) needs only g and exp, so this side
+        # calls no solve and no inverse image: a wrong coefficient of the
+        # solve shows here even where the inverse route agrees with itself.
+        # Every monomial of delta has positive degree, so the substitution
+        # keeps the full order.
+        forward = mirror.mirror_map(ctx, order)
+        for ray in range(ctx.m):
+            lhs = one.add(mirror.delta(ctx, ray, order)).substitute(forward)
+            rhs = mirror.g_function(ctx, ray, order).exp()
+            if lhs != rhs:
+                return (f"ray {ray}: (1+delta)(q(qc)) != exp(g(qc))"
+                        + first_difference(lhs, rhs))
 
     def derivative_identity():
         composed = [mirror.compose_with_inverse(ctx, mirror.g_function(ctx, k, order))

@@ -41,7 +41,7 @@ strictly lower slices, by a recurrence that costs about one product in all
 ``q^e -> level(e) q^e``, ``theta exp(f) = exp(f) theta f``, ``theta log(u) =
 theta u / u`` and ``u * (1/u) = 1``.  One private slice kernel,
 :func:`_convolve`, forms every such slice, in :func:`solve_units` too, which
-solves the inverse mirror map for ``mirror`` and reverts substitution maps.
+solves the inverse mirror map for ``mirror``.
 
 Integer powers have one path, :meth:`QSeries.npow`, memoised on the series
 itself, so a unit's powers are formed once however many terms, components
@@ -778,6 +778,7 @@ class SubstitutionMap(Record):
         if not units:
             raise SeriesError("substitution map needs at least one component")
         for u in units:
+            units[0]._check_shape(u)
             if u.constant_term() != 1:
                 raise SeriesError("substitution factors must have constant term 1")
             level = u._tail_level()
@@ -799,25 +800,3 @@ class SubstitutionMap(Record):
         units = tuple(inner.units[k].mul(self.units[k].substitute(inner))
                       for k in range(self.nvars))
         return SubstitutionMap(units=units)
-
-    def revert(self) -> "SubstitutionMap":
-        """Compositional inverse ``q_k -> q_k * v_k``, by :func:`solve_units`.
-
-        The inverse satisfies ``v_k = 1 / u_k(q * v)``, so ``log v_k = -sum_e
-        c_{k,e} q^e prod_j v_j^{e_j}`` with ``c_{k,e}`` the terms of ``log
-        u_k``: one row ``(e, level(e), -c, e)`` per term, all cut at the
-        least order of the units.
-        """
-        units = self.units
-        for u in units:
-            units[0]._check_shape(u)
-        ring = units[0].ring
-        order = min(u.order for u in units)
-        sources = {}
-        for k, u in enumerate(units):
-            terms = u.truncate(order).log().terms
-            if terms:
-                sources[k] = [(e, ring.grade(e), -c, e) for e, c in terms.items()]
-        _, E = solve_units(ring, order, sources)
-        one = QSeries.one(ring.nvars, ring.weights, order)
-        return SubstitutionMap(units=tuple(E.get(k, one) for k in range(len(units))))

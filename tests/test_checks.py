@@ -116,6 +116,28 @@ def test_log_identity_names_the_first_differing_monomial(f2, monkeypatch):
     assert check() == "ray 1: (1+delta)exp(-g(qc(q))) != 1 at (1, 0): 1 != 0"
 
 
+def test_log_identity_reads_delta_through_the_forward_map(f2, monkeypatch):
+    # delta_1 doubled, and the inverse route's g_1(qc(q)) patched to
+    # log(1 + 2 delta_1): that route then holds by construction, and only the
+    # forward route, which calls no compose_with_inverse, can see the fault
+    real_delta, real_compose = mirror.delta, mirror.compose_with_inverse
+
+    def doubled(ctx, ray, order):
+        d = real_delta(ctx, ray, order)
+        return d.add(d) if ray == 1 else d
+
+    def matching(ctx, f):
+        if f is mirror.g_function(ctx, 1, f.order):
+            one = QSeries.one(ctx.rank, ctx.ample_weight, f.order)
+            return one.add(doubled(ctx, 1, f.order)).log()
+        return real_compose(ctx, f)
+
+    monkeypatch.setattr(mirror, "delta", doubled)
+    monkeypatch.setattr(mirror, "compose_with_inverse", matching)
+    check = dict(checks.suite(f2, 4))["log-identity"]
+    assert check() == "ray 1: (1+delta)(q(qc)) != exp(g(qc)) at (1, 0): 2 != 1"
+
+
 def test_derivative_identity_names_the_first_differing_monomial(f2, monkeypatch):
     # adding q1 to g_{1,1} adds q1 times the D_0-derivative of g_1(qc(q)),
     # which starts at q1, to the right side at i=0, k=1: a q1^2 term
