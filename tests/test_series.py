@@ -252,9 +252,13 @@ def test_substitution_map_requires_unit_factors():
         SubstitutionMap(())
     with pytest.raises(SeriesError):
         SubstitutionMap(units=[S({(0, 0): 1, (1, -1): 1}), S({(0, 0): 1})])
+    assert SubstitutionMap(units=[S({(0, 0): 1})]).units == (S({(0, 0): 1}),)
+
+
+def test_revert_rejects_units_of_different_shapes():
+    # units of different gradings cannot be inverted together, so the map refuses them when built
     with pytest.raises(SeriesError, match="grading weight mismatch"):
         SubstitutionMap((S({(0, 0): 1, (1, 0): 1}), S({(0, 0): 1}, weights=(1, 2))))
-    assert SubstitutionMap(units=[S({(0, 0): 1})]).units == (S({(0, 0): 1}),)
 
 
 def test_records_roundtrip_graded_lex():
