@@ -40,6 +40,11 @@ def suite(ctx, order):
     zero = QSeries(ctx.rank, ctx.ample_weight, order)
 
     def roundtrip():
+        # The log of each mirror-map unit is -g^{Psi_k}, which lies on the
+        # class rows, so this first loop composes by the solve's own row
+        # sums and compares them with the logs of the inverse map's units,
+        # formed from the same W_l.  The order-4 generic composition below
+        # reads no solve row.
         mm = mirror.mirror_map(ctx, order)
         inv = mirror.inverse_mirror_map(ctx, order)
         for k in range(ctx.rank):
@@ -72,6 +77,9 @@ def suite(ctx, order):
                 return f"component {k} disagrees" + first_difference(acc, inv.units[k])
 
     def log_identity():
+        # The inverse route: g_l(qc(q)) is the row sum that equals the solve's
+        # W_l, so this compares E_l exp(-W_l) with 1 and checks only the exp
+        # recurrence of the solve against QSeries.exp.
         for ray in range(ctx.m):
             g = mirror.g_function(ctx, ray, order)
             if g.is_zero():
@@ -83,8 +91,9 @@ def suite(ctx, order):
                         + first_difference(product, one))
         # The same identity in checked coordinates.  The forward map
         # q_k = qc_k exp(-g^{Psi_k}(qc)) needs only g and exp, so this side
-        # calls no solve and no inverse image: a wrong coefficient of the
-        # solve shows here even where the inverse route agrees with itself.
+        # reads no solve row: a wrong coefficient of the solve shows here
+        # even where the inverse route agrees with itself.  It stays
+        # independent of the solve, as does the oracle check.
         # Every monomial of delta has positive degree, so the substitution
         # keeps the full order.
         forward = mirror.mirror_map(ctx, order)

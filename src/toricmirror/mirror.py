@@ -24,15 +24,22 @@ The central objects:
     final lower slices, so the solution is exact by construction and there
     is no iteration to stop or to certify.  The exponentials ``1 + delta_l =
     exp(W_l)`` then give the open Gromov-Witten generating functions
-    directly.  :func:`_solve` keeps ``W`` and ``E``, and :func:`_image` each
-    monomial's image, as plain values in the context's one memo
+    directly.  :func:`_solve` keeps ``W``, ``E`` and the row products
+    ``X_d = prod_j E_j^{D_j.d}`` as plain values in the context's one memo
     (:func:`~toricmirror.fans.memoised`), where every consumer reads them.
+    Every series the engine composes with the inverse map (``g_l``,
+    ``g_{ij}``, ``g^{Psi_k}`` and the logs of the mirror-map units) lies on
+    the class rows, so :func:`compose_with_inverse` sums ``c_d q^d X_d``
+    from the solve's own slices and forms no product.
 
 ``disc_potential`` / ``hori_vafa``
-    The Laurent potentials; the "tilde" Hori-Vafa form is assembled through
-    the coordinate-change route (inverse-map units times exponential factors)
-    precisely so that comparing it against the disc potential exercises a
-    genuinely different code path.
+    The Laurent potentials.  The disc potential reads ``E`` of the solve; the
+    "tilde" Hori-Vafa form is assembled through the coordinate-change route
+    instead: its basis-ray coefficients are ``exp`` of the row sums
+    ``g_l(qc(q))`` (the same sums as ``W_l``, exponentiated by
+    :meth:`~toricmirror.series.QSeries.exp` rather than by the solve's
+    recurrence), and its other coefficients are inverse-map units times
+    powers of those exponentials rather than the shifted ``E``.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from math import factorial
 
 from . import lp
 from .fans import ToricContext, check_class, check_ray, memoised
-from .series import GradedRing, QSeries, SubstitutionMap, solve_units
+from .series import GradedRing, QSeries, SubstitutionMap, row_sum, solve_units
 
 
 def _shape(ctx: ToricContext, order) -> tuple:
@@ -148,10 +155,12 @@ def mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
 
 @memoised
 def _solve(ctx: ToricContext, order):
-    """The solved inverse map: the dicts ``W[l] = log(1 + delta_l)`` and
-    ``E[l] = exp(W[l])``, exact to ``order``, over the rays ``l`` whose
-    :func:`_class_table` is nonempty.  Every other ray has ``W = 0`` and the
-    unit :func:`_one`."""
+    """The solved inverse map ``(W, E, X)``: the dicts ``W[l] = log(1 +
+    delta_l)`` and ``E[l] = exp(W[l])``, exact to ``order``, over the rays
+    ``l`` whose :func:`_class_table` is nonempty, and ``X`` from the packed
+    key of each class row ``d`` to the level slices of ``X_d = prod_j
+    E_j^{D_j . d}``, so that ``qc^d(q) = q^d X_d``.  Every other ray has ``W
+    = 0`` and the unit :func:`_one`."""
     order = Fraction(order)
     sources = {ray: rows for ray in range(ctx.m)
                if (rows := _class_table(ctx, ray, order))}
@@ -159,25 +168,10 @@ def _solve(ctx: ToricContext, order):
 
 
 @memoised
-def _image(ctx: ToricContext, order, exponent) -> QSeries:
-    """The checked monomial ``qc^exponent`` in Kaehler variables, ``q^exponent
-    * prod_j E_j^{D_j . exponent}``: starting from ``q^exponent``, no product
-    forms a term above ``order``.  An exponent of negative degree ``-k``
-    leaves the image exact only to ``order - k``."""
-    _, E = _solve(ctx, order)
-    term = QSeries(*_shape(ctx, order), {exponent: 1})
-    for j, unit in E.items():
-        pj = sum(p * c for p, c in zip(ctx.P[j], exponent))
-        if pj:
-            term = term.mul(unit.npow(pj))
-    return term
-
-
-@memoised
 def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     """The compositional inverse ``qc_k = q_k * exp(g^{Psi_k}(qc(q)))``, from
     ``log qc_k/q_k = sum_l (D_l . Psi_k) W_l``."""
-    W, _ = _solve(ctx, order)
+    W = _solve(ctx, order)[0]
     return SubstitutionMap(units=tuple(
         QSeries.linear_sum([(W[l], ctx.P[l][k]) for l in W if ctx.P[l][k]],
                            *_shape(ctx, order)).exp()
@@ -188,15 +182,20 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
     """Substitute the inverse mirror map into a series in checked variables,
     exact to ``f.order``.
 
-    Much faster than a generic substitution: the scaled images :func:`_image`
-    are summed by one :meth:`~toricmirror.series.QSeries.linear_sum`.  A
-    monomial of negative degree ``-k`` reads the inverse map ``k`` deeper.
-    A series of another ring raises :class:`~toricmirror.series.SeriesError`.
+    When every monomial of ``f`` is a class row, as for every series the
+    engine composes, the result is the row sum ``sum_d c_d q^d X_d`` over
+    the slices :func:`_solve` has already formed
+    (:func:`~toricmirror.series.row_sum`).  Any other series goes through
+    :meth:`~toricmirror.series.QSeries.substitute`, where a monomial of
+    negative degree ``-k`` reads the inverse map ``k`` deeper.  A series of
+    another ring raises :class:`~toricmirror.series.SeriesError`.
     """
     _one(ctx, f.order)._check_shape(f)
-    order = f.order - min(0, f.min_degree() or 0)
-    return QSeries.linear_sum([(_image(ctx, order, e), c) for e, c in f.terms.items()],
-                              *_shape(ctx, f.order))
+    composed = row_sum(f, _solve(ctx, f.order)[2])
+    if composed is None:
+        order = f.order - min(0, f.min_degree() or 0)
+        composed = f.substitute(inverse_mirror_map(ctx, order))
+    return composed
 
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:
@@ -248,7 +247,7 @@ def disc_potential(ctx: ToricContext, order) -> dict:
     ``l`` of the k-th class coordinate, whose row ``P[l]`` is the k-th unit
     vector.
     """
-    _, E = _solve(ctx, order)
+    E = _solve(ctx, order)[1]
     one = _one(ctx, order)
     terms = {ctx.z[ray]: E.get(ray, one) for ray in ctx.basis_perm[:ctx.n]}
     for ray in ctx.basis_perm[ctx.n:]:
@@ -262,7 +261,10 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
 
     ``plain`` writes the superpotential with coefficients ``qc_k(q)``; the
     ``tilde`` form additionally applies the fiberwise coordinate change
-    ``z_p -> exp(g_p) z_p``, which is what matches the disc potential.
+    ``z_p -> exp(g_p) z_p``, which is what matches the disc potential.  Its
+    ``exp(g_p(qc(q)))`` is :meth:`~toricmirror.series.QSeries.exp` of the
+    row sum that :func:`compose_with_inverse` forms, the same sum as the
+    solve's ``W_p``; the disc potential reads the solve's ``E_p`` instead.
     """
     if form not in ("plain", "tilde"):
         raise ValueError(f"form must be 'plain' or 'tilde', got {form!r}")
@@ -272,7 +274,7 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
     else:
         terms = {ctx.z[ray]: compose_with_inverse(ctx, g_function(ctx, ray, order)).exp()
                  for ray in basis}
-    _, E = _solve(ctx, order)
+    E = _solve(ctx, order)[1]
     units = inverse_mirror_map(ctx, order).units
     for k, ray in enumerate(ctx.basis_perm[ctx.n:]):
         coeff = units[k].shift(ctx.P[ray])

@@ -164,8 +164,11 @@ def solve_units(ring, order, sources):
     pair)``: an exponent vector, its level in ``ring``, a coefficient and a
     tuple read only at the keys of ``sources`` (an unknown without rows has
     ``W = 0``).  Returns the dicts of ``W_l`` and ``E_l = exp(W_l)``, exact to
-    ``order``.  Each row weighs at least one level, so level ``n`` of the
-    right side reads each ``E_j`` only below ``n``, and every slice is formed
+    ``order``, and the dict ``X`` from each row's packed key to the level
+    slices of its ``X_d``, formed at least to level ``top - wt_d``: what
+    :func:`row_sum` reads.  Each row weighs at least one level, so level
+    ``n`` of the right side reads each ``E_j`` only below ``n``, and every
+    slice is formed
     once, from final lower slices, for ``n = 1..top`` (cf. van der Hoeven,
     "Relax, but don't be too lazy", J. Symb. Comput. 2002): ``W_l[n] = sum_d
     gamma_{l,d} q^d X_d[n - wt_d]``, with ``X_d`` the product of the powers
@@ -174,7 +177,7 @@ def solve_units(ring, order, sources):
     packed field raises as soon as its level forms.
     """
     if not sources:
-        return {}, {}
+        return {}, {}, {}
     top = ring.level(order)
     active = sorted(sources)
     rows = [row for table in sources.values() for row in table]
@@ -221,8 +224,10 @@ def solve_units(ring, order, sources):
         out = slices[chain] = [{bias: 1}]
         nodes.append((out, reach, product(chain[:-1]), power(*chain[-1]), None))
     uses = {l: [] for l in active}
+    X = {}
     for l, offset, gamma, wt, chain in chains:
-        uses[l].append((offset, gamma, wt, product(chain)))
+        x = X[offset + bias] = product(chain)
+        uses[l].append((offset, gamma, wt, x))
 
     for n in range(1, top + 1):
         for l, ls in uses.items():
@@ -252,7 +257,33 @@ def solve_units(ring, order, sources):
     W = {l: zero._from_slices([{k: _div(c, n * scale) for k, c in s.items()}
                                for n, s in enumerate(theta[l])])
          for l in active}
-    return W, {l: zero._from_slices(E[l]) for l in active}
+    return W, {l: zero._from_slices(E[l]) for l in active}, X
+
+
+def row_sum(f, X):
+    """``sum_d c_d q^d X_d`` over the terms ``c_d q^d`` of ``f``, exact to
+    ``f.order``, with ``X`` the row slices of :func:`solve_units` at the same
+    ring and order; ``None`` when a term of ``f`` is not a row of ``X``.
+
+    A term of level ``wt`` reads ``X_d`` up to level ``top - wt``, so no
+    product is formed and no term above the order is kept.
+    """
+    if not X.keys() >= f._packed.keys():
+        return None
+    ring, top = f.ring, f._top
+    bias, shift = ring.bias, ring.shift
+    out = {}
+    get = out.get
+    for key, c in f._packed.items():
+        base = key - bias
+        x = X[key]
+        for n in range(top - (key >> shift) + 1):
+            for k, v in x[n].items():
+                k += base
+                v *= c
+                s = get(k)
+                out[k] = v if s is None else s + v
+    return QSeries._of(ring, f.order, top, _clean(out, ring))
 
 
 _RINGS = {}
@@ -777,6 +808,9 @@ class SubstitutionMap(Record):
         object.__setattr__(self, "units", units)
         if not units:
             raise SeriesError("substitution map needs at least one component")
+        if len(units) != units[0].nvars:
+            raise SeriesError(f"substitution map has {len(units)} units for "
+                              f"{units[0].nvars} variables")
         for u in units:
             units[0]._check_shape(u)
             if u.constant_term() != 1:

@@ -1,5 +1,7 @@
 """The invariant suite as a library: names, order and failure details."""
 
+import pytest
+
 from toricmirror import checks, mirror, oracle
 from toricmirror.series import QSeries, SubstitutionMap
 
@@ -164,3 +166,36 @@ def test_potential_equality_names_the_first_differing_z_exponent(f2, monkeypatch
     check = dict(checks.suite(f2, 4))["potential-equality"]
     assert check() == ("disc potential and tilde Hori-Vafa differ in z^(0, -1) "
                        "at (2, 0): 3 != 0")
+
+
+def _first_failure(ctx, order):
+    """The name of the first check that fails, as ``check-all`` stops there."""
+    return next((name for name, check in checks.suite(ctx, order) if check()), None)
+
+
+@pytest.mark.parametrize("name, order, count", [("chain3", 6, 13), ("f2", 8, 1)])
+def test_every_single_term_fault_fails_the_suite(request, monkeypatch, name, order, count):
+    # roundtrip's first loop, the inverse route of log-identity and the
+    # basis-ray coefficients of potential-equality read the solve's own rows,
+    # so a fault in one term of delta_l, or of the solve's E_l = 1 + delta_l,
+    # must show in a check that does not
+    ctx = request.getfixturevalue(name)
+    real_delta, real_solve = mirror.delta, mirror._solve
+    faults = [(ray, e) for ray in range(ctx.m) for e in real_delta(ctx, ray, order).terms]
+    assert len(faults) == count
+    for ray, e in faults:
+        bump = _monomial(ctx, e, 1, order)
+
+        def faulty(c, r, o, ray=ray, bump=bump):
+            d = real_delta(c, r, o)
+            return d.add(bump) if r == ray else d
+
+        monkeypatch.setattr(mirror, "delta", faulty)
+        assert _first_failure(ctx, order), (ray, e)
+    monkeypatch.setattr(mirror, "delta", real_delta)
+    W, E, X = real_solve(ctx, order)
+    for ray, e in faults:
+        bumped = dict(E)
+        bumped[ray] = E[ray].add(_monomial(ctx, e, 1, order))
+        monkeypatch.setattr(mirror, "_solve", lambda c, o, bumped=bumped: (W, bumped, X))
+        assert _first_failure(ctx, order), (ray, e)

@@ -252,7 +252,9 @@ def test_substitution_map_requires_unit_factors():
         SubstitutionMap(())
     with pytest.raises(SeriesError):
         SubstitutionMap(units=[S({(0, 0): 1, (1, -1): 1}), S({(0, 0): 1})])
-    assert SubstitutionMap(units=[S({(0, 0): 1})]).units == (S({(0, 0): 1}),)
+    # one unit for two variables: refused when built, not when first used
+    with pytest.raises(SeriesError, match="2 variables"):
+        SubstitutionMap(units=[S({(0, 0): 1})])
 
 
 def test_revert_rejects_units_of_different_shapes():
@@ -546,7 +548,7 @@ def test_solve_raises_where_a_kept_exponent_leaves_the_field():
     ring = GradedRing.of(2, (1, 1))
     d = (1 << 14, 1 - (1 << 14))
     sources = {0: [(d, 1, 1, (1,))]}
-    W, E = solve_units(ring, Fraction(1), sources)
+    W, E, _ = solve_units(ring, Fraction(1), sources)
     assert W[0].terms == {d: 1} and E[0].terms == {(0, 0): 1, d: 1}
     with pytest.raises(SeriesError, match="packed field"):
         solve_units(ring, Fraction(2), sources)
