@@ -29,8 +29,9 @@ The central objects:
     (:func:`~toricmirror.fans.memoised`), where every consumer reads them.
     Every series the engine composes with the inverse map (``g_l``,
     ``g_{ij}``, ``g^{Psi_k}`` and the logs of the mirror-map units) lies on
-    the class rows, so :func:`compose_with_inverse` sums ``c_d q^d X_d``
-    from the solve's own slices and forms no product.
+    the class rows, so :func:`compose_with_inverse`, the solve's own row
+    step, sums ``c_d q^d X_d`` from its slices (``g_l`` to ``W_l``), forms
+    no product and raises for a series off the rows.
 
 ``disc_potential`` / ``hori_vafa``
     The Laurent potentials.  The disc potential reads ``E`` of the solve; the
@@ -180,22 +181,14 @@ def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
 
 def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
     """Substitute the inverse mirror map into a series in checked variables,
-    exact to ``f.order``.
-
-    When every monomial of ``f`` is a class row, as for every series the
-    engine composes, the result is the row sum ``sum_d c_d q^d X_d`` over
-    the slices :func:`_solve` has already formed
-    (:func:`~toricmirror.series.row_sum`).  Any other series goes through
-    :meth:`~toricmirror.series.QSeries.substitute`, where a monomial of
-    negative degree ``-k`` reads the inverse map ``k`` deeper.  A series of
-    another ring raises :class:`~toricmirror.series.SeriesError`.
+    exact to ``f.order``: the row sum ``sum_d c_d q^d X_d`` over the slices
+    of :func:`_solve` (:func:`~toricmirror.series.row_sum`).  A series off
+    the class rows or of another ring raises ``SeriesError``; the generic
+    spelling is ``f.substitute(inverse_mirror_map(ctx, order))``, ``k``
+    deeper than ``f.order`` for a monomial of degree ``-k``.
     """
     _one(ctx, f.order)._check_shape(f)
-    composed = row_sum(f, _solve(ctx, f.order)[2])
-    if composed is None:
-        order = f.order - min(0, f.min_degree() or 0)
-        composed = f.substitute(inverse_mirror_map(ctx, order))
-    return composed
+    return row_sum(f, _solve(ctx, f.order)[2])
 
 
 def delta(ctx: ToricContext, ray: int, order) -> QSeries:

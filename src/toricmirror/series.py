@@ -41,7 +41,9 @@ strictly lower slices, by a recurrence that costs about one product in all
 ``q^e -> level(e) q^e``, ``theta exp(f) = exp(f) theta f``, ``theta log(u) =
 theta u / u`` and ``u * (1/u) = 1``.  One private slice kernel,
 :func:`_convolve`, forms every such slice, in :func:`solve_units` too, which
-solves the inverse mirror map for ``mirror``.
+solves the inverse mirror map for ``mirror``.  One row step,
+:func:`_row_slice`, forms a level of ``sum_d c_d q^d X_d`` there and in
+:func:`row_sum`.
 
 Integer powers have one path, :meth:`QSeries.npow`, memoised on the series
 itself, so a unit's powers are formed once however many terms, components
@@ -168,10 +170,10 @@ def solve_units(ring, order, sources):
     slices of its ``X_d``, formed at least to level ``top - wt_d``: what
     :func:`row_sum` reads.  Each row weighs at least one level, so level
     ``n`` of the right side reads each ``E_j`` only below ``n``, and every
-    slice is formed
-    once, from final lower slices, for ``n = 1..top`` (cf. van der Hoeven,
-    "Relax, but don't be too lazy", J. Symb. Comput. 2002): ``W_l[n] = sum_d
-    gamma_{l,d} q^d X_d[n - wt_d]``, with ``X_d`` the product of the powers
+    slice is formed once, from final lower slices, for ``n = 1..top`` (cf.
+    van der Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 2002):
+    ``W_l[n] = sum_d gamma_{l,d} q^d X_d[n - wt_d]`` by the row step
+    :func:`_row_slice`, with ``X_d`` the product of the powers
     ``E_j^{pair_j}``, then ``n E_l[n] = sum_i i W_l[i] E_l[n - i]``.  Every
     slice passes through :func:`_clean`, so an exponent that leaves its
     packed field raises as soon as its level forms.
@@ -231,16 +233,7 @@ def solve_units(ring, order, sources):
 
     for n in range(1, top + 1):
         for l, ls in uses.items():
-            out = {}
-            get = out.get
-            for offset, gamma, wt, x in ls:
-                if wt <= n:
-                    for k, c in x[n - wt].items():
-                        k += offset
-                        c *= gamma
-                        s = get(k)
-                        out[k] = c if s is None else s + c
-            theta[l].append(_clean({k: n * c for k, c in out.items()}, ring))
+            theta[l].append(_clean({k: n * c for k, c in _row_slice(ls, n, {}).items()}, ring))
         for l in active:
             total = _convolve(theta[l], E[l], n, range(1, n + 1), bias)
             E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}, ring))
@@ -263,27 +256,34 @@ def solve_units(ring, order, sources):
 def row_sum(f, X):
     """``sum_d c_d q^d X_d`` over the terms ``c_d q^d`` of ``f``, exact to
     ``f.order``, with ``X`` the row slices of :func:`solve_units` at the same
-    ring and order; ``None`` when a term of ``f`` is not a row of ``X``.
-
-    A term of level ``wt`` reads ``X_d`` up to level ``top - wt``, so no
-    product is formed and no term above the order is kept.
+    ring and order; raises :class:`SeriesError` naming the lowest monomial
+    of ``f`` that is not a row of ``X``.  A term of level ``wt`` reads
+    ``X_d`` up to level ``top - wt``, so no product is formed and no term
+    above the order is kept.
     """
-    if not X.keys() >= f._packed.keys():
-        return None
-    ring, top = f.ring, f._top
+    ring, packed = f.ring, f._packed
+    if not X.keys() >= packed.keys():
+        raise SeriesError(f"{ring.exponent(min(packed.keys() - X.keys()))} is not a class row")
     bias, shift = ring.bias, ring.shift
+    rows = [(key - bias, c, key >> shift, X[key]) for key, c in packed.items()]
     out = {}
+    for n in range(1, f._top + 1):
+        _row_slice(rows, n, out)
+    return QSeries._of(ring, f.order, f._top, _clean(out, ring))
+
+
+def _row_slice(rows, n, out):
+    """Add the level-``n`` slice of ``sum c q^d X_d`` over the rows ``(key of
+    q^d less the bias, c, level of d, slices of X_d)`` to ``out``, uncleaned."""
     get = out.get
-    for key, c in f._packed.items():
-        base = key - bias
-        x = X[key]
-        for n in range(top - (key >> shift) + 1):
-            for k, v in x[n].items():
-                k += base
+    for offset, c, wt, x in rows:
+        if wt <= n:
+            for k, v in x[n - wt].items():
+                k += offset
                 v *= c
                 s = get(k)
                 out[k] = v if s is None else s + v
-    return QSeries._of(ring, f.order, top, _clean(out, ring))
+    return out
 
 
 _RINGS = {}
@@ -330,14 +330,19 @@ class GradedRing:
         self._units = tuple((s << self.shift) + (1 << f)
                             for s, f in zip(self.scaled, self._fields))
 
-    def key(self, exponent) -> int:
-        """The packed key of an exponent vector, checked against the fields."""
+    def vector(self, exponent) -> tuple:
+        """An exponent vector as an ``int`` tuple, checked for its length."""
         try:
             e = tuple(map(index, exponent))
         except TypeError:
             raise SeriesError("exponent entries must be integers") from None
         if len(e) != self.nvars:
             raise SeriesError("exponent length does not match variable count")
+        return e
+
+    def key(self, exponent) -> int:
+        """The packed key of an exponent vector, checked against the fields."""
+        e = self.vector(exponent)
         if not all(-BIAS < x < BIAS for x in e):
             raise _overflow()
         return sum(map(_mul, e, self._units), self.bias)
@@ -446,14 +451,14 @@ class QSeries:
     def degree(self, exponent):
         """Weighted degree of an exponent vector (int or Fraction)."""
         ring = self.ring
-        return ring.degree(ring.grade(exponent))
+        return ring.degree(ring.grade(ring.vector(exponent)))
 
     @classmethod
     def one(cls, nvars, weights, order):
         return cls(nvars, weights, order, {(0,) * nvars: 1})
 
     def coefficient(self, exponent):
-        return self.terms.get(tuple(exponent), 0)
+        return self.terms.get(self.ring.vector(exponent), 0)
 
     def constant_term(self):
         return self._packed.get(self.ring.bias, 0)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -199,6 +200,7 @@ def test_compose_with_inverse_matches_substitute(monkeypatch, f2, chain3):
     rng = random.Random(17)
     for ctx in (f2, chain3):
         inv = inverse_mirror_map(ctx, 6)
+        rows = {d for l in range(ctx.m) for d in enumerate_classes(ctx, l, 6)}
         for _ in range(5):
             terms = {}
             for _ in range(8):
@@ -207,16 +209,29 @@ def test_compose_with_inverse_matches_substitute(monkeypatch, f2, chain3):
                     continue
                 terms[e] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
             f = QSeries(ctx.rank, ctx.ample_weight, 6, terms)
-            assert compose_with_inverse(ctx, f) == f.substitute(inv)
-    # most random exponents are not class rows; every series the engine
-    # composes is, and its composition sums the solve's rows with no product
+            # terms are in term order, so the first non-row is the lowest
+            off = [e for e in f.terms if e not in rows]
+            if not off:
+                assert compose_with_inverse(ctx, f) == f.substitute(inv)
+                continue
+            with pytest.raises(series.SeriesError,
+                               match=re.escape(f"{off[0]} is not a class row")):
+                compose_with_inverse(ctx, f)
+    # W_l = g_l(qc(q)): the row sum of g_l is the solve's own W_l
+    seidel = validate(seidel_fan(chain3, 2, "minus"))
+    for ctx, order in ((f2, 16), (chain3, 10), (seidel, 3)):
+        W = mirror._solve(ctx, order)[0]
+        assert W
+        for l in W:
+            assert compose_with_inverse(ctx, g_function(ctx, l, order)) == W[l]
+    # every series the engine composes lies on the class rows, and its
+    # composition sums the solve's rows with no product
     calls = []
     for name in ("mul", "npow"):
         def counting(self, *args, real=getattr(QSeries, name), name=name):
             calls.append(name)
             return real(self, *args)
         monkeypatch.setattr(QSeries, name, counting)
-    seidel = validate(seidel_fan(chain3, 2, "minus"))
     for ctx, order in ((f2, 8), (chain3, 6), (seidel, 2)):
         m, rank = range(ctx.m), range(ctx.rank)
         composed = ([g_function(ctx, l, order) for l in m]
@@ -233,16 +248,32 @@ def test_compose_with_inverse_matches_substitute(monkeypatch, f2, chain3):
             assert fast == f.substitute(inv)
 
 
-def test_compose_with_inverse_boosts_negative_degrees(chain3):
+def test_negative_degree_substitutes_deeper_and_is_not_a_class_row(chain3):
     # weight of (1,-1,0,0,0,0) is -2; exactness to order 4 needs the
     # inverse map at relative order 6
     e = (1, -1, 0, 0, 0, 0)
     f = QSeries(chain3.rank, chain3.ample_weight, 4, {e: 1})
-    fast = compose_with_inverse(chain3, f)
     deep = f.substitute(inverse_mirror_map(chain3, 6))
     assert deep.order == 4
-    assert fast == deep
-    assert not fast.truncate(0) == fast  # the image really has positive-degree terms
+    assert not deep.truncate(0) == deep  # the image really has positive-degree terms
+    with pytest.raises(series.SeriesError, match=re.escape(f"{e} is not a class row")):
+        compose_with_inverse(chain3, f)
+
+
+def test_coefficient_and_degree_check_the_exponent(f2):
+    # f2 has rank 2: an exponent of another length, or with an entry that
+    # is not an integer, raises instead of reading 0 or a zipped degree
+    d = delta(f2, 1, 8)
+    assert d.coefficient((1, 0)) == 1 and d.degree((1, 0)) == 1
+    for e in ((1, 0, 0), (1,)):
+        for read in (d.coefficient, d.degree):
+            with pytest.raises(series.SeriesError, match="exponent length"):
+                read(e)
+    for read in (d.coefficient, d.degree):
+        with pytest.raises(series.SeriesError, match="must be integers"):
+            read((Fraction(1, 2), 0))
+    # the right length outside the packed field has no term
+    assert d.coefficient((series.BIAS, 0)) == 0
 
 
 @pytest.mark.parametrize("nvars, weights", [(2, (1, 5)), (3, (1, 1, 1))])
