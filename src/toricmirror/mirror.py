@@ -50,11 +50,11 @@ from math import factorial
 
 from . import lp
 from .fans import ToricContext, check_class, check_ray, memoised
-from .series import GradedRing, QSeries, SubstitutionMap, row_sum, solve_units
+from .series import GradedRing, QSeries, SubstitutionMap, _as_fraction, row_sum, solve_units
 
 
 def _shape(ctx: ToricContext, order) -> tuple:
-    return ctx.rank, ctx.ample_weight, Fraction(order)
+    return ctx.rank, ctx.ample_weight, _as_fraction(order)
 
 
 @memoised
@@ -86,7 +86,7 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     cons = [(c1, 0), (tuple(-c for c in c1), 0)]
     for i, row in enumerate(ctx.P):
         cons.append((tuple(-p for p in row), 1) if i == ray else (row, 0))
-    cons.append((tuple(-w for w in ring.scaled), -ring.level(Fraction(order))))
+    cons.append((tuple(-w for w in ring.scaled), -ring.level(_as_fraction(order))))
     points = lp.integer_points(cons, ctx.rank)
     points.sort(key=lambda p: (ring.grade(p), p))
     return points
@@ -124,7 +124,7 @@ def _class_table(ctx: ToricContext, ray: int, order):
 def g_function(ctx: ToricContext, ray: int, order) -> QSeries:
     """The hypergeometric correction series ``g_l`` attached to one ray
     divisor, in the complex (checked) variables; memoised per context."""
-    order = Fraction(order)
+    order = _as_fraction(order)
     terms = {comps: gamma for comps, _, gamma, _ in _class_table(ctx, ray, order)}
     return QSeries(*_shape(ctx, order), terms=terms)
 
@@ -141,7 +141,7 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
     """The double-index series: g_i weighted per class by ``D_j . d``."""
     check_ray(ctx, j)
-    order = Fraction(order)
+    order = _as_fraction(order)
     terms = {comps: pair[j] * gamma
              for comps, _, gamma, pair in _class_table(ctx, i, order) if pair[j]}
     return QSeries(*_shape(ctx, order), terms=terms)
@@ -159,10 +159,10 @@ def _solve(ctx: ToricContext, order):
     """The solved inverse map ``(W, E, X)``: the dicts ``W[l] = log(1 +
     delta_l)`` and ``E[l] = exp(W[l])``, exact to ``order``, over the rays
     ``l`` whose :func:`_class_table` is nonempty, and ``X`` from the packed
-    key of each class row ``d`` to the level slices of ``X_d = prod_j
-    E_j^{D_j . d}``, so that ``qc^d(q) = q^d X_d``.  Every other ray has ``W
-    = 0`` and the unit :func:`_one`."""
-    order = Fraction(order)
+    key of each class row ``d`` to ``X_d = prod_j E_j^{D_j . d}`` as a map
+    from its nonempty levels to their slices, so that ``qc^d(q) = q^d X_d``.
+    Every other ray has ``W = 0`` and the unit :func:`_one`."""
+    order = _as_fraction(order)
     sources = {ray: rows for ray in range(ctx.m)
                if (rows := _class_table(ctx, ray, order))}
     return solve_units(GradedRing.of(ctx.rank, ctx.ample_weight), order, sources)
@@ -210,7 +210,7 @@ def open_gw(ctx: ToricContext, ray: int, alpha, order=None) -> Fraction:
     if not any(alpha):
         return Fraction(1)
     wt = ctx.weight(alpha)
-    if order is not None and wt > Fraction(order):
+    if order is not None and wt > _as_fraction(order):
         raise ValueError("sphere class lies beyond the computed order")
     if wt <= 0:
         return Fraction(0)
@@ -283,7 +283,7 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
 def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
     """The Batyrev-style divisor element ``D_j - sum_i g_{i,j}(qc(q)) D_i``,
     as its tuple of coefficient series on ``D_0 .. D_{m-1}``."""
-    order = Fraction(order)
+    order = _as_fraction(order)
     coeffs = []
     for i in range(ctx.m):
         composed = compose_with_inverse(ctx, g_ij(ctx, i, ray, order))

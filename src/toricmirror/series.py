@@ -34,16 +34,16 @@ budget of a product is one ``bisect`` over a sorted key list.  A shift by
 ``q^e`` is a product with that monomial, so its terms past the order are
 never formed.
 
-``exp``, ``log`` and ``recip`` split their operand into level slices (the
-terms of one level ``L * deg``) and form the result one slice at a time from
-strictly lower slices, by a recurrence that costs about one product in all
-(cf. Brent & Kung, J. ACM 1978): with ``theta`` the derivation
-``q^e -> level(e) q^e``, ``theta exp(f) = exp(f) theta f``, ``theta log(u) =
-theta u / u`` and ``u * (1/u) = 1``.  One private slice kernel,
-:func:`_convolve`, forms every such slice, in :func:`solve_units` too, which
-solves the inverse mirror map for ``mirror``.  One row step,
-:func:`_row_slice`, forms a level of ``sum_d c_d q^d X_d`` there and in
-:func:`row_sum`.
+``exp``, ``log`` and ``recip`` split their operand into level slices, a map
+from each level ``L * deg`` that holds terms to those terms, ascending, and
+form the result one slice at a time from strictly lower slices, by a
+recurrence that costs about one product in all (cf. Brent & Kung, J. ACM
+1978): with ``theta`` the derivation ``q^e -> level(e) q^e``, ``theta
+exp(f) = exp(f) theta f``, ``theta log(u) = theta u / u`` and ``u * (1/u) =
+1``.  One private slice kernel, :func:`_convolve`, forms every such slice,
+in :func:`solve_units` too, which solves the inverse mirror map for
+``mirror``.  One row step, :func:`_row_slice`, forms a level of ``sum_d c_d
+q^d X_d`` there and in :func:`row_sum`.
 
 Integer powers have one path, :meth:`QSeries.npow`, memoised on the series
 itself, so a unit's powers are formed once however many terms, components
@@ -129,24 +129,30 @@ def _div(c, n):
     return _coeff(c / n)
 
 
-def _convolve(a, b, n, levels, bias, out=None, scalar=1):
-    """The slice kernel: add ``scalar * sum_{i in levels} a[i] * b[n - i]``,
-    the level-``n`` slice of a product, to ``out`` and return it.
+def _put(slices, n, terms, ring):
+    """Clean ``terms`` into level ``n`` of ``slices`` when any term is left."""
+    if terms := _clean(terms, ring):
+        slices[n] = terms
 
-    ``a`` and ``b`` are lists of level slices ``{packed key: coeff}``, and
-    ``levels`` names the levels ``i`` of ``a`` to read, ascending; those
-    above ``n`` are skipped, and ``b[n - i]`` must be formed for the others.
+
+def _convolve(a, b, n, bias, out=None, scalar=1):
+    """The slice kernel: add ``scalar * sum_{i <= n} a[i] * b[n - i]``, the
+    level-``n`` slice of a product, to ``out`` and return it.
+
+    ``a`` and ``b`` map levels to slices ``{packed key: coeff}`` and hold only
+    nonempty levels, ``a`` ascending.  A level that ``b`` does not hold adds
+    nothing, so a recurrence forming ``b[n]`` reads ``b`` only below ``n``.
     Keys of levels ``i`` and ``n - i`` multiply to ``k1 + k2 - bias``, of
     level ``n``.  The sum is not cleaned.
     """
     if out is None:
         out = {}
     get = out.get
-    for i in levels:
+    for i, x in a.items():
         if i > n:
             break
-        x, y = a[i], b[n - i]
-        if x and y:
+        y = b.get(n - i)
+        if y:
             y = y.items()
             for k1, c1 in x.items():
                 base = k1 - bias
@@ -176,7 +182,7 @@ def solve_units(ring, order, sources):
     :func:`_row_slice`, with ``X_d`` the product of the powers
     ``E_j^{pair_j}``, then ``n E_l[n] = sum_i i W_l[i] E_l[n - i]``.  Every
     slice passes through :func:`_clean`, so an exponent that leaves its
-    packed field raises as soon as its level forms.
+    packed field raises as soon as its level forms; none is kept empty.
     """
     if not sources:
         return {}, {}, {}
@@ -186,12 +192,12 @@ def solve_units(ring, order, sources):
     if min(wt for _, wt, _, _ in rows) <= 0:
         raise SeriesError("solve rows must have positive level")
     bias = ring.bias
-    one = [{bias: 1}] + [{}] * top
+    one = {0: {bias: 1}}
     # W is kept as D * W, with D the lcm of the gammas' denominators, so
     # that integral E keeps every slice product in int arithmetic
     scale = lcm(*(gamma.denominator for _, _, gamma, _ in rows))
-    theta = {l: [{}] for l in active}      # level n holds n * D * W_l[n]
-    E = {l: [{bias: 1}] for l in active}
+    theta = {l: {} for l in active}        # level n holds n * D * W_l[n]
+    E = {l: {0: {bias: 1}} for l in active}
 
     # X_d multiplies the powers E_j^{pair_j} over the active j in turn; a
     # power or prefix product is grown only to the level its heaviest use
@@ -217,13 +223,13 @@ def solve_units(ring, order, sources):
     # power solving a * slices = above.  Inputs come first.
     slices, nodes = {}, []
     for (j, k), reach in sorted(powers.items(), key=lambda p: (p[0][0], abs(p[0][1]))):
-        out = slices[j, k] = [{bias: 1}]
+        out = slices[j, k] = {0: {bias: 1}}
         if k > 0:
             nodes.append((out, reach, E[j], power(j, k - 1), None))
         else:
             nodes.append((out, reach, E[j], out, power(j, k + 1)))
     for chain, reach in sorted(products.items(), key=lambda p: len(p[0])):
-        out = slices[chain] = [{bias: 1}]
+        out = slices[chain] = {0: {bias: 1}}
         nodes.append((out, reach, product(chain[:-1]), power(*chain[-1]), None))
     uses = {l: [] for l in active}
     X = {}
@@ -233,33 +239,32 @@ def solve_units(ring, order, sources):
 
     for n in range(1, top + 1):
         for l, ls in uses.items():
-            theta[l].append(_clean({k: n * c for k, c in _row_slice(ls, n, {}).items()}, ring))
+            _put(theta[l], n, {k: n * c for k, c in _row_slice(ls, n, {}).items()}, ring)
         for l in active:
-            total = _convolve(theta[l], E[l], n, range(1, n + 1), bias)
-            E[l].append(_clean({k: _div(c, n * scale) for k, c in total.items()}, ring))
+            total = _convolve(theta[l], E[l], n, bias)
+            _put(E[l], n, {k: _div(c, n * scale) for k, c in total.items()}, ring)
         for out, reach, a, b, above in nodes:
             if n > reach:
                 continue
             if above is None:
-                out.append(_clean(_convolve(a, b, n, range(n + 1), bias), ring))
+                _put(out, n, _convolve(a, b, n, bias), ring)
             else:
                 # E_j^k[n] = E_j^{k+1}[n] - sum_{i>=1} E_j[i] E_j^k[n-i]
-                out.append(_clean(_convolve(a, b, n, range(1, n + 1), bias,
-                                            dict(above[n]), -1), ring))
+                _put(out, n, _convolve(a, b, n, bias, dict(above.get(n, {})), -1), ring)
     zero = QSeries._of(ring, order, top, {})
-    W = {l: zero._from_slices([{k: _div(c, n * scale) for k, c in s.items()}
-                               for n, s in enumerate(theta[l])])
+    W = {l: zero._from_slices({n: {k: _div(c, n * scale) for k, c in s.items()}
+                               for n, s in theta[l].items()})
          for l in active}
     return W, {l: zero._from_slices(E[l]) for l in active}, X
 
 
 def row_sum(f, X):
     """``sum_d c_d q^d X_d`` over the terms ``c_d q^d`` of ``f``, exact to
-    ``f.order``, with ``X`` the row slices of :func:`solve_units` at the same
+    ``f.order``, with ``X`` the level maps of :func:`solve_units` at the same
     ring and order; raises :class:`SeriesError` naming the lowest monomial
-    of ``f`` that is not a row of ``X``.  A term of level ``wt`` reads
-    ``X_d`` up to level ``top - wt``, so no product is formed and no term
-    above the order is kept.
+    of ``f`` that is not a row of ``X``.  A term of level ``wt`` reads the
+    levels of ``X_d`` up to ``top - wt``, so no product is formed and no
+    term above the order is kept.
     """
     ring, packed = f.ring, f._packed
     if not X.keys() >= packed.keys():
@@ -274,15 +279,15 @@ def row_sum(f, X):
 
 def _row_slice(rows, n, out):
     """Add the level-``n`` slice of ``sum c q^d X_d`` over the rows ``(key of
-    q^d less the bias, c, level of d, slices of X_d)`` to ``out``, uncleaned."""
+    q^d less the bias, c, level of d, level slices of X_d)`` to ``out``,
+    uncleaned; a level that ``X_d`` does not hold adds nothing."""
     get = out.get
     for offset, c, wt, x in rows:
-        if wt <= n:
-            for k, v in x[n - wt].items():
-                k += offset
-                v *= c
-                s = get(k)
-                out[k] = v if s is None else s + v
+        for k, v in x.get(n - wt, {}).items():
+            k += offset
+            v *= c
+            s = get(k)
+            out[k] = v if s is None else s + v
     return out
 
 
@@ -634,21 +639,16 @@ class QSeries:
         return min((k >> shift for k in self._packed if k != bias), default=None)
 
     def _slices(self):
-        """``(slices, levels)``: ``slices[n]`` holds the terms of level ``n``
-        for ``n = 0..top`` as ``{key: coeff}``, and ``levels`` lists the
-        positive levels that hold terms.
-        """
-        slices = [{} for _ in range(self._top + 1)]
+        """The terms as ``{level: {key: coeff}}`` over their levels, ascending."""
+        slices = {}
         shift = self.ring.shift
         for k, c in self._packed.items():
-            slices[k >> shift][k] = c
-        return slices, [n for n, s in enumerate(slices) if n and s]
+            slices.setdefault(k >> shift, {})[k] = c
+        return {n: slices[n] for n in sorted(slices)}
 
     def _from_slices(self, slices):
         """The series of this ring and order with the given level slices."""
-        packed = {}
-        for s in slices:
-            packed.update(s)
+        packed = {k: c for s in slices.values() for k, c in s.items()}
         return QSeries._of(self.ring, self.order, self._top, packed)
 
     def recip(self):
@@ -665,11 +665,11 @@ class QSeries:
             return self._const(inv0)
         if least <= 0:
             raise SeriesError("cannot invert: non-constant term of non-positive degree")
-        u, levels = self._slices()
+        u = self._slices()
         ring = self.ring
-        r = [{ring.bias: inv0}]
+        r = {0: {ring.bias: inv0}}
         for n in range(1, self._top + 1):
-            r.append(_clean(_convolve(u, r, n, levels, ring.bias, scalar=-inv0), ring))
+            _put(r, n, _convolve(u, r, n, ring.bias, scalar=-inv0), ring)
         return self._from_slices(r)
 
     def exp(self):
@@ -686,13 +686,12 @@ class QSeries:
             return self._const(1)
         if least <= 0:
             raise SeriesError("exp requires terms of positive weighted degree")
-        f, levels = self._slices()
-        theta = [{k: n * c for k, c in s.items()} for n, s in enumerate(f)]
+        theta = {n: {k: n * c for k, c in s.items()} for n, s in self._slices().items()}
         ring = self.ring
-        e = [{ring.bias: 1}]
+        e = {0: {ring.bias: 1}}
         for n in range(1, self._top + 1):
-            e.append(_clean({k: _div(c, n) for k, c in
-                             _convolve(theta, e, n, levels, ring.bias).items()}, ring))
+            _put(e, n, {k: _div(c, n) for k, c in
+                        _convolve(theta, e, n, ring.bias).items()}, ring)
         return self._from_slices(e)
 
     def log(self):
@@ -708,14 +707,14 @@ class QSeries:
             return self._const(0)
         if least <= 0:
             raise SeriesError("log requires tail terms of positive weighted degree")
-        u, levels = self._slices()
+        u = self._slices()
         ring = self.ring
-        theta = [{}]            # level n holds n * L[n]; level 0 is empty
+        theta = {}              # level n holds n * L[n]; level 0 is empty
         for n in range(1, self._top + 1):
-            t = {k: n * c for k, c in u[n].items()}
-            theta.append(_clean(_convolve(u, theta, n, levels, ring.bias, t, -1), ring))
-        return self._from_slices([{k: _div(c, n) for k, c in s.items()}
-                                  for n, s in enumerate(theta)])
+            t = {k: n * c for k, c in u.get(n, {}).items()}
+            _put(theta, n, _convolve(u, theta, n, ring.bias, t, -1), ring)
+        return self._from_slices({n: {k: _div(c, n) for k, c in s.items()}
+                                  for n, s in theta.items()})
 
     def substitute(self, smap: "SubstitutionMap"):
         """Simultaneous substitution ``q_k -> q_k * u_k(q)``.

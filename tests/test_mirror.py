@@ -27,6 +27,7 @@ from toricmirror import (
 )
 from toricmirror import mirror, series
 from toricmirror.fans import FanError, minimal_face
+from toricmirror.oracle import i_one_over_z
 from toricmirror.series import QSeries
 
 
@@ -274,6 +275,24 @@ def test_coefficient_and_degree_check_the_exponent(f2):
             read((Fraction(1, 2), 0))
     # the right length outside the packed field has no term
     assert d.coefficient((series.BIAS, 0)) == 0
+
+
+@pytest.mark.parametrize("call, order", [
+    (lambda ctx, order: delta(ctx, 1, order), 0.1),
+    (lambda ctx, order: g_function(ctx, 1, order), 2.5),
+    (lambda ctx, order: g_ij(ctx, 1, 0, order), 2.5),
+    (lambda ctx, order: enumerate_classes(ctx, 1, order), 2.5),
+    (lambda ctx, order: open_gw(ctx, 1, (1, 0), order), 2.5),
+    (lambda ctx, order: batyrev_element(ctx, 1, order), 2.5),
+    (disc_potential, float("inf")),
+    (i_one_over_z, 2.5),
+], ids=["delta", "g_function", "g_ij", "enumerate_classes", "open_gw", "batyrev",
+        "disc_potential", "i_one_over_z"])
+def test_library_entry_points_reject_a_float_order(f2, call, order):
+    # as QSeries does: a float order is not converted to the Fraction of
+    # its binary value, and an infinite one does not overflow
+    with pytest.raises(series.SeriesError, match="must be int or Fraction, got float"):
+        call(f2, order)
 
 
 @pytest.mark.parametrize("nvars, weights", [(2, (1, 5)), (3, (1, 1, 1))])
@@ -626,7 +645,7 @@ def test_w_reads_exponentials_only_below_level_n_minus_least(monkeypatch, reques
         def kernel(a, b, n, *rest):
             out = real_kernel(a, b, n, *rest)
             # the E step is the one product that reads theta W, empty at level 0
-            if n == m and not a[0] and not bumped:
+            if n == m and 0 not in a and not bumped:
                 key = ring.key((m,) + (0,) * (ring.nvars - 1))
                 out[key] = out.get(key, 0) + n * 2 ** 10
                 bumped.append(key)
@@ -647,18 +666,47 @@ def test_chain3_order_10_forms_each_slice_once(monkeypatch, load):
     real_kernel = series._convolve
 
     def kernel(a, b, n, *rest):
-        calls.append((id(a), id(b), n, len(a), len(b), not a[0]))
+        calls.append((id(a), id(b), n, frozenset(a), frozenset(b), 0 not in a))
         return real_kernel(a, b, n, *rest)
 
     monkeypatch.setattr(series, "_convolve", kernel)
     ctx = load("chain3")
-    W, _, _ = mirror._solve.__wrapped__(ctx, Fraction(10))
+    W, E, _ = mirror._solve.__wrapped__(ctx, Fraction(10))
     least = least_level(ctx, 10)
     assert len({c[:3] for c in calls}) == len(calls)
     assert [c[2] for c in calls] == sorted(c[2] for c in calls)
     steps = [c for c in calls if c[5]]
     assert len({c[:2] for c in steps}) == len(W)
     assert sorted(c[2] for c in steps) == [n for n in range(1, 11) for _ in W]
-    # theta W holds levels 0..n and E levels 0..n-1 when E[n] is formed
-    assert all(len_a == n + 1 and len_b == n for _, _, n, len_a, len_b, _ in steps)
+    # when E_l[n] is formed, theta W_l holds the nonempty levels <= n of
+    # the final W_l and E_l those < n of the final E_l, and nothing else
+    shift = series.GradedRing.of(ctx.rank, ctx.ample_weight).shift
+    held = {l: ({k >> shift for k in W[l]._packed}, {k >> shift for k in E[l]._packed})
+            for l in W}
+    for n in range(1, 11):
+        assert [c[3:5] for c in steps if c[2] == n] == [
+            ({i for i in w if i <= n}, {i for i in e if i < n}) for w, e in held.values()]
     assert max(c[2] for c in calls if not c[5]) == 10 - least
+
+
+@pytest.mark.parametrize("name, order", [("chain3", 10), ("f2", 181)])
+def test_row_products_hold_only_nonempty_levels(load, name, order):
+    # each X_d maps ascending levels to nonempty slices, none above the
+    # deepest node level top - least (a product shared with a lighter row
+    # runs past top - wt_d); on chain3 it is prod_j E_j^{D_j.d} to top - wt_d
+    ctx = load(name)
+    ring = series.GradedRing.of(ctx.rank, ctx.ample_weight)
+    top = ring.level(Fraction(order))
+    least = least_level(ctx, order)
+    _, E, X = mirror._solve(ctx, order)
+    for rows in class_tables(ctx, order).values():
+        for d, wt, _, pair in rows:
+            x = X[ring.key(d)]
+            assert list(x) == sorted(x) and all(x.values()) and max(x) <= top - least
+            if name == "chain3":
+                expected = one(ctx, order)
+                for j, k in enumerate(pair):
+                    if k and j in E:
+                        expected = expected.mul(E[j].npow(k))
+                assert expected.truncate(ring.degree(top - wt))._packed == {
+                    key: c for n, s in x.items() if n <= top - wt for key, c in s.items()}
