@@ -248,8 +248,8 @@ class ToricContext:
 
 
 def check_ray(ctx: ToricContext, ray: int) -> None:
-    """Raise :class:`FanError` unless ``ray`` indexes a ray of ``ctx``."""
-    if not 0 <= ray < ctx.m:
+    """Raise :class:`FanError` unless ``ray`` is an ``int`` indexing a ray."""
+    if not 0 <= _check_int(ray, "ray index") < ctx.m:
         raise FanError(f"ray index {ray} out of range 0..{ctx.m - 1}")
 
 
@@ -266,23 +266,20 @@ def check_class(ctx: ToricContext, curve) -> tuple:
 
 
 def memoised(builder):
-    """Run ``builder(ctx, *args)`` once per context and arguments."""
+    """Run ``builder(ctx, *args)`` once per context and arguments, rays and
+    orders (``8`` and ``Fraction(8)`` share an entry).  Any other type, such
+    as ``1.0`` or ``True``, skips the memo, so the builder's check sees it."""
 
     @wraps(builder)
     def cached(ctx, *args):
+        if any(type(a) not in (int, Fraction) for a in args):
+            return builder(ctx, *args)
         key = (builder, *args)
         if key not in ctx._cache:
             ctx._cache[key] = builder(ctx, *args)
         return ctx._cache[key]
 
     return cached
-
-
-def _facets(cone):
-    cone = tuple(cone)
-    if len(cone) == 1:
-        return [()]
-    return [tuple(x for x in cone if x != drop) for drop in cone]
 
 
 def validate(fan: Fan, basis_cone=None) -> ToricContext:
@@ -322,8 +319,8 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     # pins down a smooth complete fan.
     facet_map = {}
     for ci, cone in enumerate(fan.max_cones):
-        for facet in _facets(cone):
-            facet_map.setdefault(frozenset(facet), []).append(ci)
+        for drop in cone:
+            facet_map.setdefault(frozenset(cone) - {drop}, []).append(ci)
     adjacency = {ci: set() for ci in range(len(fan.max_cones))}
     for facet, owners in facet_map.items():
         if len(owners) != 2:

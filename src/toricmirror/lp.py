@@ -65,18 +65,18 @@ def _dedupe(rows):
     ``(p * g/h, b/h)`` with ``h = gcd(g, b)``.  Rows come out in the order
     in which their directions first appear.
 
-    Rows ``(c, b, history)`` keep their history.  The kept row stands in
-    for every row merged into it, so it takes the bits that all of their
-    histories share: Chernikov's rule then never drops a combination of it
-    that would have been kept for one of the rows it replaced.
+    Rows are ``(c, b, history)``, the history an ``int``.  The kept row
+    stands in for every row merged into it, so it takes the bits that all of
+    their histories share: Chernikov's rule then never drops a combination
+    of it that would have been kept for one of the rows it replaced.
     """
     best = {}
-    for coeffs, rhs, *hist in rows:
+    for coeffs, rhs, hist in rows:
         g = gcd(*coeffs) or 1
         key = tuple(c // g for c in coeffs) if g > 1 else tuple(coeffs)
         kept = best.get(key)
         if kept is not None:
-            hist = [a & b for a, b in zip(kept[2], hist)]
+            hist &= kept[2]
             if rhs * kept[1] <= kept[0] * g:
                 rhs, g = kept[0], kept[1]
         best[key] = (rhs, g, hist)
@@ -84,7 +84,7 @@ def _dedupe(rows):
     for key, (rhs, g, hist) in best.items():
         h = gcd(g, rhs)
         scale = g // h
-        out.append((tuple(c * scale for c in key) if scale > 1 else key, rhs // h, *hist))
+        out.append((tuple(c * scale for c in key) if scale > 1 else key, rhs // h, hist))
     return out
 
 
@@ -160,12 +160,13 @@ def eliminate(cons, j):
 def _chain(cons, nvars):
     """Eliminate variables nvars-1, nvars-2, ..., returning each stage.
 
-    ``stages[k]`` constrains variables ``x_0 .. x_{k}`` only.  Row ``i`` of
-    the normalised input starts with history ``1 << i``.
+    ``stages[k]`` constrains variables ``x_0 .. x_{k}`` only.  The input is
+    normalised and merged with history ``0``; row ``i`` of the result then
+    starts with history ``1 << i``.
     """
     stages = [None] * nvars
-    rows = _dedupe([_norm(c, b) for c, b in cons])
-    current = [(c, b, 1 << i) for i, (c, b) in enumerate(rows)]
+    rows = _dedupe([(*_norm(c, b), 0) for c, b in cons])
+    current = [(c, b, 1 << i) for i, (c, b, _) in enumerate(rows)]
     stages[nvars - 1] = current
     for j in range(nvars - 1, 0, -1):
         current = eliminate(current, j)
@@ -212,8 +213,6 @@ def witness(cons, nvars):
     """A rational feasible point (see :func:`_back_substitute`), or None."""
     if not nvars:
         return () if _holds_without_variables(cons) else None
-    if not cons:
-        return tuple(Fraction(0) for _ in range(nvars))
     stages = _chain(cons, nvars)
     return _back_substitute(stages, _plans(stages))
 

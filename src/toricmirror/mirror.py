@@ -254,28 +254,29 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
 
     ``plain`` writes the superpotential with coefficients ``qc_k(q)``; the
     ``tilde`` form additionally applies the fiberwise coordinate change
-    ``z_p -> exp(g_p) z_p``, which is what matches the disc potential.  Its
-    ``exp(g_p(qc(q)))`` is :meth:`~toricmirror.series.QSeries.exp` of the
-    row sum that :func:`compose_with_inverse` forms, the same sum as the
-    solve's ``W_p``; the disc potential reads the solve's ``E_p`` instead.
+    ``z_b -> exp(g_b) z_b``, which is what matches the disc potential.  One
+    loop serves both: the factor of a basis ray ``b`` is ``1`` (plain), or
+    the :meth:`~toricmirror.series.QSeries.exp` of the row sum that
+    :func:`compose_with_inverse` forms for ``g_b`` (tilde), and a class
+    ray's coefficient is its shifted inverse-map unit times the factors to
+    the powers ``z``.  No ``E`` of the solve is read.
     """
-    if form not in ("plain", "tilde"):
-        raise ValueError(f"form must be 'plain' or 'tilde', got {form!r}")
     basis = ctx.basis_perm[:ctx.n]
-    if form == "plain":
-        terms = dict.fromkeys((ctx.z[ray] for ray in basis), _one(ctx, order))
+    if form == "tilde":
+        factor = {b: compose_with_inverse(ctx, g).exp() for b in basis
+                  if not (g := g_function(ctx, b, order)).is_zero()}
+    elif form == "plain":
+        factor = {}
     else:
-        terms = {ctx.z[ray]: compose_with_inverse(ctx, g_function(ctx, ray, order)).exp()
-                 for ray in basis}
-    E = _solve(ctx, order)[1]
+        raise ValueError(f"form must be 'plain' or 'tilde', got {form!r}")
+    one = _one(ctx, order)
+    terms = {ctx.z[b]: factor.get(b, one) for b in basis}
     units = inverse_mirror_map(ctx, order).units
     for k, ray in enumerate(ctx.basis_perm[ctx.n:]):
         coeff = units[k].shift(ctx.P[ray])
-        if form == "tilde":
-            # exp(g) of a basis ray without classes is 1: nothing to multiply
-            for b, e in zip(basis, ctx.z[ray]):
-                if e and b in E:
-                    coeff = coeff.mul(E[b].npow(e))
+        for b, e in zip(basis, ctx.z[ray]):
+            if e and b in factor:
+                coeff = coeff.mul(factor[b].npow(e))
         terms[ctx.z[ray]] = coeff
     return _nonzero(terms)
 
@@ -296,8 +297,7 @@ def seidel_element(ctx: ToricContext, ray: int, order) -> tuple:
     of coefficient series on ``D_0 .. D_{m-1}``."""
     check_ray(ctx, ray)
     scale = _solve(ctx, order)[1].get(ray, _one(ctx, order)).npow(-1)
-    return tuple(scale.mul(c) if not c.is_zero() else c
-                 for c in batyrev_element(ctx, ray, order))
+    return tuple(scale.mul(c) for c in batyrev_element(ctx, ray, order))
 
 
 def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:

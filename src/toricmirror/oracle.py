@@ -80,16 +80,15 @@ class NilpotentLaurent:
 
 
 def _factor(ray: int, k: int) -> NilpotentLaurent:
-    """One telescoping factor of I_d, expanded to first order in D_ray.
+    """One telescoping factor of I_d, expanded to first order in D_ray, for
+    a nonzero pairing ``k`` (:func:`i_d_term` skips the factor 1 of ``k = 0``).
 
-    For pairing ``k > 0`` the factor is ``1 / prod_{s=1..k} (D + s z)``:
+    For ``k > 0`` the factor is ``1 / prod_{s=1..k} (D + s z)``:
     scalar part ``zeta^k / k!`` and divisor part ``-(H_k / k!) zeta^{k+1}``
     with ``H_k`` the harmonic number.  For ``k < 0`` the factor is the bare
     product ``prod_{s=k+1..0} (D + s z)`` whose ``s = 0`` term makes it purely
     divisor-linear: ``(-1)^{a-1} (a-1)! zeta^{1-a}`` on D, where ``a = -k``.
     """
-    if k == 0:
-        return NilpotentLaurent.one()
     if k > 0:
         harmonic = sum(Fraction(1, s) for s in range(1, k + 1))
         inv = Fraction(1, factorial(k))

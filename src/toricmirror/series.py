@@ -93,7 +93,7 @@ class SeriesError(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise SeriesError(f"weights and orders must be int or Fraction, got {type(value).__name__}")
 
@@ -308,8 +308,9 @@ class GradedRing:
 
     @staticmethod
     def of(nvars, weights) -> "GradedRing":
-        """The one ring of this shape."""
-        weights = tuple(weights)
+        """The one ring of this shape.  The weights are checked before the
+        lookup, so a ``1.0`` or ``True`` never finds the ring of ``1``."""
+        weights = tuple(map(_as_fraction, weights))
         ring = _RINGS.get((nvars, weights))
         if ring is None:
             ring = _RINGS[nvars, weights] = GradedRing(nvars, weights)
@@ -318,7 +319,6 @@ class GradedRing:
     def __init__(self, nvars, weights):
         if len(weights) != nvars:
             raise SeriesError("weight vector length does not match variable count")
-        weights = tuple(_as_fraction(w) for w in weights)
         if any(w <= 0 for w in weights):
             raise SeriesError("weights must be strictly positive")
         self.nvars = nvars

@@ -224,8 +224,9 @@ def test_eliminate_matches_plain_fourier_motzkin():
     rng = random.Random(13)
     for _ in range(60):
         nvars = rng.choice((2, 3))
-        cons = lp._dedupe([(tuple(rng.randrange(-4, 5) for _ in range(nvars)),
-                            rng.randrange(-6, 7)) for _ in range(rng.randrange(1, 9))])
+        rows = [(tuple(rng.randrange(-4, 5) for _ in range(nvars)), rng.randrange(-6, 7), 0)
+                for _ in range(rng.randrange(1, 9))]
+        cons = [(c, b) for c, b, _ in lp._dedupe(rows)]
         j = nvars - 1
         plain = [(c, b) for c, b in cons if not c[j]]
         for cp, bp in cons:

@@ -93,9 +93,17 @@ def test_g_psi_is_the_pairing_combination(chain3):
         g_psi(chain3, chain3.rank, 6)
 
 
-@pytest.mark.parametrize("ray", [99, -1])
-def test_out_of_range_ray_indices_raise(f2, ray):
-    message = rf"ray index {ray} out of range 0\.\.3"
+@pytest.mark.parametrize("ray", [99, -1, 1.0, True, Fraction(1)],
+                         ids=["99", "-1", "1.0", "True", "Fraction(1)"])
+def test_out_of_range_ray_indices_raise(load, ray):
+    # a ray index is an int, as in the fan document, not one of the values
+    # equal to 1.  The context is fresh: an integral Fraction equals an int
+    # key of the memo, so a warm context answers it as ray 1
+    f2 = load("f2")
+    if type(ray) is int:
+        message = rf"ray index {ray} out of range 0\.\.3"
+    else:
+        message = re.escape(f"ray index must be an integer, got {ray!r}")
     calls = [
         lambda: enumerate_classes(f2, ray, 8),
         lambda: g_function(f2, ray, 8),
@@ -286,12 +294,16 @@ def test_coefficient_and_degree_check_the_exponent(f2):
     (lambda ctx, order: batyrev_element(ctx, 1, order), 2.5),
     (disc_potential, float("inf")),
     (i_one_over_z, 2.5),
+    (lambda ctx, order: delta(ctx, 1, order), True),
 ], ids=["delta", "g_function", "g_ij", "enumerate_classes", "open_gw", "batyrev",
-        "disc_potential", "i_one_over_z"])
+        "disc_potential", "i_one_over_z", "delta-bool"])
 def test_library_entry_points_reject_a_float_order(f2, call, order):
     # as QSeries does: a float order is not converted to the Fraction of
-    # its binary value, and an infinite one does not overflow
-    with pytest.raises(series.SeriesError, match="must be int or Fraction, got float"):
+    # its binary value, an infinite one does not overflow, and True is not
+    # the order 1, also where the memo holds order 1
+    delta(f2, 1, 1)
+    with pytest.raises(series.SeriesError,
+                       match=f"must be int or Fraction, got {type(order).__name__}"):
         call(f2, order)
 
 
@@ -433,6 +445,18 @@ def test_hori_vafa_forms(f2, chain3):
     assert plain[0, 1] == one(f2)
     with pytest.raises(ValueError):
         hori_vafa(f2, 8, "fancy")
+
+
+def test_tilde_potential_reads_no_solve_e(load, monkeypatch):
+    # the tilde Hori-Vafa potential exponentiates its own row sums, so a
+    # fault in the solve's E_1 reaches the disc potential only
+    ctx = load("f2")
+    disc, tilde = disc_potential(ctx, 8), hori_vafa(ctx, 8, "tilde")
+    W, E, X = mirror._solve(ctx, 8)
+    poisoned = {**E, 1: E[1].add(mono(ctx, (0, 1)))}
+    monkeypatch.setattr(mirror, "_solve", lambda ctx, order: (W, poisoned, X))
+    assert disc_potential(ctx, 8) != disc
+    assert hori_vafa(ctx, 8, "tilde") == tilde
 
 
 def test_potentials_coincide_on_fano(p2, p1xp1):

@@ -39,6 +39,17 @@ def test_weights_must_be_positive():
         QSeries(2, (1, Fraction(-1, 2)), 4, {})
 
 
+@pytest.mark.parametrize("weights, order", [((True,), 3), ((1,), True), ((1.0,), 3)])
+def test_weights_and_orders_are_int_or_fraction(weights, order):
+    # bool is an int, but True is not the weight or the order 1, also where
+    # the ring of weight 1 is already formed
+    QSeries(1, (1,), 3)
+    bad = next(v for v in (*weights, order) if type(v) is not int)
+    with pytest.raises(SeriesError,
+                       match=f"must be int or Fraction, got {type(bad).__name__}"):
+        QSeries(1, weights, order)
+
+
 def test_fractional_weights_bound_the_support():
     f = QSeries(2, (Fraction(1, 2), 3), 4, {(8, 0): 1, (9, 0): 1, (0, 1): 1})
     # degree of (9,0) is 9/2 > 4, so it is cut
