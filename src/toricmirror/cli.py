@@ -173,8 +173,8 @@ def _zmono(exponent) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _series(series):
-    return {"order": str(series.order), "terms": series.to_records()}
+def _series(series, order):
+    return {"order": str(order), "terms": series.to_records()}
 
 
 def _validate(args, ctx, order):
@@ -213,13 +213,13 @@ def _semifano(args, ctx, order):
 
 def _g(args, ctx, order):
     series = mirror.g_function(ctx, args.ray, order)
-    return [f"g_{args.ray} = {series.to_text(var='qc')}"], {"series": _series(series)}
+    return [f"g_{args.ray} = {series.to_text(var='qc')}"], {"series": _series(series, order)}
 
 
 def _gij(args, ctx, order):
     series = mirror.g_ij(ctx, args.index_i, args.index_j, order)
     return ([f"g_{args.index_i},{args.index_j} = {series.to_text(var='qc')}"],
-            {"series": _series(series)})
+            {"series": _series(series, order)})
 
 
 def _mirror(args, ctx, order):
@@ -229,12 +229,12 @@ def _mirror(args, ctx, order):
         smap, lhs, rhs = mirror.inverse_mirror_map(ctx, order), "qc", "q"
     lines = [f"{lhs}{k + 1} = {rhs}{k + 1} ({u.to_text(var=rhs)})"
              for k, u in enumerate(smap.units)]
-    return lines, {"units": [_series(u) for u in smap.units]}
+    return lines, {"units": [_series(u, order) for u in smap.units]}
 
 
 def _delta(args, ctx, order):
     series = mirror.delta(ctx, args.ray, order)
-    return [f"delta_{args.ray} = {series.to_text()}"], {"series": _series(series)}
+    return [f"delta_{args.ray} = {series.to_text()}"], {"series": _series(series, order)}
 
 
 def _gw(args, ctx, order):
@@ -255,7 +255,7 @@ def _potential(args, ctx, order):
     lines, records = [], []
     for z_exp, series in sorted(potential.items()):
         lines.append(f"[{_zmono(z_exp)}] {series.to_text()}")
-        records.append({"z_exponent": list(z_exp), "coefficient": _series(series)})
+        records.append({"z_exponent": list(z_exp), "coefficient": _series(series, order)})
     payload["terms"] = records
     return lines, payload
 
@@ -266,7 +266,7 @@ def _divisor(args, ctx, order):
     for i, series in enumerate(build(ctx, args.ray, order)):
         if not series.is_zero():
             lines.append(f"D_{i}: {series.to_text()}")
-            records.append({"ray": i, "series": _series(series)})
+            records.append({"ray": i, "series": _series(series, order)})
     return lines, {"coeffs": records}
 
 

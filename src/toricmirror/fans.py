@@ -33,6 +33,7 @@ from operator import index
 
 from . import lp
 from ._record import Record
+from .series import GradedRing, _as_fraction
 
 
 class FanError(ValueError):
@@ -210,10 +211,13 @@ class ToricContext:
     sums (anticanonical degrees), and ``z[ray]`` the ray in the coordinates
     dual to the basis cone: the exponent of its monomial in ``z``.
 
+    ``ring`` is the :class:`~toricmirror.series.GradedRing` of the ample
+    weight, the one ring of every series over this context.
+
     Contexts compare by identity, and everything derived from one is built
     once: a function decorated with :func:`memoised` keeps its result in
-    ``_cache`` under the key ``(function, *arguments)``, and later calls with
-    equal arguments (``8`` and ``Fraction(8)`` are equal) return that same
+    ``_cache`` under the key ``(function, *rays, level)``, and later calls
+    with the same rays and an order of the same level return that same
     object.  No other code reads or writes ``_cache``.
     """
 
@@ -227,6 +231,7 @@ class ToricContext:
         self.c1 = c1
         self.ample_weight = ample_weight
         self.walls = walls
+        self.ring = GradedRing.of(self.rank, ample_weight)
         self._cache = {}
 
     @property
@@ -266,17 +271,24 @@ def check_class(ctx: ToricContext, curve) -> tuple:
 
 
 def memoised(builder):
-    """Run ``builder(ctx, *args)`` once per context and arguments, rays and
-    orders (``8`` and ``Fraction(8)`` share an entry).  Any other type, such
-    as ``1.0`` or ``True``, skips the memo, so the builder's check sees it."""
+    """Run ``builder(ctx, *rays, order)`` once per context, rays and level.
+
+    Each ray passes :func:`check_ray`, and the order is converted once to its
+    ``int`` level ``floor(L * order)`` in ``ctx.ring``.  The memo keys on
+    ``(builder, *rays, level)``, exact ``int`` all, and the builder gets the
+    level's largest order ``Fraction(level, L)``, so two orders of one level
+    share one result.  A builder without an order keys on ``(builder,)``."""
 
     @wraps(builder)
     def cached(ctx, *args):
-        if any(type(a) not in (int, Fraction) for a in args):
-            return builder(ctx, *args)
-        key = (builder, *args)
+        rays, orders = args[:-1], args[-1:]
+        for ray in rays:
+            check_ray(ctx, ray)
+        levels = [ctx.ring.level(_as_fraction(order)) for order in orders]
+        key = (builder, *rays, *levels)
         if key not in ctx._cache:
-            ctx._cache[key] = builder(ctx, *args)
+            orders = [Fraction(level, ctx.ring.scale) for level in levels]
+            ctx._cache[key] = builder(ctx, *rays, *orders)
         return ctx._cache[key]
 
     return cached

@@ -50,17 +50,13 @@ from math import factorial
 
 from . import lp
 from .fans import ToricContext, check_class, check_ray, memoised
-from .series import GradedRing, QSeries, SubstitutionMap, _as_fraction, row_sum, solve_units
-
-
-def _shape(ctx: ToricContext, order) -> tuple:
-    return ctx.rank, ctx.ample_weight, _as_fraction(order)
+from .series import QSeries, SubstitutionMap, _as_fraction, row_sum, solve_units
 
 
 @memoised
 def _one(ctx: ToricContext, order) -> QSeries:
     """The ``1`` that every ray without classes shares as its unit."""
-    return QSeries.one(*_shape(ctx, order))
+    return QSeries.one(ctx.rank, ctx.ample_weight, order)
 
 
 @memoised
@@ -80,13 +76,12 @@ def enumerate_classes(ctx: ToricContext, ray: int, order):
     The classes come out by level, then lexicographically, as tuples of
     ``int``.
     """
-    check_ray(ctx, ray)
-    ring = GradedRing.of(ctx.rank, ctx.ample_weight)
+    ring = ctx.ring
     c1 = ctx.c1
     cons = [(c1, 0), (tuple(-c for c in c1), 0)]
     for i, row in enumerate(ctx.P):
         cons.append((tuple(-p for p in row), 1) if i == ray else (row, 0))
-    cons.append((tuple(-w for w in ring.scaled), -ring.level(_as_fraction(order))))
+    cons.append((tuple(-w for w in ring.scaled), -ring.level(order)))
     points = lp.integer_points(cons, ctx.rank)
     points.sort(key=lambda p: (ring.grade(p), p))
     return points
@@ -105,7 +100,6 @@ def _class_table(ctx: ToricContext, ray: int, order):
     ``(-1)^a (a-1)! / prod_{j != l} (D_j . d)!``.  ``pair[j]`` is ``D_j . d``
     for every ray ``j``.
     """
-    ring = GradedRing.of(ctx.rank, ctx.ample_weight)
     rows = []
     for d in enumerate_classes(ctx, ray, order):
         pair = tuple(sum(p * c for p, c in zip(row, d)) for row in ctx.P)
@@ -116,7 +110,7 @@ def _class_table(ctx: ToricContext, ray: int, order):
                 denominator *= factorial(k)
         gamma = Fraction(factorial(a - 1) if a % 2 == 0 else -factorial(a - 1),
                          denominator)
-        rows.append((d, ring.grade(d), gamma, pair))
+        rows.append((d, ctx.ring.grade(d), gamma, pair))
     return rows
 
 
@@ -124,9 +118,8 @@ def _class_table(ctx: ToricContext, ray: int, order):
 def g_function(ctx: ToricContext, ray: int, order) -> QSeries:
     """The hypergeometric correction series ``g_l`` attached to one ray
     divisor, in the complex (checked) variables; memoised per context."""
-    order = _as_fraction(order)
     terms = {comps: gamma for comps, _, gamma, _ in _class_table(ctx, ray, order)}
-    return QSeries(*_shape(ctx, order), terms=terms)
+    return QSeries(ctx.rank, ctx.ample_weight, order, terms=terms)
 
 
 def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
@@ -135,16 +128,15 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
         raise ValueError(f"curve-basis index {k} out of range")
     return QSeries.linear_sum([(g_function(ctx, ray, order), ctx.P[ray][k])
                                for ray in range(ctx.m) if ctx.P[ray][k]],
-                              *_shape(ctx, order))
+                              ctx.rank, ctx.ample_weight, order)
 
 
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
     """The double-index series: g_i weighted per class by ``D_j . d``."""
     check_ray(ctx, j)
-    order = _as_fraction(order)
     terms = {comps: pair[j] * gamma
              for comps, _, gamma, pair in _class_table(ctx, i, order) if pair[j]}
-    return QSeries(*_shape(ctx, order), terms=terms)
+    return QSeries(ctx.rank, ctx.ample_weight, order, terms=terms)
 
 
 @memoised
@@ -162,10 +154,9 @@ def _solve(ctx: ToricContext, order):
     key of each class row ``d`` to ``X_d = prod_j E_j^{D_j . d}`` as a map
     from its nonempty levels to their slices, so that ``qc^d(q) = q^d X_d``.
     Every other ray has ``W = 0`` and the unit :func:`_one`."""
-    order = _as_fraction(order)
     sources = {ray: rows for ray in range(ctx.m)
                if (rows := _class_table(ctx, ray, order))}
-    return solve_units(GradedRing.of(ctx.rank, ctx.ample_weight), order, sources)
+    return solve_units(ctx.ring, order, sources)
 
 
 @memoised
@@ -175,7 +166,7 @@ def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     W = _solve(ctx, order)[0]
     return SubstitutionMap(units=tuple(
         QSeries.linear_sum([(W[l], ctx.P[l][k]) for l in W if ctx.P[l][k]],
-                           *_shape(ctx, order)).exp()
+                           ctx.rank, ctx.ample_weight, order).exp()
         for k in range(ctx.rank)))
 
 
@@ -284,7 +275,6 @@ def hori_vafa(ctx: ToricContext, order, form: str = "plain") -> dict:
 def batyrev_element(ctx: ToricContext, ray: int, order) -> tuple:
     """The Batyrev-style divisor element ``D_j - sum_i g_{i,j}(qc(q)) D_i``,
     as its tuple of coefficient series on ``D_0 .. D_{m-1}``."""
-    order = _as_fraction(order)
     coeffs = []
     for i in range(ctx.m):
         composed = compose_with_inverse(ctx, g_ij(ctx, i, ray, order))

@@ -18,7 +18,7 @@ from math import factorial
 
 from .fans import ToricContext
 from .mirror import enumerate_classes
-from .series import QSeries, _as_fraction
+from .series import QSeries
 
 
 def _merge(out, e, c):
@@ -128,7 +128,6 @@ def i_one_over_z(ctx: ToricContext, order) -> tuple:
     all g-series (one negative pairing each; other classes die by
     nilpotency).  Contract: equals ``-sum_l g_l(qc) D_l``.
     """
-    order = _as_fraction(order)
     per_ray = [{} for _ in range(ctx.m)]
     for l in range(ctx.m):
         for d in enumerate_classes(ctx, l, order):

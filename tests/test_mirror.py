@@ -25,7 +25,7 @@ from toricmirror import (
     seidel_fan,
     validate,
 )
-from toricmirror import mirror, series
+from toricmirror import checks, mirror, series
 from toricmirror.fans import FanError, minimal_face
 from toricmirror.oracle import i_one_over_z
 from toricmirror.series import QSeries
@@ -42,7 +42,7 @@ def one(ctx, order=8):
 # ------------------------------------------------------------------ g series
 
 def test_derived_series_are_built_once_per_context(load):
-    # the memo keys on equal arguments, so an int order and its Fraction
+    # the memo keys on the order's level, so an int order and its Fraction
     # share one entry
     ctx = load("f2")
     assert inverse_mirror_map(ctx, 8) is inverse_mirror_map(ctx, Fraction(8))
@@ -51,6 +51,21 @@ def test_derived_series_are_built_once_per_context(load):
     assert enumerate_classes(ctx, 1, 6) is enumerate_classes(ctx, 1, Fraction(6))
     assert mirror._solve(ctx, 8) is mirror._solve(ctx, Fraction(8))
     assert inverse_mirror_map(load("f2"), 8) is not inverse_mirror_map(ctx, 8)
+
+
+def test_orders_of_one_level_share_one_entry_keyed_by_ints(load):
+    # f2's weights are integers, so 17/2 lies on level 8: one solve serves
+    # both, and a memo-built series declares its level's order
+    f2 = load("f2")
+    assert mirror._solve(f2, 8) is mirror._solve(f2, Fraction(17, 2))
+    assert g_function(f2, 1, 8) is g_function(f2, 1, Fraction(17, 2))
+    assert g_function(f2, 1, Fraction(17, 2)).order == 8
+    # every key of the memo is its builder followed by exact ints: the rays
+    # and the level, never an order as given
+    chain3 = load("chain3")
+    assert all(check() is None for _, check in checks.suite(chain3, Fraction(9, 2)))
+    keys = list(chain3._cache)
+    assert keys and all(type(x) is int for key in keys for x in key[1:])
 
 
 def test_g_vanishes_on_fano(p2, p1xp1):
@@ -97,31 +112,33 @@ def test_g_psi_is_the_pairing_combination(chain3):
                          ids=["99", "-1", "1.0", "True", "Fraction(1)"])
 def test_out_of_range_ray_indices_raise(load, ray):
     # a ray index is an int, as in the fan document, not one of the values
-    # equal to 1.  The context is fresh: an integral Fraction equals an int
-    # key of the memo, so a warm context answers it as ray 1
-    f2 = load("f2")
+    # equal to 1, on a fresh context and on one whose memo holds ray 1
+    warm = load("f2")
+    g_function(warm, 1, 8)
+    enumerate_classes(warm, 1, 8)
     if type(ray) is int:
         message = rf"ray index {ray} out of range 0\.\.3"
     else:
         message = re.escape(f"ray index must be an integer, got {ray!r}")
-    calls = [
-        lambda: enumerate_classes(f2, ray, 8),
-        lambda: g_function(f2, ray, 8),
-        lambda: g_ij(f2, 1, ray, 8),
-        lambda: g_ij(f2, ray, 1, 8),
-        lambda: delta(f2, ray, 8),
-        lambda: open_gw(f2, ray, (1, 0), 8),
-        lambda: open_gw(f2, ray, (0, 0), 8),
-        lambda: open_gw_divisor(f2, 1, (1, 0), ray, 8),
-        lambda: batyrev_element(f2, ray, 4),
-        lambda: seidel_element(f2, ray, 4),
-        lambda: divisor_derivative(f2, ray, g_function(f2, 1, 4)),
-        lambda: minimal_face(f2, ray),
-        lambda: seidel_fan(f2, ray),
-    ]
-    for call in calls:
-        with pytest.raises(FanError, match=message):
-            call()
+    for f2 in (load("f2"), warm):
+        calls = [
+            lambda: enumerate_classes(f2, ray, 8),
+            lambda: g_function(f2, ray, 8),
+            lambda: g_ij(f2, 1, ray, 8),
+            lambda: g_ij(f2, ray, 1, 8),
+            lambda: delta(f2, ray, 8),
+            lambda: open_gw(f2, ray, (1, 0), 8),
+            lambda: open_gw(f2, ray, (0, 0), 8),
+            lambda: open_gw_divisor(f2, 1, (1, 0), ray, 8),
+            lambda: batyrev_element(f2, ray, 4),
+            lambda: seidel_element(f2, ray, 4),
+            lambda: divisor_derivative(f2, ray, g_function(f2, 1, 4)),
+            lambda: minimal_face(f2, ray),
+            lambda: seidel_fan(f2, ray),
+        ]
+        for call in calls:
+            with pytest.raises(FanError, match=message):
+                call()
 
 
 def test_g_ij_f2(f2):
@@ -389,8 +406,10 @@ def test_open_gw_values(f2):
 
 
 def test_open_gw_error_cases(f2):
-    with pytest.raises(ValueError):
-        open_gw(f2, 1, (0, 1))       # Maslov 6
+    with pytest.raises(ValueError, match="Maslov index 6"):
+        open_gw(f2, 1, (0, 1))
+    with pytest.raises(ValueError, match="Maslov index -2"):
+        open_gw(f2, 1, (1, -1))
     with pytest.raises(ValueError):
         open_gw(f2, 1, (9, 0), 8)    # beyond order
     # negative fiber multiples have Maslov 2 but cannot support discs

@@ -78,6 +78,18 @@ def test_shape_mismatch_raises():
         f.mul(QSeries(3, (1, 1, 1), 8, {}))
     with pytest.raises(SeriesError, match="another shape"):
         QSeries.linear_sum([(f, 1), (g, 1)], 2, W, 8)
+    # a map's units share one ring, so its first unit names the map's shape
+    two = SubstitutionMap((QSeries.one(2, W, 8),) * 2)
+    three = SubstitutionMap((QSeries.one(3, (1, 1, 1), 8),) * 3)
+    heavy = SubstitutionMap((QSeries.one(2, (1, 2), 8),) * 2)
+    cases = [(lambda: f.substitute(three), "variable count mismatch"),
+             (lambda: two.compose(three), "variable count mismatch"),
+             (lambda: three.compose(two), "variable count mismatch"),
+             (lambda: f.substitute(heavy), "grading weight mismatch"),
+             (lambda: two.compose(heavy), "grading weight mismatch")]
+    for call, message in cases:
+        with pytest.raises(SeriesError, match=message):
+            call()
 
 
 def test_geometric_reciprocal():
