@@ -27,11 +27,10 @@ The central objects:
     directly.  :func:`_solve` keeps ``W``, ``E`` and the row products
     ``X_d = prod_j E_j^{D_j.d}`` as plain values in the context's one memo
     (:func:`~toricmirror.fans.memoised`), where every consumer reads them.
-    Every series the engine composes with the inverse map (``g_l``,
-    ``g_{ij}``, ``g^{Psi_k}`` and the logs of the mirror-map units) lies on
-    the class rows, so :func:`compose_with_inverse`, the solve's own row
-    step, sums ``c_d q^d X_d`` from its slices (``g_l`` to ``W_l``), forms
-    no product and raises for a series off the rows.
+    Every series the engine composes with the inverse map (``g_l`` and
+    ``g_{ij}``) lies on the class rows, so :func:`compose_with_inverse`, the
+    solve's own row step, sums ``c_d q^d X_d`` from its slices (``g_l`` to
+    ``W_l``), forms no product and raises for a series off the rows.
 
 ``disc_potential`` / ``hori_vafa``
     The Laurent potentials.  The disc potential reads ``E`` of the solve; the
@@ -49,7 +48,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import lp
-from .fans import ToricContext, check_class, check_ray, memoised
+from .fans import ToricContext, _check_int, check_class, check_ray, memoised
 from .series import QSeries, SubstitutionMap, _as_fraction, row_sum, solve_units
 
 
@@ -124,7 +123,7 @@ def g_function(ctx: ToricContext, ray: int, order) -> QSeries:
 
 def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
     """The curve-basis combination ``sum_l (D_l . Psi_k) g_l``."""
-    if not 0 <= k < ctx.rank:
+    if not 0 <= _check_int(k, "curve-basis index") < ctx.rank:
         raise ValueError(f"curve-basis index {k} out of range")
     return QSeries.linear_sum([(g_function(ctx, ray, order), ctx.P[ray][k])
                                for ray in range(ctx.m) if ctx.P[ray][k]],
@@ -132,11 +131,9 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
 
 
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
-    """The double-index series: g_i weighted per class by ``D_j . d``."""
-    check_ray(ctx, j)
-    terms = {comps: pair[j] * gamma
-             for comps, _, gamma, pair in _class_table(ctx, i, order) if pair[j]}
-    return QSeries(ctx.rank, ctx.ample_weight, order, terms=terms)
+    """The double-index series: g_i weighted per class by ``D_j . d``, that
+    is the :func:`divisor_derivative` of ray ``j`` applied to ``g_i``."""
+    return divisor_derivative(ctx, j, g_function(ctx, i, order))
 
 
 @memoised

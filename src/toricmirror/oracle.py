@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .fans import ToricContext
+from .fans import ToricContext, memoised
 from .mirror import enumerate_classes
 from .series import QSeries
 
@@ -120,13 +120,15 @@ def i_d_term(ctx: ToricContext, d) -> NilpotentLaurent:
     return result
 
 
+@memoised
 def i_one_over_z(ctx: ToricContext, order) -> tuple:
     """The 1/z coefficient of the I-function as a divisor-valued series: its
     tuple of coefficient series on ``D_0 .. D_{m-1}``.
 
     Sums ``qc^d`` times the zeta^1 part of ``i_d_term`` over the index set of
     all g-series (one negative pairing each; other classes die by
-    nilpotency).  Contract: equals ``-sum_l g_l(qc) D_l``.
+    nilpotency).  Contract: equals ``-sum_l g_l(qc) D_l``.  Memoised per
+    context, like ``g_l``.
     """
     per_ray = [{} for _ in range(ctx.m)]
     for l in range(ctx.m):

@@ -80,7 +80,9 @@ def _monomial(ctx, exponent, coeff, order):
 
 
 def test_roundtrip_names_the_first_differing_monomial(f2, monkeypatch):
-    # adding q1 to every composition adds q1 to the log of component 0
+    # adding q1 to every composition leaves the generic round trip alone, as
+    # it composes no row sum; the inverse route of log-identity is the first
+    # check to see it: (1 + delta_1) exp(-(W_1 + q1)) = exp(-q1)
     real = mirror.compose_with_inverse
 
     def shifted(ctx, f):
@@ -88,8 +90,10 @@ def test_roundtrip_names_the_first_differing_monomial(f2, monkeypatch):
         return out.add(_monomial(ctx, (1, 0), 1, out.order))
 
     monkeypatch.setattr(mirror, "compose_with_inverse", shifted)
-    check = dict(checks.suite(f2, 4))["roundtrip"]
-    assert check() == "component 0 of mirror o inverse is not q1 at (1, 0): 1 != 0"
+    suite = dict(checks.suite(f2, 4))
+    assert suite["roundtrip"]() is None
+    assert _first_failure(f2, 4) == "log-identity"
+    assert suite["log-identity"]() == "ray 1: (1+delta)exp(-g(qc(q))) != 1 at (1, 0): -1 != 0"
 
 
 def test_generic_composition_names_the_first_differing_monomial(f2, monkeypatch):
@@ -173,29 +177,147 @@ def _first_failure(ctx, order):
     return next((name for name, check in checks.suite(ctx, order) if check()), None)
 
 
-@pytest.mark.parametrize("name, order, count", [("chain3", 6, 13), ("f2", 8, 1)])
-def test_every_single_term_fault_fails_the_suite(request, monkeypatch, name, order, count):
-    # roundtrip's first loop, the inverse route of log-identity and the
-    # basis-ray coefficients of potential-equality read the solve's own rows,
-    # so a fault in one term of delta_l, or of the solve's E_l = 1 + delta_l,
-    # must show in a check that does not
-    ctx = request.getfixturevalue(name)
-    real_delta, real_solve = mirror.delta, mirror._solve
-    faults = [(ray, e) for ray in range(ctx.m) for e in real_delta(ctx, ray, order).terms]
-    assert len(faults) == count
-    for ray, e in faults:
-        bump = _monomial(ctx, e, 1, order)
+def _bump(s, e):
+    """``s`` plus the monomial ``q^e``, at the order of ``s``."""
+    return s.add(QSeries(s.nvars, s.weights, s.order, {e: 1}))
 
-        def faulty(c, r, o, ray=ray, bump=bump):
-            d = real_delta(c, r, o)
-            return d.add(bump) if r == ray else d
 
-        monkeypatch.setattr(mirror, "delta", faulty)
-        assert _first_failure(ctx, order), (ray, e)
-    monkeypatch.setattr(mirror, "delta", real_delta)
-    W, E, X = real_solve(ctx, order)
-    for ray, e in faults:
-        bumped = dict(E)
-        bumped[ray] = E[ray].add(_monomial(ctx, e, 1, order))
-        monkeypatch.setattr(mirror, "_solve", lambda c, o, bumped=bumped: (W, bumped, X))
-        assert _first_failure(ctx, order), (ray, e)
+def _on_output(real, e, pick=lambda *args: True):
+    """``real`` with ``q^e`` added to each output whose arguments ``pick`` takes."""
+    def faulty(*args):
+        out = real(*args)
+        return _bump(out, e) if pick(*args) else out
+    return faulty
+
+
+def _on_part(real, part, key, change):
+    """``real`` (the solve) with ``change`` applied to ``[part][key]`` of its result."""
+    def faulty(ctx, order):
+        parts = list(real(ctx, order))
+        parts[part] = {**parts[part], key: change(parts[part][key])}
+        return tuple(parts)
+    return faulty
+
+
+def _on_unit(real, k, e):
+    """``real`` (a substitution map builder) with ``q^e`` added to unit ``k``."""
+    def faulty(ctx, order):
+        units = list(real(ctx, order).units)
+        units[k] = _bump(units[k], e)
+        return SubstitutionMap(units=tuple(units))
+    return faulty
+
+
+def _lowest(s):
+    """The lowest term of ``s`` that is not constant."""
+    return next(e for e in s.terms if any(e))
+
+
+def _faults(ctx, order):
+    """``(family, owner, name, replacement)`` for each single-term fault.
+
+    ``delta`` and ``E`` bump every term of every ``delta_l``.  The other rows
+    of the solve, the series builders and the maps' units bump the lowest
+    term of each of their series; ``X`` bumps the lowest key of one level of
+    the lowest row that the row sum reads, at most ``top - wt_d``; the
+    compositions and the series operations add the lowest class row to every
+    output.
+    """
+    W, E, X = mirror._solve(ctx, order)
+    row = min(X)
+    n = min(n for n in X[row] if 0 < n <= ctx.ring.level(order) - (row >> ctx.ring.shift))
+    key = min(X[row][n])
+    low = ctx.ring.exponent(row)
+    faults = []
+    for ray in range(ctx.m):
+        for e in mirror.delta(ctx, ray, order).terms:
+            faults.append(("delta", mirror, "delta",
+                           _on_output(mirror.delta, e, lambda c, r, o, ray=ray: r == ray)))
+            faults.append(("E", mirror, "_solve",
+                           _on_part(mirror._solve, 1, ray, lambda s, e=e: _bump(s, e))))
+    for l, w in W.items():
+        faults.append(("W", mirror, "_solve",
+                       _on_part(mirror._solve, 0, l, lambda s, e=_lowest(w): _bump(s, e))))
+    faults.append(("X", mirror, "_solve", _on_part(
+        mirror._solve, 2, row, lambda x: {**x, n: {**x[n], key: x[n][key] + 1}})))
+    faults.append(("compose", mirror, "compose_with_inverse",
+                   _on_output(mirror.compose_with_inverse, low)))
+    for i in range(ctx.m):
+        g = mirror.g_function(ctx, i, order)
+        if g.is_zero():
+            continue
+        faults.append(("g", mirror, "g_function", _on_output(
+            mirror.g_function, _lowest(g), lambda c, r, o, i=i: r == i)))
+        j = next(j for j in range(ctx.m) if not mirror.g_ij(ctx, i, j, order).is_zero())
+        faults.append(("g_ij", mirror, "g_ij", _on_output(
+            mirror.g_ij, _lowest(mirror.g_ij(ctx, i, j, order)),
+            lambda c, a, b, o, ij=(i, j): (a, b) == ij)))
+    for family, builder in (("mirror unit", "mirror_map"),
+                            ("inverse unit", "inverse_mirror_map")):
+        real = getattr(mirror, builder)
+        for k, unit in enumerate(real(ctx, order).units):
+            faults.append((family, mirror, builder, _on_unit(real, k, _lowest(unit))))
+    for op in ("exp", "log", "recip", "npow", "substitute"):
+        faults.append((op, QSeries, op, _on_output(getattr(QSeries, op), low)))
+    return faults
+
+
+# For each fan and fault family of _faults: the number of faults, and for
+# each check of NAMES, in this order, the number of them it catches.
+#                             rt  pi  li  di  or  pe  sv  ef  ft
+MATRIX = {
+    "f2": {
+        "delta":        ( 1, ( 0,  1,  1,  0,  0,  0,  0,  0,  0)),
+        "E":            ( 1, ( 0,  1,  1,  0,  0,  1,  0,  0,  0)),
+        "W":            ( 1, ( 1,  1,  0,  0,  0,  1,  0,  0,  0)),
+        "X":            ( 1, ( 0,  0,  1,  1,  0,  1,  0,  0,  0)),
+        "compose":      ( 1, ( 0,  0,  1,  1,  0,  1,  0,  0,  0)),
+        "g":            ( 1, ( 1,  0,  1,  1,  1,  1,  0,  0,  0)),
+        "g_ij":         ( 1, ( 0,  0,  0,  1,  0,  0,  0,  0,  0)),
+        "mirror unit":  ( 2, ( 2,  0,  1,  0,  0,  0,  0,  2,  0)),
+        "inverse unit": ( 2, ( 2,  2,  0,  0,  0,  2,  0,  0,  0)),
+        "exp":          ( 1, ( 1,  1,  1,  0,  0,  1,  0,  1,  0)),
+        "log":          ( 1, ( 0,  0,  0,  0,  0,  0,  0,  0,  0)),
+        "recip":        ( 1, ( 0,  1,  0,  0,  0,  1,  0,  1,  0)),
+        "npow":         ( 1, ( 1,  1,  1,  0,  0,  1,  0,  1,  0)),
+        "substitute":   ( 1, ( 1,  0,  1,  0,  0,  0,  0,  0,  0)),
+    },
+    "chain3": {
+        "delta":        (13, ( 0, 13, 13,  0,  0,  0,  0,  0,  0)),
+        "E":            (13, ( 0, 13, 13,  0,  0, 13,  0,  0,  0)),
+        "W":            ( 5, ( 5,  5,  0,  0,  0,  5,  0,  0,  0)),
+        "X":            ( 1, ( 0,  0,  1,  1,  0,  0,  0,  0,  0)),
+        "compose":      ( 1, ( 0,  0,  1,  1,  0,  1,  0,  0,  0)),
+        "g":            ( 5, ( 5,  0,  5,  5,  5,  1,  0,  0,  0)),
+        "g_ij":         ( 5, ( 0,  0,  0,  5,  0,  0,  0,  0,  0)),
+        "mirror unit":  ( 6, ( 6,  0,  6,  0,  0,  0,  0,  6,  0)),
+        "inverse unit": ( 6, ( 6,  6,  0,  0,  0,  5,  0,  0,  0)),
+        "exp":          ( 1, ( 1,  1,  1,  0,  0,  1,  0,  1,  0)),
+        "log":          ( 1, ( 0,  0,  0,  0,  0,  0,  0,  0,  0)),
+        "recip":        ( 1, ( 1,  1,  1,  0,  0,  1,  0,  1,  0)),
+        "npow":         ( 1, ( 1,  1,  1,  0,  0,  1,  0,  1,  0)),
+        "substitute":   ( 1, ( 1,  0,  1,  0,  0,  0,  0,  0,  0)),
+    },
+}
+
+
+@pytest.mark.parametrize("name, order", [("f2", 8), ("chain3", 6)])
+def test_fault_matrix(request, load, monkeypatch, name, order):
+    # each fault runs on a fresh context, so that no memo entry formed before
+    # the patch serves it
+    found = {}
+    for family, owner, attr, faulty in _faults(request.getfixturevalue(name), order):
+        ctx = load(name)
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, faulty)
+            hits = [bool(check()) for _, check in checks.suite(ctx, order)]
+        # the suite fails on every fault but those of log, which no engine
+        # output reads
+        assert any(hits) == (family != "log"), family
+        count, caught = found.get(family, (0, (0,) * len(NAMES)))
+        found[family] = (count + 1, tuple(map(sum, zip(caught, hits))))
+    assert found == MATRIX[name]
+    # two checks or more catch each family, but g_ij, whose faults only
+    # derivative-identity sees, and log
+    assert {family for family, (_, caught) in found.items()
+            if sum(map(bool, caught)) < 2} == {"g_ij", "log"}

@@ -68,6 +68,15 @@ def test_orders_of_one_level_share_one_entry_keyed_by_ints(load):
     assert keys and all(type(x) is int for key in keys for x in key[1:])
 
 
+def test_g_ij_and_the_oracle_declare_their_levels_order(load):
+    # g_ij is read off the memoised g_i, and the oracle's series are memoised
+    # themselves, so like g_function they declare level 8 at order 17/2
+    f2 = load("f2")
+    assert g_ij(f2, 1, 0, Fraction(17, 2)).order == 8
+    assert i_one_over_z(f2, 8) is i_one_over_z(f2, Fraction(17, 2))
+    assert i_one_over_z(f2, Fraction(17, 2))[1].order == 8
+
+
 def test_g_vanishes_on_fano(p2, p1xp1):
     for ctx in (p2, p1xp1):
         for ray in range(ctx.m):
@@ -106,6 +115,11 @@ def test_g_psi_is_the_pairing_combination(chain3):
         assert g_psi(chain3, k, 6) == expected
     with pytest.raises(ValueError):
         g_psi(chain3, chain3.rank, 6)
+    # an index equal to 1 is not the index 1
+    for k in (True, 1.0):
+        with pytest.raises(FanError, match=re.escape(
+                f"curve-basis index must be an integer, got {k!r}")):
+            g_psi(chain3, k, 6)
 
 
 @pytest.mark.parametrize("ray", [99, -1, 1.0, True, Fraction(1)],
