@@ -26,13 +26,13 @@ context's ``rank``); :func:`check_class` is the one place that checks one.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import gcd
 from operator import index
 
 from . import lp
-from ._record import Record
 from .series import GradedRing, _as_fraction
 
 
@@ -40,19 +40,19 @@ class FanError(ValueError):
     """Raised when a fan document is malformed or fails validation."""
 
 
-class Wall(Record):
+class Wall(namedtuple("Wall", "rays cones curve")):
     """An interior codimension-one cone with its primitive curve class.
 
     ``rays`` are the original indices spanning the wall, ``cones`` the two
     maximal cones meeting along it, ``curve`` the wall curve's class.
     """
 
-    __slots__ = ("rays", "cones", "curve")
+    __slots__ = ()
 
 
-class Fan(Record):
-    __slots__ = ("dim", "rays", "max_cones", "labels", "basis_cone")
-    _defaults = {"labels": None, "basis_cone": None}
+class Fan(namedtuple("Fan", "dim rays max_cones labels basis_cone",
+                     defaults=(None, None))):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         doc = {
@@ -84,7 +84,7 @@ def parse_fan(source) -> Fan:
             doc = json.loads(source, parse_float=_reject_float)
         except FanError:
             raise
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise FanError(f"invalid JSON: {exc}") from exc
     elif isinstance(source, dict):
         doc = source
@@ -353,7 +353,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
 
     if basis_cone is None:
         basis_cone = fan.basis_cone if fan.basis_cone is not None else fan.max_cones[0]
-    basis = tuple(sorted(basis_cone))
+    basis = tuple(sorted(_check_int(x, "basis_cone entry") for x in basis_cone))
     if basis not in {tuple(sorted(c)) for c in fan.max_cones}:
         raise FanError("basis cone is not a maximal cone of the fan")
 

@@ -79,8 +79,6 @@ from fractions import Fraction
 from math import lcm
 from operator import index, mul as _mul
 
-from ._record import Record
-
 WIDTH = 17                      # bits per packed exponent field, guard bit included
 BIAS = 1 << 15                  # a field holds e + BIAS, so |e| < BIAS
 _FIELD = (1 << 16) - 1          # the value bits of a field, below its guard bit
@@ -799,14 +797,16 @@ class QSeries:
         return out
 
 
-class SubstitutionMap(Record):
-    """A coordinate change ``q_k -> q_k * u_k(q)`` with unit factors ``u_k``."""
+class SubstitutionMap:
+    """A coordinate change ``q_k -> q_k * u_k(q)`` with unit factors ``u_k``.
+
+    Immutable by convention, as :class:`QSeries` is.
+    """
 
     __slots__ = ("units",)
 
-    def _check(self):
-        units = tuple(self.units)
-        object.__setattr__(self, "units", units)
+    def __init__(self, units):
+        units = tuple(units)
         if not units:
             raise SeriesError("substitution map needs at least one component")
         if len(units) != units[0].nvars:
@@ -820,6 +820,7 @@ class SubstitutionMap(Record):
             if level is not None and level <= 0:
                 raise SeriesError("substitution factors must be 1 plus "
                                   "terms of positive degree")
+        self.units = units
 
     @property
     def nvars(self) -> int:
