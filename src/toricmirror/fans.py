@@ -11,12 +11,13 @@ The input format is a small JSON document::
 All numbers must be integers (floats are rejected, including "1.0" in JSON).
 Ray indices are 0-based everywhere in the public interface.
 
-:func:`validate` performs the structural checks (primitive rays, unimodular
-maximal cones, every facet shared by exactly two cones, connected dual graph,
+:func:`parse_fan` checks a document: integer entries, primitive distinct rays,
+cones of ``dim`` distinct rays that cover every ray.  :func:`validate` parses
+what it is given, a :class:`Fan` too, then checks the geometry (unimodular
+cones, every facet shared by exactly two cones, connected dual graph,
 projectivity) and returns a :class:`ToricContext` holding the derived linear
 algebra: the dual basis of the chosen smooth cone, the ray/curve pairing
-matrix, the anticanonical degrees, wall curve classes and an exact rational
-grading weight that is >= 1 on every wall curve.
+matrix, the anticanonical degrees, wall curves and a grading weight >= 1 on each.
 
 Curve classes are written in the basis dual to the rays outside the basis
 cone, so a class is a plain tuple of ``int`` of length ``m - dim`` (the
@@ -30,10 +31,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import gcd
-from operator import index
 
 from . import lp
-from .series import GradedRing, _as_fraction
+from .series import GradedRing, _as_fraction, _index
 
 
 class FanError(ValueError):
@@ -78,7 +78,7 @@ def _check_int(value, what):
 
 
 def parse_fan(source) -> Fan:
-    """Parse and structurally check a fan document (str, bytes or dict)."""
+    """Parse and check a fan document (str, bytes or dict; lists may be tuples)."""
     if isinstance(source, (str, bytes)):
         try:
             doc = json.loads(source, parse_float=_reject_float)
@@ -102,16 +102,14 @@ def parse_fan(source) -> Fan:
         raise FanError("dim must be at least 1")
 
     rays_doc = doc["rays"]
-    if not isinstance(rays_doc, list) or not rays_doc:
+    if not isinstance(rays_doc, (list, tuple)) or not rays_doc:
         raise FanError("rays must be a non-empty list")
     rays = []
     for i, ray in enumerate(rays_doc):
-        if not isinstance(ray, list) or len(ray) != dim:
+        if not isinstance(ray, (list, tuple)) or len(ray) != dim:
             raise FanError(f"ray {i} must be a list of {dim} integers")
         vec = tuple(_check_int(x, f"ray {i} entry") for x in ray)
-        g = 0
-        for x in vec:
-            g = gcd(g, abs(x))
+        g = gcd(*vec)
         if g == 0:
             raise FanError(f"ray {i} is the zero vector")
         if g != 1:
@@ -121,14 +119,16 @@ def parse_fan(source) -> Fan:
         raise FanError("duplicate rays are not allowed")
 
     cones_doc = doc["max_cones"]
-    if not isinstance(cones_doc, list) or not cones_doc:
+    if not isinstance(cones_doc, (list, tuple)) or not cones_doc:
         raise FanError("max_cones must be a non-empty list")
     cones = []
     seen = set()
     for i, cone in enumerate(cones_doc):
-        if not isinstance(cone, list):
+        if not isinstance(cone, (list, tuple)):
             raise FanError(f"cone {i} must be a list of ray indices")
         idx = tuple(_check_int(x, f"cone {i} entry") for x in cone)
+        if len(idx) != dim:
+            raise FanError(f"cone {i} has {len(idx)} rays, expected {dim}")
         for x in idx:
             if not 0 <= x < len(rays):
                 raise FanError(f"cone {i} references ray {x}, out of range")
@@ -139,11 +139,14 @@ def parse_fan(source) -> Fan:
             raise FanError(f"cone {i} duplicates an earlier cone")
         seen.add(key)
         cones.append(idx)
+    missing = sorted(set(range(len(rays))).difference(*cones))
+    if missing:
+        raise FanError(f"rays {missing} appear in no maximal cone")
 
     labels = None
     if doc.get("labels") is not None:
         labels_doc = doc["labels"]
-        if (not isinstance(labels_doc, list)
+        if (not isinstance(labels_doc, (list, tuple))
                 or len(labels_doc) != len(rays)
                 or not all(isinstance(s, str) for s in labels_doc)):
             raise FanError("labels must be a list of strings, one per ray")
@@ -152,7 +155,7 @@ def parse_fan(source) -> Fan:
     basis_cone = None
     if doc.get("basis_cone") is not None:
         bc = doc["basis_cone"]
-        if not isinstance(bc, list):
+        if not isinstance(bc, (list, tuple)):
             raise FanError("basis_cone must be a list of ray indices")
         basis_cone = tuple(_check_int(x, "basis_cone entry") for x in bc)
         if tuple(sorted(basis_cone)) not in seen:
@@ -165,7 +168,7 @@ def parse_fan(source) -> Fan:
 def _det(rows) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     n = len(rows)
-    m = [list(map(int, r)) for r in rows]
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -262,7 +265,7 @@ def check_class(ctx: ToricContext, curve) -> tuple:
     """``curve`` as a tuple of ``int``; raise :class:`FanError` unless it
     has ``ctx.rank`` integer components."""
     try:
-        curve = tuple(map(index, curve))
+        curve = tuple(map(_index, curve))
     except TypeError:
         raise FanError(f"curve class {curve!r} has a component that is not an integer") from None
     if len(curve) != ctx.rank:
@@ -295,7 +298,8 @@ def memoised(builder):
 
 
 def validate(fan: Fan, basis_cone=None) -> ToricContext:
-    """Check a fan and assemble its :class:`ToricContext`.
+    """Parse ``fan`` (a :class:`Fan` or a document), check its geometry and
+    assemble its :class:`ToricContext`.
 
     Raises :class:`FanError` when the fan is not smooth, not complete (in the
     sense that some wall is not shared by exactly two cones or the dual graph
@@ -308,20 +312,10 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     ample class (toric Kleiman) whose strictly convex support function
     vanishes on the basis cone.
     """
-    if isinstance(fan, dict):
-        fan = parse_fan(fan)
+    fan = parse_fan(fan._asdict() if isinstance(fan, Fan) else fan)
     n, m = fan.dim, len(fan.rays)
 
-    used = set()
-    for cone in fan.max_cones:
-        used.update(cone)
-    if used != set(range(m)):
-        missing = sorted(set(range(m)) - used)
-        raise FanError(f"rays {missing} appear in no maximal cone")
-
     for ci, cone in enumerate(fan.max_cones):
-        if len(cone) != n:
-            raise FanError(f"cone {ci} has {len(cone)} rays, expected {n}")
         d = _det([fan.rays[i] for i in cone])
         if abs(d) != 1:
             raise FanError(f"cone {ci} is not unimodular (determinant {d})")

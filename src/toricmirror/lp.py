@@ -46,11 +46,18 @@ class LPUnboundedError(ArithmeticError):
 def _norm(coeffs, rhs):
     """Scale a constraint to ``int`` coefficients and right-hand side.
 
-    A row that is all ``int`` already is returned as it is.
+    A row that is all ``int`` already is returned as it is.  Any other entry
+    must be an ``int`` or a ``Fraction``: a float, a string or a ``bool``
+    raises ``ValueError``.
     """
     if type(rhs) is int and all(type(v) is int for v in coeffs):
         return coeffs, rhs
-    row = [Fraction(v) for v in coeffs] + [Fraction(rhs)]
+    row = [*coeffs, rhs]
+    for v in row:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"constraint entries must be int or Fraction, "
+                             f"got {type(v).__name__}")
+    row = [Fraction(v) for v in row]
     scale = lcm(*(v.denominator for v in row))
     ints = [v.numerator * (scale // v.denominator) for v in row]
     return ints[:-1], ints[-1]
@@ -202,7 +209,7 @@ def _back_substitute(stages, plans):
 
 def _holds_without_variables(cons) -> bool:
     """Whether a system in no variables holds: each row reads ``0 >= rhs``."""
-    return all(rhs <= 0 for _, rhs in cons)
+    return all(_norm(c, b)[1] <= 0 for c, b in cons)
 
 
 def feasible(cons, nvars) -> bool:

@@ -77,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from operator import index, mul as _mul
+from operator import index as _operator_index, mul as _mul
 
 WIDTH = 17                      # bits per packed exponent field, guard bit included
 BIAS = 1 << 15                  # a field holds e + BIAS, so |e| < BIAS
@@ -94,6 +94,13 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise SeriesError(f"weights and orders must be int or Fraction, got {type(value).__name__}")
+
+
+def _index(value) -> int:
+    """:func:`operator.index`, refusing ``bool``: ``True`` is not the integer 1."""
+    if isinstance(value, bool):
+        raise TypeError("bool is not an integer here")
+    return _operator_index(value)
 
 
 def _coeff(value):
@@ -336,7 +343,7 @@ class GradedRing:
     def vector(self, exponent) -> tuple:
         """An exponent vector as an ``int`` tuple, checked for its length."""
         try:
-            e = tuple(map(index, exponent))
+            e = tuple(map(_index, exponent))
         except TypeError:
             raise SeriesError("exponent entries must be integers") from None
         if len(e) != self.nvars:

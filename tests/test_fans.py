@@ -70,6 +70,12 @@ def test_parse_rejects_bad_cone():
     with pytest.raises(FanError):
         parse_fan({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
                    "max_cones": [[0, 0], [1, 2], [2, 0]]})
+    # each cone lists dim rays, and every ray lies in some cone
+    with pytest.raises(FanError, match=r"^cone 1 has 1 rays, expected 2$"):
+        parse_fan({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                   "max_cones": [[0, 1], [1], [2, 0]]})
+    with pytest.raises(FanError, match=r"^rays \[1\] appear in no maximal cone$"):
+        parse_fan({"dim": 1, "rays": [[1], [-1]], "max_cones": [[0]]})
 
 
 def test_parse_checks_labels_and_basis_cone():
@@ -94,6 +100,8 @@ def test_to_dict_roundtrip(fixture_text):
     fan = parse_fan(fixture_text("chain3"))
     again = parse_fan(json.dumps(fan.to_dict()))
     assert again == fan
+    # a Fan's own fields, tuples all, parse to the same Fan
+    assert parse_fan(fan._asdict()) == fan
 
 
 # -------------------------------------------------------------- validation
@@ -123,6 +131,31 @@ def test_validate_rejects_overlapping_cones():
            "max_cones": [[0, 2], [0, 1], [1, 2], [2, 3], [3, 0]]}
     with pytest.raises(FanError):
         validate(parse_fan(doc))
+
+
+_P2_RAYS, _P2_CONES = ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0))
+
+
+@pytest.mark.parametrize("fan, message", [
+    (Fan(2, ((1.0, 0),) + _P2_RAYS[1:], _P2_CONES), "ray 0 entry must be an integer, got 1.0"),
+    (Fan(2, ((True, 0),) + _P2_RAYS[1:], _P2_CONES), "ray 0 entry must be an integer, got True"),
+    (Fan(2, _P2_RAYS, ((0, 1.0),) + _P2_CONES[1:]), "cone 0 entry must be an integer, got 1.0"),
+    (Fan(2, ((2, 0),) + _P2_RAYS[1:], _P2_CONES), r"ray 0 is not primitive \(gcd 2\)"),
+    (Fan(2, _P2_RAYS, _P2_CONES + ((1, 0),)), "cone 3 duplicates an earlier cone"),
+    (Fan(2, _P2_RAYS, _P2_CONES[:2] + ((2, 5),)), "cone 2 references ray 5, out of range"),
+    (Fan(2, _P2_RAYS + ((1, 0),), _P2_CONES + ((3, 1),)), "duplicate rays are not allowed"),
+    (Fan(2, _P2_RAYS, _P2_CONES, (1, 2, 3)), "labels must be a list of strings, one per ray"),
+    (Fan(2, _P2_RAYS, _P2_CONES, ("a",)), "labels must be a list of strings, one per ray"),
+    (Fan(2, (1, 2, 3), _P2_CONES), "ray 0 must be a list of 2 integers"),
+], ids=["float-ray", "bool-ray", "float-cone", "imprimitive-ray", "duplicate-cone",
+        "ray-out-of-range", "duplicate-ray", "int-labels", "short-labels", "int-rays"])
+def test_validate_parses_a_hand_built_fan(fan, message):
+    # a Fan is a public named tuple: validate runs it through parse_fan's
+    # checks, as it does a document, before any geometry
+    with pytest.raises(FanError, match=f"^{message}$"):
+        validate(fan)
+    with pytest.raises(FanError, match=f"^{message}$"):
+        parse_fan(fan._asdict())
 
 
 # ------------------------------------------------------------- derived data

@@ -99,6 +99,19 @@ def test_norm_keeps_int_rows_and_scales_the_others():
     assert lp._norm((Fraction(2), 1), 0) == ([2, 1], 0)
 
 
+@pytest.mark.parametrize("solve, kind", [
+    (lambda: lp.minimize([1], [((0.1,), 0.3)], 1), "float"),
+    (lambda: lp.minimize([1], [(("1/3",), 1)], 1), "str"),
+    (lambda: lp.feasible([((True,), 1)], 1), "bool"),
+    (lambda: lp.feasible([((), 0.5)], 0), "float"),
+], ids=["float", "str", "bool", "float-no-variables"])
+def test_rows_take_only_int_or_fraction(solve, kind):
+    # a float row is never made exact, a string never parsed, and True is
+    # not the coefficient 1
+    with pytest.raises(ValueError, match=f"must be int or Fraction, got {kind}$"):
+        solve()
+
+
 def test_integer_points_match_brute_force():
     rng = random.Random(5)
     for _ in range(25):

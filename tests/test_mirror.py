@@ -433,7 +433,7 @@ def test_open_gw_error_cases(f2):
     # context's own pairing, degree and weight check the class the same way
     cases = [((1, 0, 0), "need the rank 2"), ((1,), "need the rank 2")]
     cases += [((c, 0), "not an integer")
-              for c in (Fraction(3, 2), Fraction(2, 2), 2.7, -0.5, 2.0, "1")]
+              for c in (Fraction(3, 2), Fraction(2, 2), 2.7, -0.5, 2.0, "1", True)]
     for alpha, message in cases:
         calls = [
             lambda: open_gw(f2, 1, alpha, 8),

@@ -50,6 +50,13 @@ def test_weights_and_orders_are_int_or_fraction(weights, order):
         QSeries(1, weights, order)
 
 
+@pytest.mark.parametrize("exponent", [(True,), (1.0,)], ids=["bool", "float"])
+def test_exponent_entries_are_integers(exponent):
+    # True is not the exponent 1, as it is not the weight 1
+    with pytest.raises(SeriesError, match="exponent entries must be integers"):
+        QSeries(1, (1,), 3, {exponent: 1})
+
+
 def test_fractional_weights_bound_the_support():
     f = QSeries(2, (Fraction(1, 2), 3), 4, {(8, 0): 1, (9, 0): 1, (0, 1): 1})
     # degree of (9,0) is 9/2 > 4, so it is cut
