@@ -272,7 +272,8 @@ def _divisor(args, ctx, order):
 
 def _seidel_fan(args, ctx, order):
     # no text lines: the fan document is printed as is, whatever --format says
-    return None, fans.seidel_fan(ctx, args.ray, args.sign).to_dict()
+    fan = fans.seidel_fan(ctx, args.ray, args.sign)
+    return None, {key: value for key, value in fan._asdict().items() if value is not None}
 
 
 def _oracle_check(args, ctx, order):
@@ -336,7 +337,10 @@ def _search_order(ctx, ray, order, wanted):
 
 def _run(args) -> int:
     """Validate, guard, run the command's report and print it once."""
-    ctx = fans.validate(load_fan(args.fan), basis_cone=args.basis_cone)
+    fan = load_fan(args.fan)
+    if args.basis_cone is not None:
+        fan = fan._replace(basis_cone=args.basis_cone)
+    ctx = fans.validate(fan)
     indices = {key: getattr(args, dest) for dest, key in _INDICES if dest in args}
     for index in indices.values():
         fans.check_ray(ctx, index)

@@ -12,11 +12,12 @@ All numbers must be integers (floats are rejected, including "1.0" in JSON).
 Ray indices are 0-based everywhere in the public interface.
 
 :func:`parse_fan` checks a document: integer entries, primitive distinct rays,
-cones of ``dim`` distinct rays that cover every ray.  :func:`validate` parses
-what it is given, a :class:`Fan` too, then checks the geometry (unimodular
-cones, every facet shared by exactly two cones, connected dual graph,
-projectivity) and returns a :class:`ToricContext` holding the derived linear
-algebra: the dual basis of the chosen smooth cone, the ray/curve pairing
+cones of ``dim`` distinct rays that cover every ray, and a ``basis_cone`` that
+is one of them.  :func:`validate` parses what it is given, a :class:`Fan` too,
+then checks the geometry (unimodular cones, every facet shared by exactly two
+cones, connected dual graph, projectivity) and returns a :class:`ToricContext`
+holding the derived linear algebra: the dual basis of the basis cone (the
+fan's ``basis_cone``, else its first maximal cone), the ray/curve pairing
 matrix, the anticanonical degrees, wall curves and a grading weight >= 1 on each.
 
 Curve classes are written in the basis dual to the rays outside the basis
@@ -50,21 +51,7 @@ class Wall(namedtuple("Wall", "rays cones curve")):
     __slots__ = ()
 
 
-class Fan(namedtuple("Fan", "dim rays max_cones labels basis_cone",
-                     defaults=(None, None))):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        doc = {
-            "dim": self.dim,
-            "rays": [list(r) for r in self.rays],
-            "max_cones": [list(c) for c in self.max_cones],
-        }
-        if self.labels is not None:
-            doc["labels"] = list(self.labels)
-        if self.basis_cone is not None:
-            doc["basis_cone"] = list(self.basis_cone)
-        return doc
+Fan = namedtuple("Fan", "dim rays max_cones labels basis_cone", defaults=(None, None))
 
 
 def _reject_float(text):
@@ -159,7 +146,7 @@ def parse_fan(source) -> Fan:
             raise FanError("basis_cone must be a list of ray indices")
         basis_cone = tuple(_check_int(x, "basis_cone entry") for x in bc)
         if tuple(sorted(basis_cone)) not in seen:
-            raise FanError("basis_cone is not one of the maximal cones")
+            raise FanError("basis cone is not a maximal cone of the fan")
 
     return Fan(dim=dim, rays=tuple(rays), max_cones=tuple(cones),
                labels=labels, basis_cone=basis_cone)
@@ -224,10 +211,10 @@ class ToricContext:
     object.  No other code reads or writes ``_cache``.
     """
 
-    def __init__(self, fan, n, m, basis_perm, z, P, c1, ample_weight, walls):
+    def __init__(self, fan, basis_perm, z, P, c1, ample_weight, walls):
         self.fan = fan
-        self.n = n
-        self.m = m
+        self.n = fan.dim
+        self.m = len(fan.rays)
         self.basis_perm = basis_perm
         self.z = z
         self.P = P
@@ -297,9 +284,10 @@ def memoised(builder):
     return cached
 
 
-def validate(fan: Fan, basis_cone=None) -> ToricContext:
+def validate(fan: Fan) -> ToricContext:
     """Parse ``fan`` (a :class:`Fan` or a document), check its geometry and
-    assemble its :class:`ToricContext`.
+    assemble its :class:`ToricContext` over the fan's ``basis_cone``, or its
+    first maximal cone when that is unset; :func:`parse_fan` checks the cone.
 
     Raises :class:`FanError` when the fan is not smooth, not complete (in the
     sense that some wall is not shared by exactly two cones or the dual graph
@@ -345,11 +333,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
     if len(reached) != len(fan.max_cones):
         raise FanError("fan support is disconnected")
 
-    if basis_cone is None:
-        basis_cone = fan.basis_cone if fan.basis_cone is not None else fan.max_cones[0]
-    basis = tuple(sorted(_check_int(x, "basis_cone entry") for x in basis_cone))
-    if basis not in {tuple(sorted(c)) for c in fan.max_cones}:
-        raise FanError("basis cone is not a maximal cone of the fan")
+    basis = tuple(sorted(fan.basis_cone or fan.max_cones[0]))
 
     others = tuple(i for i in range(m) if i not in set(basis))
     basis_perm = basis + others
@@ -409,7 +393,7 @@ def validate(fan: Fan, basis_cone=None) -> ToricContext:
         raise FanError("fan is not projective: no grading is positive on all "
                        "wall curves") from exc
 
-    return ToricContext(fan=fan, n=n, m=m, basis_perm=basis_perm, z=z, P=P, c1=c1,
+    return ToricContext(fan=fan, basis_perm=basis_perm, z=z, P=P, c1=c1,
                         ample_weight=tuple(weight), walls=tuple(walls))
 
 

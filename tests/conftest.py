@@ -5,11 +5,12 @@ across the whole session keeps the suite fast.  Tests that need a fresh,
 cold-cache context (the timed golden test) build their own through ``load``.
 """
 
+import json
 from importlib import resources
 
 import pytest
 
-from toricmirror import parse_fan, validate
+from toricmirror import validate
 
 
 def read_fixture(name: str) -> str:
@@ -18,7 +19,7 @@ def read_fixture(name: str) -> str:
 
 
 def make_context(name: str, basis_cone=None):
-    return validate(parse_fan(read_fixture(name)), basis_cone=basis_cone)
+    return validate(json.loads(read_fixture(name)) | {"basis_cone": basis_cone})
 
 
 @pytest.fixture(scope="session")

@@ -91,14 +91,14 @@ def test_parse_checks_labels_and_basis_cone():
 
 def test_parse_rejects_a_basis_cone_that_repeats_a_ray(fixture_text):
     doc = json.loads(fixture_text("p2"))
-    with pytest.raises(FanError, match="basis_cone is not one of the maximal cones"):
+    with pytest.raises(FanError, match="basis cone is not a maximal cone of the fan"):
         parse_fan(doc | {"basis_cone": [0, 1, 1]})
     assert parse_fan(doc | {"basis_cone": [1, 0]}).basis_cone == (1, 0)
 
 
 def test_to_dict_roundtrip(fixture_text):
     fan = parse_fan(fixture_text("chain3"))
-    again = parse_fan(json.dumps(fan.to_dict()))
+    again = parse_fan(json.dumps(fan._asdict()))
     assert again == fan
     # a Fan's own fields, tuples all, parse to the same Fan
     assert parse_fan(fan._asdict()) == fan
@@ -250,6 +250,10 @@ def test_basis_cone_must_be_maximal(load):
     for fan, basis_cone in (("chain3", [0, 2]), ("f2", [False, True]), ("f2", [0.0, 1])):
         with pytest.raises(FanError):
             load(fan, basis_cone=basis_cone)
+    # a basis cone that is not a list of indices, as parse_fan reports it
+    for basis_cone in (3, "0,1"):
+        with pytest.raises(FanError, match="basis_cone must be a list of ray indices"):
+            load("f2", basis_cone=basis_cone)
 
 
 def test_records_are_immutable_values():

@@ -404,7 +404,7 @@ def test_gl2z_changes_of_coordinates_change_nothing(request, name):
         assert abs(g[0][0] * g[1][1] - g[0][1] * g[1][0]) == 1
         rays = [[sum(g[i][k] * r[k] for k in range(2)) for i in range(2)]
                 for r in ctx.fan.rays]
-        moved = validate({**ctx.fan.to_dict(), "rays": rays})
+        moved = validate({**ctx.fan._asdict(), "rays": rays})
         assert moved.ample_weight == ctx.ample_weight
         for ray in range(ctx.m):
             assert delta(moved, ray, 10) == delta(ctx, ray, 10)
