@@ -50,13 +50,14 @@ from .mirror import (
     open_gw_divisor,
     seidel_element,
 )
-from .series import QSeries, SeriesError, SubstitutionMap
+from .series import GradedRing, QSeries, SeriesError, SubstitutionMap
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Fan",
     "FanError",
+    "GradedRing",
     "QSeries",
     "SeriesError",
     "SubstitutionMap",

@@ -36,15 +36,15 @@ def first_difference(got, expected):
 
 def suite(ctx, order):
     """``[(name, check)]`` for every property, in the order ``check-all`` runs them."""
-    one = QSeries.one(ctx.rank, ctx.ample_weight, order)
-    zero = QSeries(ctx.rank, ctx.ample_weight, order)
+    one = QSeries.one(ctx.ring, order)
+    zero = QSeries(ctx.ring, order)
 
     def roundtrip():
         # The maps cut to ``small`` are the maps at order ``small``, as their
         # slices are final; their generic composition reads no solve row (the
         # row sums are log-identity's: see the fault matrix of test_checks.py).
         small = min(order, Fraction(4))
-        identity = QSeries.one(ctx.rank, ctx.ample_weight, small)
+        identity = QSeries.one(ctx.ring, small)
         outer, inner = (SubstitutionMap(units=tuple(u.truncate(small) for u in m.units))
                         for m in (mirror.mirror_map(ctx, order),
                                   mirror.inverse_mirror_map(ctx, order)))

@@ -221,7 +221,7 @@ class ToricContext:
         self.c1 = c1
         self.ample_weight = ample_weight
         self.walls = walls
-        self.ring = GradedRing.of(self.rank, ample_weight)
+        self.ring = GradedRing.of(ample_weight)
         self._cache = {}
 
     @property

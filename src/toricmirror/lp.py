@@ -63,6 +63,14 @@ def _norm(coeffs, rhs):
     return ints[:-1], ints[-1]
 
 
+def _width(coeffs, nvars, what="constraint"):
+    """``coeffs``, after checking that it has ``nvars`` entries: every row
+    enters through here, so none is read short or long."""
+    if len(coeffs) != nvars:
+        raise ValueError(f"{what} has width {len(coeffs)}, not the variable count {nvars}")
+    return coeffs
+
+
 def _dedupe(rows):
     """Merge parallel ``int`` constraints into coprime ``int`` rows.
 
@@ -172,7 +180,7 @@ def _chain(cons, nvars):
     starts with history ``1 << i``.
     """
     stages = [None] * nvars
-    rows = _dedupe([(*_norm(c, b), 0) for c, b in cons])
+    rows = _dedupe([(*_norm(_width(c, nvars), b), 0) for c, b in cons])
     current = [(c, b, 1 << i) for i, (c, b, _) in enumerate(rows)]
     stages[nvars - 1] = current
     for j in range(nvars - 1, 0, -1):
@@ -209,7 +217,7 @@ def _back_substitute(stages, plans):
 
 def _holds_without_variables(cons) -> bool:
     """Whether a system in no variables holds: each row reads ``0 >= rhs``."""
-    return all(_norm(c, b)[1] <= 0 for c, b in cons)
+    return all(_norm(_width(c, 0), b)[1] <= 0 for c, b in cons)
 
 
 def feasible(cons, nvars) -> bool:
@@ -241,10 +249,10 @@ def minimize(objective, cons, nvars):
     grading which :func:`toricmirror.fans.validate` picks, the printed ample
     weight, does not depend on how the elimination found it.
     """
-    objective = tuple(objective)
+    objective = _width(tuple(objective), nvars, "objective")
     # t - objective.x >= 0 and objective.x - t >= 0 pin t to the objective.
     lifted = [((1,) + tuple(-c for c in objective), 0), ((-1,) + objective, 0)]
-    lifted += [((0,) + tuple(coeffs), rhs) for coeffs, rhs in cons]
+    lifted += [((0,) + _width(tuple(coeffs), nvars), rhs) for coeffs, rhs in cons]
     stages = _chain(lifted, nvars + 1)
     plans = _plans(stages)
     point = _back_substitute(stages, plans)

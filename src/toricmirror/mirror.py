@@ -55,7 +55,7 @@ from .series import QSeries, SubstitutionMap, _as_fraction, row_sum, solve_units
 @memoised
 def _one(ctx: ToricContext, order) -> QSeries:
     """The ``1`` that every ray without classes shares as its unit."""
-    return QSeries.one(ctx.rank, ctx.ample_weight, order)
+    return QSeries.one(ctx.ring, order)
 
 
 @memoised
@@ -118,7 +118,7 @@ def g_function(ctx: ToricContext, ray: int, order) -> QSeries:
     """The hypergeometric correction series ``g_l`` attached to one ray
     divisor, in the complex (checked) variables; memoised per context."""
     terms = {comps: gamma for comps, _, gamma, _ in _class_table(ctx, ray, order)}
-    return QSeries(ctx.rank, ctx.ample_weight, order, terms=terms)
+    return QSeries(ctx.ring, order, terms=terms)
 
 
 def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
@@ -126,8 +126,7 @@ def g_psi(ctx: ToricContext, k: int, order) -> QSeries:
     if not 0 <= _check_int(k, "curve-basis index") < ctx.rank:
         raise ValueError(f"curve-basis index {k} out of range")
     return QSeries.linear_sum([(g_function(ctx, ray, order), ctx.P[ray][k])
-                               for ray in range(ctx.m) if ctx.P[ray][k]],
-                              ctx.rank, ctx.ample_weight, order)
+                               for ray in range(ctx.m) if ctx.P[ray][k]], ctx.ring, order)
 
 
 def g_ij(ctx: ToricContext, i: int, j: int, order) -> QSeries:
@@ -163,7 +162,7 @@ def inverse_mirror_map(ctx: ToricContext, order) -> SubstitutionMap:
     W = _solve(ctx, order)[0]
     return SubstitutionMap(units=tuple(
         QSeries.linear_sum([(W[l], ctx.P[l][k]) for l in W if ctx.P[l][k]],
-                           ctx.rank, ctx.ample_weight, order).exp()
+                           ctx.ring, order).exp()
         for k in range(ctx.rank)))
 
 
@@ -175,7 +174,7 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
     spelling is ``f.substitute(inverse_mirror_map(ctx, order))``, ``k``
     deeper than ``f.order`` for a monomial of degree ``-k``.
     """
-    _one(ctx, f.order)._check_shape(f)
+    ctx.ring.match(f.ring)
     return row_sum(f, _solve(ctx, f.order)[2])
 
 
@@ -293,14 +292,14 @@ def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
     A series of another ring raises :class:`~toricmirror.series.SeriesError`.
     """
     check_ray(ctx, ray)
-    _one(ctx, f.order)._check_shape(f)
+    ctx.ring.match(f.ring)
     row = ctx.P[ray]
     terms = {}
     for e, c in f.terms.items():
         lam = sum(p * x for p, x in zip(row, e))
         if lam:
             terms[e] = lam * c
-    return QSeries(f.nvars, f.weights, f.order, terms)
+    return QSeries(f.ring, f.order, terms)
 
 
 def extended_mirror_factors(ctx: ToricContext, order):

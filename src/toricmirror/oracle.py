@@ -138,4 +138,4 @@ def i_one_over_z(ctx: ToricContext, order) -> tuple:
                 c = poly.get(1)
                 if c:
                     per_ray[ray][d] = c
-    return tuple(QSeries(ctx.rank, ctx.ample_weight, order, terms=t) for t in per_ray)
+    return tuple(QSeries(ctx.ring, order, terms=t) for t in per_ray)

@@ -14,12 +14,13 @@ series produced by the engine is supported on a pointed monoid of exponent
 vectors on which the weight is strictly positive, so each degree slice is
 finite even though individual exponent entries may be negative.
 
-Every series belongs to a :class:`GradedRing`, one memoised object per shape
-``(nvars, weights)``.  The ring validates the weights once and scales them to
-integers by the lcm ``L`` of their denominators, so ``L * deg(e)`` is an
-``int``.  It stores each monomial as one packed ``int`` key (the
-packed-exponent technique of Monagan & Pearce, "Polynomial division using
-dynamic arrays, heaps, and packed exponent vectors", CASC 2007)::
+Every series is built on the :class:`GradedRing` of its weights, one memoised
+ring per weight vector, in ``nvars = len(weights)`` variables.  The ring
+validates the weights once and scales them to integers by the lcm ``L`` of
+their denominators, so ``L * deg(e)`` is an ``int``.  It stores each
+monomial as one packed ``int`` key (the packed-exponent technique of Monagan
+& Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007)::
 
     key(e) = (L * deg(e) << nvars * W) + sum_k (e_k + B) << (nvars - 1 - k) * W
 
@@ -104,8 +105,9 @@ def _index(value) -> int:
 
 
 def _coeff(value):
-    """Normalise a coefficient: ``int`` when integral, else a ``Fraction``."""
-    if isinstance(value, int):
+    """Normalise a coefficient: ``int`` when integral, else a ``Fraction``;
+    ``True`` is not the coefficient 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
@@ -300,7 +302,7 @@ _RINGS = {}
 
 
 class GradedRing:
-    """The shape ``(nvars, weights)`` of a series: validated once, memoised.
+    """One memoised ring per weight vector, in ``len(weights)`` variables.
 
     ``scale`` is the lcm ``L`` of the weights' denominators and ``scaled``
     the integer weights ``L * w``, so a *level* ``L * deg(e)`` is an ``int``.
@@ -312,21 +314,19 @@ class GradedRing:
                  "_units", "_fields", "_ones", "_guard")
 
     @staticmethod
-    def of(nvars, weights) -> "GradedRing":
-        """The one ring of this shape.  The weights are checked before the
+    def of(weights) -> "GradedRing":
+        """The one ring of these weights.  They are checked before the
         lookup, so a ``1.0`` or ``True`` never finds the ring of ``1``."""
         weights = tuple(map(_as_fraction, weights))
-        ring = _RINGS.get((nvars, weights))
+        ring = _RINGS.get(weights)
         if ring is None:
-            ring = _RINGS[nvars, weights] = GradedRing(nvars, weights)
+            ring = _RINGS[weights] = GradedRing(weights)
         return ring
 
-    def __init__(self, nvars, weights):
-        if len(weights) != nvars:
-            raise SeriesError("weight vector length does not match variable count")
+    def __init__(self, weights):
         if any(w <= 0 for w in weights):
             raise SeriesError("weights must be strictly positive")
-        self.nvars = nvars
+        nvars = self.nvars = len(weights)
         self.weights = weights
         self.scale = lcm(*(w.denominator for w in weights))
         self.scaled = tuple(int(w * self.scale) for w in weights)
@@ -387,12 +387,17 @@ class GradedRing:
         """Keys of level ``<= level`` are exactly those below this."""
         return (level + 1) << self.shift
 
+    def match(self, other):
+        """Raise :class:`SeriesError` unless ``other`` is this ring."""
+        if other is not self:
+            raise SeriesError("variable count mismatch" if other.nvars != self.nvars
+                              else "grading weight mismatch")
 
 class QSeries:
-    """An exactly-truncated power series in ``nvars`` variables.
+    """An exactly-truncated power series on a :class:`GradedRing`.
 
-    ``weights`` is the strictly positive grading vector and ``order`` the
-    truncation bound, both exact rationals.  Terms are stored as a dict from
+    ``ring`` holds the strictly positive grading vector and ``order`` is the
+    truncation bound, an exact rational.  Terms are stored as a dict from
     packed keys of :attr:`ring` (see the module docstring) to coefficients;
     :attr:`terms` is the same map keyed by exponent tuples.  The instance is
     immutable by convention: all operations return fresh series, and only
@@ -402,8 +407,9 @@ class QSeries:
 
     __slots__ = ("ring", "order", "_top", "_packed", "_sorted", "_view", "_powers")
 
-    def __init__(self, nvars, weights, order, terms=None):
-        ring = GradedRing.of(nvars, weights)
+    def __init__(self, ring, order, terms=None):
+        if not isinstance(ring, GradedRing):
+            raise SeriesError(f"a series is built on a GradedRing, got {type(ring).__name__}")
         order = _as_fraction(order)
         top = ring.level(order)
         stop = ring.cutoff(top)
@@ -443,14 +449,6 @@ class QSeries:
     # ---------------------------------------------------------------- basics
 
     @property
-    def nvars(self):
-        return self.ring.nvars
-
-    @property
-    def weights(self):
-        return self.ring.weights
-
-    @property
     def terms(self):
         """``{exponent tuple: coefficient}``, in (degree, exponent) order."""
         if self._view is None:
@@ -464,8 +462,8 @@ class QSeries:
         return ring.degree(ring.grade(ring.vector(exponent)))
 
     @classmethod
-    def one(cls, nvars, weights, order):
-        return cls(nvars, weights, order, {(0,) * nvars: 1})
+    def one(cls, ring, order):
+        return cls(ring, order)._const(1)
 
     def coefficient(self, exponent):
         return self.terms.get(self.ring.vector(exponent), 0)
@@ -506,16 +504,10 @@ class QSeries:
             self._sorted = ([k for k, _ in items], items)
         return self._sorted
 
-    def _check_shape(self, other):
-        if self.ring is not other.ring:
-            if self.nvars != other.nvars:
-                raise SeriesError("variable count mismatch")
-            raise SeriesError("grading weight mismatch")
-
     # ------------------------------------------------------------ arithmetic
 
     def add(self, other):
-        self._check_shape(other)
+        self.ring.match(other.ring)
         order, top = min(self.order, other.order), min(self._top, other._top)
         out = dict(self._packed)
         get = out.get
@@ -549,13 +541,14 @@ class QSeries:
         return self.mul(monomial)
 
     @classmethod
-    def linear_sum(cls, parts, nvars, weights, order):
+    def linear_sum(cls, parts, ring, order):
         """``sum(scalar * s)`` over ``(s, scalar)`` in ``parts``, exact to the
         least of ``order`` and the parts' orders.
 
         Raises :class:`SeriesError` when a part belongs to another ring.
         """
-        ring = GradedRing.of(nvars, weights)
+        if not isinstance(ring, GradedRing):
+            raise SeriesError(f"a series is built on a GradedRing, got {type(ring).__name__}")
         order = _as_fraction(order)
         for s, _ in parts:
             if s.ring is not ring:
@@ -575,7 +568,7 @@ class QSeries:
         return QSeries._of(ring, order, top, _clean(out, ring))
 
     def mul(self, other):
-        self._check_shape(other)
+        self.ring.match(other.ring)
         order = min(self.order, other.order)
         top = min(self._top, other._top)
         # Iterate the smaller support on the outside and cut the inner loop
@@ -733,7 +726,7 @@ class QSeries:
         declared order is lowered accordingly, so it never claims more
         precision than the map can provide.
         """
-        self._check_shape(smap.units[0])
+        self.ring.match(smap.units[0].ring)
         order = min([self.order] + [u.order for u in smap.units])
         map_order = min(u.order for u in smap.units)
         drop = self.min_degree() or 0
@@ -749,7 +742,7 @@ class QSeries:
                 if ek:
                     acc = acc.mul(smap.units[k].npow(ek))
             parts.append((acc, 1))
-        return QSeries.linear_sum(parts, self.nvars, self.weights, order).truncate(exact_to)
+        return QSeries.linear_sum(parts, ring, order).truncate(exact_to)
 
     # ------------------------------------------------------------- protocols
 
@@ -760,7 +753,7 @@ class QSeries:
         # deliberately not compared, and neither are the weights.
         if self.ring is other.ring:
             return self._packed == other._packed
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.ring.nvars == other.ring.nvars and self.terms == other.terms
 
     __hash__ = None
 
@@ -816,11 +809,11 @@ class SubstitutionMap:
         units = tuple(units)
         if not units:
             raise SeriesError("substitution map needs at least one component")
-        if len(units) != units[0].nvars:
+        if len(units) != units[0].ring.nvars:
             raise SeriesError(f"substitution map has {len(units)} units for "
-                              f"{units[0].nvars} variables")
+                              f"{units[0].ring.nvars} variables")
         for u in units:
-            units[0]._check_shape(u)
+            units[0].ring.match(u.ring)
             if u.constant_term() != 1:
                 raise SeriesError("substitution factors must have constant term 1")
             level = u._tail_level()
@@ -829,15 +822,10 @@ class SubstitutionMap:
                                   "terms of positive degree")
         self.units = units
 
-    @property
-    def nvars(self) -> int:
-        return self.units[0].nvars
-
     def is_identity(self) -> bool:
         return all(u == u._const(1) for u in self.units)
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """The map "apply ``inner``, then ``self``"."""
-        units = tuple(inner.units[k].mul(self.units[k].substitute(inner))
-                      for k in range(self.nvars))
+        units = tuple(i.mul(s.substitute(inner)) for i, s in zip(inner.units, self.units))
         return SubstitutionMap(units=units)

@@ -60,7 +60,7 @@ SIDE_CLASSES = {5: (0, 0, 1, -2, 1, 0), 7: (0, 0, 0, 0, 1, -2)}
 
 def golden_delta(ctx, ray, order):
     terms = {add_exp(*monomial): Fraction(1) for monomial in GOLDEN_CHAIN3[ray]}
-    return QSeries(ctx.rank, ctx.ample_weight, order, terms)
+    return QSeries(ctx.ring, order, terms)
 
 
 def test_criterion_01_chain3_golden_deltas(load):
@@ -77,13 +77,12 @@ def test_criterion_01_chain3_golden_deltas(load):
 def test_criterion_02_chain3_closed_form_inverse(chain3):
     with criterion(2, "chain3 inverse mirror map equals the closed form"):
         order = 8
-        one = QSeries.one(chain3.rank, chain3.ample_weight, order)
+        one = QSeries.one(chain3.ring, order)
         units = {}
         for ray in (1, 2, 3):
             units[ray] = one.add(golden_delta(chain3, ray, order))
         for ray, cls in SIDE_CLASSES.items():
-            units[ray] = one.add(QSeries(
-                chain3.rank, chain3.ample_weight, order, {cls: 1}))
+            units[ray] = one.add(QSeries(chain3.ring, order, {cls: 1}))
         inv = inverse_mirror_map(chain3, order)
         for k in range(chain3.rank):
             expected = one
@@ -100,8 +99,7 @@ def test_criterion_03_f2_fiber_tower(f2):
         expected = {(k, 0): Fraction(factorial(2 * k - 1), factorial(k) ** 2)
                     for k in range(1, 9)}
         assert g.terms == expected
-        assert delta(f2, 1, 8) == QSeries(2, f2.ample_weight, 8,
-                                          {(1, 0): 1})
+        assert delta(f2, 1, 8) == QSeries(f2.ring, 8, {(1, 0): 1})
         assert open_gw(f2, 1, (1, 0), 8) == 1
         for k in range(2, 9):
             assert open_gw(f2, 1, (k, 0), 8) == 0
@@ -138,7 +136,7 @@ def test_criterion_07_product_identity(p2, p1xp1, f2, chain3):
     with criterion(7, "q_k prod (1+delta_l)^(D_l.Psi_k) inverts the map"):
         for ctx in (p2, p1xp1, f2, chain3):
             order = 8
-            one = QSeries.one(ctx.rank, ctx.ample_weight, order)
+            one = QSeries.one(ctx.ring, order)
             inv = inverse_mirror_map(ctx, order)
             units = [one.add(delta(ctx, l, order))
                      for l in range(ctx.m)]

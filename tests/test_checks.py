@@ -3,7 +3,7 @@
 import pytest
 
 from toricmirror import checks, mirror, oracle
-from toricmirror.series import QSeries, SubstitutionMap
+from toricmirror.series import GradedRing, QSeries, SubstitutionMap
 
 NAMES = ["roundtrip", "product-identity", "log-identity", "derivative-identity",
          "oracle", "potential-equality", "support-vanishing", "extended-factors",
@@ -17,12 +17,27 @@ def test_suite_on_f2_holds(f2):
     assert checks.oracle_mismatches(f2, 6) == []
 
 
+def test_the_suite_builds_every_series_on_the_context_ring(load, monkeypatch):
+    # validate forms the ring of the ample weight, and nothing after it
+    # looks a ring up again
+    real, calls = GradedRing.of, []
+
+    def counting(weights):
+        calls.append(weights)
+        return real(weights)
+
+    monkeypatch.setattr(GradedRing, "of", staticmethod(counting))
+    ctx = load("chain3")
+    assert [check() for _, check in checks.suite(ctx, 4)] == [None] * len(NAMES)
+    assert calls == [ctx.ample_weight]
+
+
 def test_oracle_check_names_the_ray(f2, monkeypatch):
     real = oracle.i_one_over_z
 
     def broken(ctx, order):
         coeffs = list(real(ctx, order))
-        coeffs[0] = QSeries.one(ctx.rank, ctx.ample_weight, order)
+        coeffs[0] = QSeries.one(ctx.ring, order)
         return tuple(coeffs)
 
     monkeypatch.setattr(oracle, "i_one_over_z", broken)
@@ -67,7 +82,7 @@ def test_extended_factors_names_the_first_differing_monomial(f2, monkeypatch):
     def shifted(ctx, order):
         factors = list(real(ctx, order))
         factors[1] = factors[1].add(
-            QSeries(ctx.rank, ctx.ample_weight, order, {(2, 0): 1}))
+            QSeries(ctx.ring, order, {(2, 0): 1}))
         return factors
 
     monkeypatch.setattr(mirror, "extended_mirror_factors", shifted)
@@ -76,7 +91,7 @@ def test_extended_factors_names_the_first_differing_monomial(f2, monkeypatch):
 
 
 def _monomial(ctx, exponent, coeff, order):
-    return QSeries(ctx.rank, ctx.ample_weight, order, {exponent: coeff})
+    return QSeries(ctx.ring, order, {exponent: coeff})
 
 
 def test_roundtrip_names_the_first_differing_monomial(f2, monkeypatch):
@@ -134,7 +149,7 @@ def test_log_identity_reads_delta_through_the_forward_map(f2, monkeypatch):
 
     def matching(ctx, f):
         if f is mirror.g_function(ctx, 1, f.order):
-            one = QSeries.one(ctx.rank, ctx.ample_weight, f.order)
+            one = QSeries.one(ctx.ring, f.order)
             return one.add(doubled(ctx, 1, f.order)).log()
         return real_compose(ctx, f)
 
@@ -172,6 +187,27 @@ def test_potential_equality_names_the_first_differing_z_exponent(f2, monkeypatch
                        "at (2, 0): 3 != 0")
 
 
+@pytest.mark.parametrize("name, attr, fault, check, detail", [
+    ("chain3", "g_function",
+     lambda real: _on_output(real, (1, 0, 0, 0, 0, 0), lambda c, ray, o: ray == 0),
+     "support-vanishing", "g != 0 at vertex ray 0"),
+    ("chain3", "delta",
+     lambda real: _on_output(real, (0, 0, 0, 0, 0, 1), lambda c, ray, o: ray == 1),
+     "support-vanishing",
+     "delta_1 monomial (0, 0, 0, 0, 0, 1) pairs with ray 7 outside the minimal face"),
+    ("p2", "delta", lambda real: _on_output(real, (1,), lambda c, ray, o: ray == 0),
+     "fano-triviality", "Fano fan has delta != 0 at ray 0"),
+    ("p2", "mirror_map", lambda real: _on_unit(real, 0, (1,)),
+     "fano-triviality", "Fano fan has a nontrivial mirror map"),
+], ids=["vertex-g", "delta-off-face", "fano-delta", "fano-mirror-map"])
+def test_support_and_fano_checks_name_what_fails(request, monkeypatch, name, attr, fault,
+                                                 check, detail):
+    # no fault of the matrix below reaches these two checks
+    ctx = request.getfixturevalue(name)
+    monkeypatch.setattr(mirror, attr, fault(getattr(mirror, attr)))
+    assert dict(checks.suite(ctx, 6))[check]() == detail
+
+
 def _first_failure(ctx, order):
     """The name of the first check that fails, as ``check-all`` stops there."""
     return next((name for name, check in checks.suite(ctx, order) if check()), None)
@@ -179,7 +215,7 @@ def _first_failure(ctx, order):
 
 def _bump(s, e):
     """``s`` plus the monomial ``q^e``, at the order of ``s``."""
-    return s.add(QSeries(s.nvars, s.weights, s.order, {e: 1}))
+    return s.add(QSeries(s.ring, s.order, {e: 1}))
 
 
 def _on_output(real, e, pick=lambda *args: True):

@@ -180,7 +180,7 @@ def test_check_all_reports_failures(capsys, monkeypatch):
 
     def broken(ctx, order):
         coeffs = list(real(ctx, order))
-        coeffs[0] = QSeries.one(ctx.rank, ctx.ample_weight, order)
+        coeffs[0] = QSeries.one(ctx.ring, order)
         return tuple(coeffs)
 
     monkeypatch.setattr(oracle, "i_one_over_z", broken)

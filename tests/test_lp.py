@@ -112,6 +112,28 @@ def test_rows_take_only_int_or_fraction(solve, kind):
         solve()
 
 
+@pytest.mark.parametrize("solve, message", [
+    (lambda: lp.minimize((1, 1, 1), [((1, 0), 1), ((0, 1), 1)], 2),
+     "objective has width 3, not the variable count 2"),
+    (lambda: lp.minimize((1,), [((1, 0), 1), ((0, 1), 1)], 2),
+     "objective has width 1, not the variable count 2"),
+    (lambda: lp.feasible([((1,), 1), ((1, 1), 0)], 2),
+     "constraint has width 1, not the variable count 2"),
+    (lambda: lp.integer_points([((1, 0), 0), ((-1,), -3)], 2),
+     "constraint has width 1, not the variable count 2"),
+    (lambda: lp.witness([((1, 0, 0), 1)], 2),
+     "constraint has width 3, not the variable count 2"),
+    (lambda: lp.witness([((1,), 5)], 0),
+     "constraint has width 1, not the variable count 0"),
+], ids=["long-objective", "short-objective", "feasible", "integer-points", "witness",
+        "no-variables"])
+def test_rows_have_one_coefficient_per_variable(solve, message):
+    # an entry past the last variable is never dropped and a short row never
+    # read past its end, also where there are no variables
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve()
+
+
 def test_integer_points_match_brute_force():
     rng = random.Random(5)
     for _ in range(25):
