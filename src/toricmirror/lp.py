@@ -71,6 +71,13 @@ def _width(coeffs, nvars, what="constraint"):
     return coeffs
 
 
+def _count(nvars):
+    """``nvars``, checked to be an ``int``: ``True`` is not the count 1."""
+    if type(nvars) is not int:
+        raise ValueError(f"variable count must be an int, got {type(nvars).__name__}")
+    return nvars
+
+
 def _dedupe(rows):
     """Merge parallel ``int`` constraints into coprime ``int`` rows.
 
@@ -226,7 +233,7 @@ def feasible(cons, nvars) -> bool:
 
 def witness(cons, nvars):
     """A rational feasible point (see :func:`_back_substitute`), or None."""
-    if not nvars:
+    if not _count(nvars):
         return () if _holds_without_variables(cons) else None
     stages = _chain(cons, nvars)
     return _back_substitute(stages, _plans(stages))
@@ -249,7 +256,7 @@ def minimize(objective, cons, nvars):
     grading which :func:`toricmirror.fans.validate` picks, the printed ample
     weight, does not depend on how the elimination found it.
     """
-    objective = _width(tuple(objective), nvars, "objective")
+    objective = _width(tuple(objective), _count(nvars), "objective")
     # t - objective.x >= 0 and objective.x - t >= 0 pin t to the objective.
     lifted = [((1,) + tuple(-c for c in objective), 0), ((-1,) + objective, 0)]
     lifted += [((0,) + _width(tuple(coeffs), nvars), rhs) for coeffs, rhs in cons]
@@ -303,7 +310,7 @@ def integer_points(cons, nvars):
     point against the normalised input rows is a guard that should never
     reject.
     """
-    if not nvars:
+    if not _count(nvars):
         return [()] if _holds_without_variables(cons) else []
     last = nvars - 1
     stages = _chain(cons, nvars)

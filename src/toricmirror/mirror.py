@@ -174,7 +174,7 @@ def compose_with_inverse(ctx: ToricContext, f: QSeries) -> QSeries:
     spelling is ``f.substitute(inverse_mirror_map(ctx, order))``, ``k``
     deeper than ``f.order`` for a monomial of degree ``-k``.
     """
-    ctx.ring.match(f.ring)
+    ctx.ring.match(f)
     return row_sum(f, _solve(ctx, f.order)[2])
 
 
@@ -292,7 +292,7 @@ def divisor_derivative(ctx: ToricContext, ray: int, f: QSeries) -> QSeries:
     A series of another ring raises :class:`~toricmirror.series.SeriesError`.
     """
     check_ray(ctx, ray)
-    ctx.ring.match(f.ring)
+    ctx.ring.match(f)
     row = ctx.P[ray]
     terms = {}
     for e, c in f.terms.items():

@@ -37,14 +37,15 @@ never formed.
 
 ``exp``, ``log`` and ``recip`` split their operand into level slices, a map
 from each level ``L * deg`` that holds terms to those terms, ascending, and
-form the result one slice at a time from strictly lower slices, by a
-recurrence that costs about one product in all (cf. Brent & Kung, J. ACM
-1978): with ``theta`` the derivation ``q^e -> level(e) q^e``, ``theta
-exp(f) = exp(f) theta f``, ``theta log(u) = theta u / u`` and ``u * (1/u) =
-1``.  One private slice kernel, :func:`_convolve`, forms every such slice,
-in :func:`solve_units` too, which solves the inverse mirror map for
-``mirror``.  One row step, :func:`_row_slice`, forms a level of ``sum_d c_d
-q^d X_d`` there and in :func:`row_sum`.
+form the result one slice at a time from strictly lower slices, in one frame
+(:meth:`QSeries._recurrence`: one tail check, one level loop that a constant
+series skips), by a recurrence that costs about one product in all (cf.
+Brent & Kung, J. ACM 1978): with ``theta`` the derivation ``q^e -> level(e)
+q^e``, ``theta exp(f) = exp(f) theta f``, ``theta log(u) = theta u / u`` and
+``u * (1/u) = 1``.  One private slice kernel, :func:`_convolve`, forms every
+such slice, in :func:`solve_units` too, which solves the inverse mirror map
+for ``mirror``.  One row step, :func:`_row_slice`, forms a level of ``sum_d
+c_d q^d X_d`` there and in :func:`row_sum`.
 
 Integer powers have one path, :meth:`QSeries.npow`, memoised on the series
 itself, so a unit's powers are formed once however many terms, components
@@ -102,6 +103,14 @@ def _index(value) -> int:
     if isinstance(value, bool):
         raise TypeError("bool is not an integer here")
     return _operator_index(value)
+
+
+def _expect(value, kind):
+    """``value``, checked to be a ``kind``: any other operand raises
+    :class:`SeriesError`, not a bare ``AttributeError`` where it is read."""
+    if not isinstance(value, kind):
+        raise SeriesError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _coeff(value):
@@ -315,17 +324,22 @@ class GradedRing:
 
     @staticmethod
     def of(weights) -> "GradedRing":
-        """The one ring of these weights.  They are checked before the
-        lookup, so a ``1.0`` or ``True`` never finds the ring of ``1``."""
-        weights = tuple(map(_as_fraction, weights))
+        """The one ring of these weights, a nonempty sequence.  They are
+        checked before the lookup, so a ``1.0`` or ``True`` never finds the
+        ring of ``1``."""
+        try:
+            weights = tuple(map(_as_fraction, weights))
+        except TypeError:
+            raise SeriesError(f"weights must be a sequence, "
+                              f"got {type(weights).__name__}") from None
         ring = _RINGS.get(weights)
         if ring is None:
             ring = _RINGS[weights] = GradedRing(weights)
         return ring
 
     def __init__(self, weights):
-        if any(w <= 0 for w in weights):
-            raise SeriesError("weights must be strictly positive")
+        if not weights or any(w <= 0 for w in weights):
+            raise SeriesError("weights must be a nonempty sequence of strictly positive numbers")
         nvars = self.nvars = len(weights)
         self.weights = weights
         self.scale = lcm(*(w.denominator for w in weights))
@@ -387,8 +401,9 @@ class GradedRing:
         """Keys of level ``<= level`` are exactly those below this."""
         return (level + 1) << self.shift
 
-    def match(self, other):
-        """Raise :class:`SeriesError` unless ``other`` is this ring."""
+    def match(self, operand):
+        """Raise :class:`SeriesError` unless ``operand`` is a series of this ring."""
+        other = _expect(operand, QSeries).ring
         if other is not self:
             raise SeriesError("variable count mismatch" if other.nvars != self.nvars
                               else "grading weight mismatch")
@@ -507,7 +522,7 @@ class QSeries:
     # ------------------------------------------------------------ arithmetic
 
     def add(self, other):
-        self.ring.match(other.ring)
+        self.ring.match(other)
         order, top = min(self.order, other.order), min(self._top, other._top)
         out = dict(self._packed)
         get = out.get
@@ -531,7 +546,7 @@ class QSeries:
                            {k: -c for k, c in self._packed.items()})
 
     def sub(self, other):
-        return self.add(other.neg())
+        return self.add(_expect(other, QSeries).neg())
 
     def shift(self, exponent):
         """Multiply by ``q^exponent``, keeping this series' order: a product
@@ -551,7 +566,7 @@ class QSeries:
             raise SeriesError(f"a series is built on a GradedRing, got {type(ring).__name__}")
         order = _as_fraction(order)
         for s, _ in parts:
-            if s.ring is not ring:
+            if _expect(s, QSeries).ring is not ring:
                 raise SeriesError("summand has another shape")
             order = min(order, s.order)
         top = ring.level(order)
@@ -568,7 +583,7 @@ class QSeries:
         return QSeries._of(ring, order, top, _clean(out, ring))
 
     def mul(self, other):
-        self.ring.match(other.ring)
+        self.ring.match(other)
         order = min(self.order, other.order)
         top = min(self._top, other._top)
         # Iterate the smaller support on the outside and cut the inner loop
@@ -601,6 +616,8 @@ class QSeries:
         lone power O(log |k|), planned in a loop, not by recursion.  ``self^1``
         is ``self`` and is not kept: the cache holds no reference to its series.
         """
+        if type(k) is not int:
+            raise SeriesError(f"a power must be an int, got {type(k).__name__}")
         if k == 1:
             return self
         powers = self._powers
@@ -631,23 +648,37 @@ class QSeries:
                                 else get(m - 1).mul(unit))
         return powers[k]
 
-    def _tail_level(self):
-        """The least level of a non-constant term, or None if there is none."""
+    def _check_tail(self, what):
+        """Whether this series has a non-constant term; raises
+        :class:`SeriesError`, naming ``what``, unless each has positive level."""
         bias, shift = self.ring.bias, self.ring.shift
-        return min((k >> shift for k in self._packed if k != bias), default=None)
+        least = min((k >> shift for k in self._packed if k != bias), default=None)
+        if least is not None and least <= 0:
+            raise SeriesError(f"{what} needs every non-constant term at positive degree")
+        return least is not None
 
     def _slices(self):
         """The terms as ``{level: {key: coeff}}`` over their levels, ascending."""
         slices = {}
         shift = self.ring.shift
-        for k, c in self._packed.items():
+        for k, c in sorted(self._packed.items()):
             slices.setdefault(k >> shift, {})[k] = c
-        return {n: slices[n] for n in sorted(slices)}
+        return slices
 
     def _from_slices(self, slices):
         """The series of this ring and order with the given level slices."""
         packed = {k: c for s in slices.values() for k, c in s.items()}
         return QSeries._of(self.ring, self.order, self._top, packed)
+
+    def _recurrence(self, what, seed, step):
+        """The level slices of ``r``: ``r[0] = seed``, and ``r[n] = step(r, n)``
+        for ``n = 1..top`` from ``r`` below ``n``.  One tail check, naming
+        ``what`` (:meth:`_check_tail`); a constant series skips the loop."""
+        out = self._const(seed)._slices()
+        if self._check_tail(what):
+            for n in range(1, self._top + 1):
+                _put(out, n, step(out, n), self.ring)
+        return out
 
     def recip(self):
         """Multiplicative inverse of a series with nonzero constant term.
@@ -658,17 +689,9 @@ class QSeries:
         if not c0:
             raise SeriesError("cannot invert a series with zero constant term")
         inv0 = _coeff(Fraction(1, 1) / c0)
-        least = self._tail_level()
-        if least is None:
-            return self._const(inv0)
-        if least <= 0:
-            raise SeriesError("cannot invert: non-constant term of non-positive degree")
         u = self._slices()
-        ring = self.ring
-        r = {0: {ring.bias: inv0}}
-        for n in range(1, self._top + 1):
-            _put(r, n, _convolve(u, r, n, ring.bias, scalar=-inv0), ring)
-        return self._from_slices(r)
+        return self._from_slices(self._recurrence(
+            "recip", inv0, lambda r, n: _convolve(u, r, n, self.ring.bias, scalar=-inv0)))
 
     def exp(self):
         """Exponential of a series whose terms all have positive degree.
@@ -679,18 +702,9 @@ class QSeries:
         """
         if self.constant_term():
             raise SeriesError("exp requires zero constant term")
-        least = self._tail_level()
-        if least is None:
-            return self._const(1)
-        if least <= 0:
-            raise SeriesError("exp requires terms of positive weighted degree")
         theta = {n: {k: n * c for k, c in s.items()} for n, s in self._slices().items()}
-        ring = self.ring
-        e = {0: {ring.bias: 1}}
-        for n in range(1, self._top + 1):
-            _put(e, n, {k: _div(c, n) for k, c in
-                        _convolve(theta, e, n, ring.bias).items()}, ring)
-        return self._from_slices(e)
+        return self._from_slices(self._recurrence("exp", 1, lambda e, n: {
+            k: _div(c, n) for k, c in _convolve(theta, e, n, self.ring.bias).items()}))
 
     def log(self):
         """Logarithm of a unit series (constant term exactly 1).
@@ -700,17 +714,9 @@ class QSeries:
         """
         if self.constant_term() != 1:
             raise SeriesError("log requires constant term 1")
-        least = self._tail_level()
-        if least is None:
-            return self._const(0)
-        if least <= 0:
-            raise SeriesError("log requires tail terms of positive weighted degree")
         u = self._slices()
-        ring = self.ring
-        theta = {}              # level n holds n * L[n]; level 0 is empty
-        for n in range(1, self._top + 1):
-            t = {k: n * c for k, c in u.get(n, {}).items()}
-            _put(theta, n, _convolve(u, theta, n, ring.bias, t, -1), ring)
+        theta = self._recurrence("log", 0, lambda t, n: _convolve(
+            u, t, n, self.ring.bias, {k: n * c for k, c in u.get(n, {}).items()}, -1))
         return self._from_slices({n: {k: _div(c, n) for k, c in s.items()}
                                   for n, s in theta.items()})
 
@@ -726,9 +732,10 @@ class QSeries:
         declared order is lowered accordingly, so it never claims more
         precision than the map can provide.
         """
-        self.ring.match(smap.units[0].ring)
-        order = min([self.order] + [u.order for u in smap.units])
-        map_order = min(u.order for u in smap.units)
+        units = _expect(smap, SubstitutionMap).units
+        self.ring.match(units[0])
+        order = min([self.order] + [u.order for u in units])
+        map_order = min(u.order for u in units)
         drop = self.min_degree() or 0
         exact_to = min(self.order, map_order + min(0, drop))
 
@@ -740,7 +747,7 @@ class QSeries:
             acc = QSeries._of(ring, order, top, {key: c} if key < stop else {})
             for k, ek in enumerate(ring.exponent(key)):
                 if ek:
-                    acc = acc.mul(smap.units[k].npow(ek))
+                    acc = acc.mul(units[k].npow(ek))
             parts.append((acc, 1))
         return QSeries.linear_sum(parts, ring, order).truncate(exact_to)
 
@@ -806,26 +813,29 @@ class SubstitutionMap:
     __slots__ = ("units",)
 
     def __init__(self, units):
-        units = tuple(units)
+        try:
+            units = tuple(units)
+        except TypeError:
+            raise SeriesError(f"a substitution map takes a sequence of series, "
+                              f"got {type(units).__name__}") from None
         if not units:
             raise SeriesError("substitution map needs at least one component")
-        if len(units) != units[0].ring.nvars:
+        ring = _expect(units[0], QSeries).ring
+        if len(units) != ring.nvars:
             raise SeriesError(f"substitution map has {len(units)} units for "
-                              f"{units[0].ring.nvars} variables")
+                              f"{ring.nvars} variables")
         for u in units:
-            units[0].ring.match(u.ring)
+            ring.match(u)
             if u.constant_term() != 1:
                 raise SeriesError("substitution factors must have constant term 1")
-            level = u._tail_level()
-            if level is not None and level <= 0:
-                raise SeriesError("substitution factors must be 1 plus "
-                                  "terms of positive degree")
+            u._check_tail("a substitution factor")
         self.units = units
 
     def is_identity(self) -> bool:
         return all(u == u._const(1) for u in self.units)
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
-        """The map "apply ``inner``, then ``self``"."""
-        units = tuple(i.mul(s.substitute(inner)) for i, s in zip(inner.units, self.units))
-        return SubstitutionMap(units=units)
+        """The map "apply ``inner``, then ``self``"; ``substitute`` checks
+        ``inner`` before its units are read."""
+        images = [s.substitute(inner) for s in self.units]
+        return SubstitutionMap([i.mul(s) for i, s in zip(inner.units, images)])

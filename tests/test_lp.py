@@ -134,6 +134,21 @@ def test_rows_have_one_coefficient_per_variable(solve, message):
         solve()
 
 
+@pytest.mark.parametrize("solve, kind", [
+    (lambda: lp.integer_points([((1,), 0), ((-1,), -2)], True), "bool"),
+    (lambda: lp.integer_points([((1,), 0), ((-1,), -2)], 1.0), "float"),
+    (lambda: lp.witness([((1,), 0)], True), "bool"),
+    (lambda: lp.feasible([((1,), 0)], True), "bool"),
+    (lambda: lp.minimize((1,), [((1,), 0)], True), "bool"),
+    (lambda: lp.witness([], False), "bool"),
+], ids=["integer-points", "integer-points-float", "witness", "feasible", "minimize",
+        "no-variables"])
+def test_the_variable_count_is_an_int(solve, kind):
+    # True is not the count 1, nor False the count 0
+    with pytest.raises(ValueError, match=f"^variable count must be an int, got {kind}$"):
+        solve()
+
+
 def test_integer_points_match_brute_force():
     rng = random.Random(5)
     for _ in range(25):

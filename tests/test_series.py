@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from toricmirror import mirror
 from toricmirror.series import GradedRing, QSeries, SeriesError, SubstitutionMap, solve_units
 
 W = (1, 1)
@@ -79,6 +80,55 @@ def test_coefficients_are_int_or_fraction(coeff, where):
 def test_a_series_is_built_on_a_ring(build):
     with pytest.raises(SeriesError, match="^a series is built on a GradedRing, got "):
         build()
+
+
+@pytest.mark.parametrize("use", [
+    lambda f, smap, ctx: f.add(3),
+    lambda f, smap, ctx: f.sub(3),
+    lambda f, smap, ctx: f.mul(3),
+    lambda f, smap, ctx: QSeries.linear_sum([(3, 1)], f.ring, 3),
+    lambda f, smap, ctx: f.substitute(3),
+    lambda f, smap, ctx: f.substitute(smap.units),
+    lambda f, smap, ctx: SubstitutionMap([1]),
+    lambda f, smap, ctx: SubstitutionMap(f),
+    lambda f, smap, ctx: smap.compose(3),
+    lambda f, smap, ctx: mirror.divisor_derivative(ctx, 1, 3),
+    lambda f, smap, ctx: mirror.compose_with_inverse(ctx, 3),
+], ids=["add", "sub", "mul", "linear-sum", "substitute", "substitute-units", "map-unit",
+        "map-of-a-series", "compose", "divisor-derivative", "compose-with-inverse"])
+def test_an_operand_that_is_not_a_series_raises(use, f2):
+    f = QSeries(f2.ring, 3, {(1, 0): 1})
+    smap = SubstitutionMap([QSeries.one(f2.ring, 3)] * 2)
+    with pytest.raises(SeriesError, match=r"^(expected a \w+|a substitution map takes a "
+                                          r"sequence of series), got (int|tuple|QSeries)$"):
+        use(f, smap, f2)
+
+
+@pytest.mark.parametrize("weights", [1, (), []], ids=["int", "tuple", "list"])
+def test_a_ring_needs_a_nonempty_weight_sequence(weights):
+    with pytest.raises(SeriesError, match="^weights must be a"):
+        GradedRing.of(weights)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, Fraction(2)],
+                         ids=["true", "false", "float", "fraction"])
+def test_a_power_is_an_int(k):
+    q = S({(1, 0): 1})
+    with pytest.raises(SeriesError, match=f"^a power must be an int, got {type(k).__name__}$"):
+        q.npow(k)
+
+
+@pytest.mark.parametrize("what, use", [
+    ("exp", lambda tail: tail.exp()),
+    ("log", lambda tail: tail.add(S({(0, 0): 1})).log()),
+    ("recip", lambda tail: tail.add(S({(0, 0): 1})).recip()),
+    ("a substitution factor", lambda tail: SubstitutionMap([tail.add(S({(0, 0): 1}))] * 2)),
+], ids=["exp", "log", "recip", "map"])
+@pytest.mark.parametrize("exponent", [(1, -1), (1, -2)], ids=["level-0", "negative"])
+def test_one_tail_check_names_the_operation(what, use, exponent):
+    with pytest.raises(SeriesError, match=f"^{what} needs every non-constant term "
+                                          f"at positive degree$"):
+        use(S({(1, 0): 1, exponent: 1}))
 
 
 def test_fractional_weights_bound_the_support():
@@ -340,6 +390,15 @@ def test_eq_ignores_truncation_metadata():
     b = S({(1, 0): 1}, order=9)
     assert a == b
     assert a != S({(1, 0): 2}, order=4)
+
+
+def test_eq_across_rings_compares_terms_and_variable_count():
+    # equality of stored truncations: the weights are not compared, the
+    # variable count is, and a series is never equal to a number
+    f = QSeries(GradedRing.of((1,)), 3, {(1,): 1})
+    assert f == QSeries(GradedRing.of((2,)), 3, {(1,): 1})
+    assert f != QSeries(GradedRing.of((1, 1)), 3, {(1, 0): 1})
+    assert (f == 1) is False
 
 
 # ------------------------------------------------- int-first coefficient type
