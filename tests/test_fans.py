@@ -133,6 +133,20 @@ def test_validate_rejects_overlapping_cones():
         validate(parse_fan(doc))
 
 
+@pytest.mark.parametrize("rays, cones, message", [
+    # a P2 and its negative: every wall in two cones, two components
+    ([[1, 0], [0, 1], [-1, -1], [-1, 0], [0, -1], [1, 1]],
+     [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]], "fan support is disconnected"),
+    # (1, 1) lies inside the cone of (1, 0) and (0, 1), so cones 0 and 2
+    # meet along the wall through (1, 0) on the same side of it
+    ([[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 2], [2, 0]],
+     r"cones 0 and 2 overlap: rays 1 and 2 lie on the same side of wall \[0\]"),
+], ids=["disconnected", "overlap"])
+def test_validate_names_a_complex_that_is_not_a_fan(rays, cones, message):
+    with pytest.raises(FanError, match=f"^{message}$"):
+        validate({"dim": 2, "rays": rays, "max_cones": cones})
+
+
 _P2_RAYS, _P2_CONES = ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0))
 
 
@@ -143,12 +157,13 @@ _P2_RAYS, _P2_CONES = ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0))
     (Fan(2, ((2, 0),) + _P2_RAYS[1:], _P2_CONES), r"ray 0 is not primitive \(gcd 2\)"),
     (Fan(2, _P2_RAYS, _P2_CONES + ((1, 0),)), "cone 3 duplicates an earlier cone"),
     (Fan(2, _P2_RAYS, _P2_CONES[:2] + ((2, 5),)), "cone 2 references ray 5, out of range"),
+    (Fan(2, _P2_RAYS, _P2_CONES[:2] + ((2, 3),)), "cone 2 references ray 3, out of range"),
     (Fan(2, _P2_RAYS + ((1, 0),), _P2_CONES + ((3, 1),)), "duplicate rays are not allowed"),
     (Fan(2, _P2_RAYS, _P2_CONES, (1, 2, 3)), "labels must be a list of strings, one per ray"),
     (Fan(2, _P2_RAYS, _P2_CONES, ("a",)), "labels must be a list of strings, one per ray"),
     (Fan(2, (1, 2, 3), _P2_CONES), "ray 0 must be a list of 2 integers"),
 ], ids=["float-ray", "bool-ray", "float-cone", "imprimitive-ray", "duplicate-cone",
-        "ray-out-of-range", "duplicate-ray", "int-labels", "short-labels", "int-rays"])
+        "ray-out-of-range", "ray-one-past-the-last", "duplicate-ray", "int-labels", "short-labels", "int-rays"])
 def test_validate_parses_a_hand_built_fan(fan, message):
     # a Fan is a public named tuple: validate runs it through parse_fan's
     # checks, as it does a document, before any geometry
