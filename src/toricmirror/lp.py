@@ -72,9 +72,11 @@ def _width(coeffs, nvars, what="constraint"):
 
 
 def _count(nvars):
-    """``nvars``, checked to be an ``int``: ``True`` is not the count 1."""
+    """``nvars``, checked to be a non-negative ``int``: ``True`` is not the count 1."""
     if type(nvars) is not int:
         raise ValueError(f"variable count must be an int, got {type(nvars).__name__}")
+    if nvars < 0:
+        raise ValueError(f"variable count must not be negative, got {nvars}")
     return nvars
 
 

@@ -77,6 +77,7 @@ under composition.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 from operator import index as _operator_index, mul as _mul
@@ -327,11 +328,9 @@ class GradedRing:
         """The one ring of these weights, a nonempty sequence.  They are
         checked before the lookup, so a ``1.0`` or ``True`` never finds the
         ring of ``1``."""
-        try:
-            weights = tuple(map(_as_fraction, weights))
-        except TypeError:
-            raise SeriesError(f"weights must be a sequence, "
-                              f"got {type(weights).__name__}") from None
+        if not isinstance(weights, Sequence):
+            raise SeriesError(f"weights must be a sequence, got {type(weights).__name__}")
+        weights = tuple(map(_as_fraction, weights))
         ring = _RINGS.get(weights)
         if ring is None:
             ring = _RINGS[weights] = GradedRing(weights)

@@ -149,6 +149,26 @@ def test_the_variable_count_is_an_int(solve, kind):
         solve()
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: lp.integer_points([], -1),
+    lambda: lp.witness([], -1),
+    lambda: lp.feasible([], -1),
+    lambda: lp.minimize((), [], -1),
+], ids=["integer-points", "witness", "feasible", "minimize"])
+def test_the_variable_count_is_not_negative(solve):
+    with pytest.raises(ValueError, match="^variable count must not be negative, got -1$"):
+        solve()
+
+
+def test_a_row_zero_at_least_one_contradicts():
+    # 0 <= x <= 3 holds points; the row 0 >= 1 empties the system
+    rows = [((1,), 0), ((-1,), -3), ((0,), 1)]
+    assert lp.feasible(rows, 1) is False
+    assert lp.witness(rows, 1) is None
+    with pytest.raises(ValueError, match="^infeasible system$"):
+        lp.minimize((1,), rows, 1)
+
+
 def test_integer_points_match_brute_force():
     rng = random.Random(5)
     for _ in range(25):

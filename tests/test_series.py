@@ -110,6 +110,15 @@ def test_a_ring_needs_a_nonempty_weight_sequence(weights):
         GradedRing.of(weights)
 
 
+@pytest.mark.parametrize("weights", [{2, 1}, {1: 0, 2: 0}, iter((1, 2))],
+                         ids=["set", "dict", "iterator"])
+def test_ring_weights_come_in_order(weights):
+    # a set, a dict's keys or a spent iterator fix no order of the variables
+    with pytest.raises(SeriesError, match=f"^weights must be a sequence, "
+                                          f"got {type(weights).__name__}$"):
+        GradedRing.of(weights)
+
+
 @pytest.mark.parametrize("k", [True, False, 2.0, Fraction(2)],
                          ids=["true", "false", "float", "fraction"])
 def test_a_power_is_an_int(k):
