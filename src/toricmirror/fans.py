@@ -16,9 +16,10 @@ cones of ``dim`` distinct rays that cover every ray, and a ``basis_cone`` that
 is one of them.  :func:`validate` parses what it is given, a :class:`Fan` too,
 then checks the geometry (unimodular cones, every facet shared by exactly two
 cones, connected dual graph, projectivity) and returns a :class:`ToricContext`
-holding the derived linear algebra: the dual basis of the basis cone (the
-fan's ``basis_cone``, else its first maximal cone), the ray/curve pairing
-matrix, the anticanonical degrees, wall curves and a grading weight >= 1 on each.
+holding the derived linear algebra: the rays in the coordinates of the basis
+cone (the fan's ``basis_cone``, else its first maximal cone), the ray/curve
+pairing matrix, the anticanonical degrees, wall curves and a grading weight
+>= 1 on each.  Each exact solve is one call of the fraction-free :func:`_bareiss`.
 
 Curve classes are written in the basis dual to the rays outside the basis
 cone, so a class is a plain tuple of ``int`` of length ``m - dim`` (the
@@ -152,42 +153,32 @@ def parse_fan(source) -> Fan:
                labels=labels, basis_cone=basis_cone)
 
 
-def _det(rows) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _bareiss(columns, targets=()):
+    """Fraction-free Gauss-Jordan elimination on ``[A | T]`` (Bareiss, Math.
+    Comp. 22, 1968; Nakos, Turner and Williams, SIGSAM Bull. 31(3), 1997).
 
-
-def _cramer(columns, target):
-    """Integer Cramer's rule for ``sum_j x_j * columns[j] == target``.
-
-    Returns ``(nums, det)`` with ``x_j == nums[j] / det``: ``det`` is the
-    determinant of the columns and ``nums[j]`` the one with column ``j``
-    replaced by ``target``, all by :func:`_det`, so all ``int``.  Either
-    way ``sum_j nums[j] * columns[j] == det * target``; a singular system
-    gives ``det == 0`` and zero numerators.
+    ``A`` and ``T`` have the columns ``columns`` and ``targets``, ``A`` square.
+    Returns ``(det, nums)``: ``det`` is the determinant of ``A`` and ``nums[t]``
+    the ``int`` tuple with ``sum_j nums[t][j] * columns[j] == det * targets[t]``
+    (Cramer's numerators).  A singular ``A`` gives ``det == 0`` and zero rows.
+    Each step divides by the previous pivot, exactly; a row swap negates one
+    of the two rows, so the last pivot is ``det`` itself.
     """
-    columns = list(columns)
-    det = _det(columns)
-    if not det:
-        return (0,) * len(columns), 0
-    return tuple(_det(columns[:j] + [target] + columns[j + 1:])
-                 for j in range(len(columns))), det
+    rows = [list(row) for row in zip(*columns, *targets)]
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return 0, ((0,) * n,) * len(targets)
+        if p != k:
+            rows[k], rows[p] = rows[p], [-x for x in rows[k]]
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                row[:] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row, top)]
+        prev = top[k]
+    return prev, tuple(zip(*(row[n:] for row in rows)))
 
 
 class ToricContext:
@@ -304,7 +295,7 @@ def validate(fan: Fan) -> ToricContext:
     n, m = fan.dim, len(fan.rays)
 
     for ci, cone in enumerate(fan.max_cones):
-        d = _det([fan.rays[i] for i in cone])
+        d, _ = _bareiss([fan.rays[i] for i in cone])
         if abs(d) != 1:
             raise FanError(f"cone {ci} is not unimodular (determinant {d})")
 
@@ -338,16 +329,11 @@ def validate(fan: Fan) -> ToricContext:
     others = tuple(i for i in range(m) if i not in set(basis))
     basis_perm = basis + others
 
-    # Dual basis of the basis cone: nu[p] . rays[basis[q]] == delta(p, q).
-    # The cone is unimodular: its determinant is +-1, so dividing by it is
-    # multiplying by it, and nu is integral.
-    columns = list(zip(*(fan.rays[i] for i in basis)))
-    nu = []
-    for p in range(n):
-        nums, det = _cramer(columns, tuple(int(q == p) for q in range(n)))
-        nu.append(tuple(det * x for x in nums))
-    z = tuple(tuple(sum(a * x for a, x in zip(nu_p, ray)) for nu_p in nu)
-              for ray in fan.rays)
+    # Each ray in the coordinates of the basis cone's rays.  The cone is
+    # unimodular: its determinant is +-1, so dividing by it is multiplying
+    # by it, and z is integral.
+    det, nums = _bareiss([fan.rays[i] for i in basis], fan.rays)
+    z = tuple(tuple(det * x for x in row) for row in nums)
 
     # The divisor relations: D_{basis[p]} = -sum_k z[others[k]][p] D_{others[k]}.
     rank = m - n
@@ -368,7 +354,7 @@ def validate(fan: Fan) -> ToricContext:
         # Write the opposite ray in the basis {u} + facet of the first cone,
         # which is unimodular (det +-1), so the coordinates are integers; for
         # a genuine fan the u-coordinate is forced to be -1.
-        nums, det = _cramer([fan.rays[u]] + [fan.rays[w] for w in facet], fan.rays[u2])
+        det, (nums,) = _bareiss([fan.rays[u]] + [fan.rays[w] for w in facet], [fan.rays[u2]])
         sol = [det * x for x in nums]
         if sol[0] != -1:
             raise FanError(
@@ -425,7 +411,7 @@ def _polytope_facets(ctx: ToricContext):
     Found by brute force over supporting hyperplanes through ``dim`` of the
     generators, in any dimension: every facet spans a hyperplane
     ``a . x == 1`` off the origin, so it holds ``dim`` linearly independent
-    generators.  :func:`_cramer` gives ``a`` as ``nums / det``, so each
+    generators.  :func:`_bareiss` gives ``a`` as ``nums / det``, so each
     generator ``p`` is compared by ``nums . p`` against ``det``, in ``int``.
     That is ``C(m, dim)`` small solves, fine for the fans the engine handles.
     """
@@ -434,7 +420,7 @@ def _polytope_facets(ctx: ToricContext):
     pts = ctx.fan.rays
     facets = set()
     for subset in combinations(range(ctx.m), ctx.n):
-        nums, det = _cramer(zip(*(pts[i] for i in subset)), (1,) * ctx.n)
+        det, (nums,) = _bareiss(zip(*(pts[i] for i in subset)), [(1,) * ctx.n])
         if not det:
             continue
         if det < 0:

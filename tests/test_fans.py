@@ -21,7 +21,7 @@ from toricmirror import (
     validate,
 )
 from toricmirror import checks, lp, mirror
-from toricmirror.fans import _cramer, _polytope_facets
+from toricmirror.fans import _bareiss, _polytope_facets
 
 P1 = {"dim": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}
 # Hirzebruch F3: the (-3)-section makes this fan *not* semi-Fano
@@ -411,15 +411,15 @@ def leibniz_det(columns):
 
 def test_cramer_gives_int_numerators_and_the_determinant():
     # (2, 1) x + (1, 3) y == (2, 3) at (3/5, 4/5)
-    assert _cramer([(2, 1), (1, 3)], (2, 3)) == ((3, 4), 5)
-    assert _cramer([(1, 2), (2, 4)], (1, 1))[1] == 0
-    assert _cramer([(1, 0, 1), (0, 1, 1), (1, 1, 2)], (1, 2, 3))[1] == 0
+    assert _bareiss([(2, 1), (1, 3)], [(2, 3)]) == (5, ((3, 4),))
+    assert _bareiss([(1, 2), (2, 4)], [(1, 1)])[0] == 0
+    assert _bareiss([(1, 0, 1), (0, 1, 1), (1, 1, 2)], [(1, 2, 3)])[0] == 0
     rng = random.Random(13)
     for _ in range(300):
         n = rng.randrange(1, 5)
         columns = [tuple(rng.randrange(-3, 4) for _ in range(n)) for _ in range(n)]
         target = tuple(rng.randrange(-5, 6) for _ in range(n))
-        nums, det = _cramer(columns, target)
+        det, (nums,) = _bareiss(columns, [target])
         assert all(type(x) is int for x in (*nums, det))
         assert det == leibniz_det(columns)
         assert ([sum(x * col[i] for x, col in zip(nums, columns)) for i in range(n)]
