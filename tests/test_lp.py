@@ -15,6 +15,9 @@ from toricmirror.lp import LPUnboundedError
 def test_feasible_interval():
     assert lp.feasible([((1,), 1), ((-1,), -2)], 1)
     assert not lp.feasible([((1,), 2), ((-1,), -1)], 1)
+    # 0 <= x <= 3 holds points, and the row 0 >= 1 alone empties it
+    assert lp.feasible([((1,), 0), ((-1,), -3), ((0,), 1)], 1) is False
+    assert lp.witness([((1,), 0), ((-1,), -3), ((0,), 1)], 1) is None
 
 
 def test_witness_satisfies_random_systems():
@@ -62,6 +65,8 @@ def test_minimize_fractional_answer():
 def test_minimize_infeasible():
     with pytest.raises(ValueError):
         lp.minimize([1], [((1,), 2), ((-1,), -1)], 1)
+    with pytest.raises(ValueError, match="^infeasible system$"):
+        lp.minimize([1], [((1,), 0), ((-1,), -3), ((0,), 1)], 1)
 
 
 def test_minimize_unbounded():
@@ -158,15 +163,6 @@ def test_the_variable_count_is_an_int(solve, kind):
 def test_the_variable_count_is_not_negative(solve):
     with pytest.raises(ValueError, match="^variable count must not be negative, got -1$"):
         solve()
-
-
-def test_a_row_zero_at_least_one_contradicts():
-    # 0 <= x <= 3 holds points; the row 0 >= 1 empties the system
-    rows = [((1,), 0), ((-1,), -3), ((0,), 1)]
-    assert lp.feasible(rows, 1) is False
-    assert lp.witness(rows, 1) is None
-    with pytest.raises(ValueError, match="^infeasible system$"):
-        lp.minimize((1,), rows, 1)
 
 
 def test_integer_points_match_brute_force():
