@@ -163,7 +163,8 @@ _P2_RAYS, _P2_CONES = ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (2, 0))
     (Fan(2, _P2_RAYS, _P2_CONES, ("a",)), "labels must be a list of strings, one per ray"),
     (Fan(2, (1, 2, 3), _P2_CONES), "ray 0 must be a list of 2 integers"),
 ], ids=["float-ray", "bool-ray", "float-cone", "imprimitive-ray", "duplicate-cone",
-        "ray-out-of-range", "ray-one-past-the-last", "duplicate-ray", "int-labels", "short-labels", "int-rays"])
+        "ray-out-of-range", "ray-one-past-the-last", "duplicate-ray", "int-labels",
+        "short-labels", "int-rays"])
 def test_validate_parses_a_hand_built_fan(fan, message):
     # a Fan is a public named tuple: validate runs it through parse_fan's
     # checks, as it does a document, before any geometry
